@@ -65,6 +65,7 @@ from repro.dbr.blockcompiler import (
     _seg_statement,
     SEG_OPCODES,
     STITCH_TAIL_OPCODES,
+    generated_code,
 )
 from repro.machine.cpu import BASE_COST
 from repro.machine.isa import MEMORY_OPCODES, Opcode
@@ -651,9 +652,8 @@ def compile_superblock(members: List, engine) -> SuperBlock:
     count = sum(len(m.instrs) for m in members)
     source = "\n".join(lines)
     namespace: dict = {}
-    code = compile(source, f"<superblock:{members[0].block_index}>",
-                   "exec")
-    exec(code, glb, namespace)
+    exec(generated_code(source, f"<superblock:{members[0].block_index}>"),
+         glb, namespace)
     return SuperBlock(members[0].block_index, tuple(members),
                       namespace["_sb"], count, overhead, exit_cell,
                       elided_uids)

@@ -168,15 +168,19 @@ def _elide_run(program_factory, *, static_elide: bool, seed: int,
 
 
 def _best_of(run: Callable[[], Dict], repeats: int) -> Dict:
-    best = None
+    """Fastest of ``repeats`` samples; every sample must retire the same
+    instruction count and simulated cycles as the first one."""
+    first = best = None
     for _ in range(max(1, repeats)):
         sample = run()
-        if best is None or sample["seconds"] < best["seconds"]:
-            if best is not None and sample["instructions"] != \
-                    best["instructions"]:
+        if first is None:
+            first = sample
+        for what in ("instructions", "cycles"):
+            if sample[what] != first[what]:
                 raise HarnessError(
-                    "non-deterministic instruction count across repeats "
-                    f"({sample['instructions']} vs {best['instructions']})")
+                    f"non-deterministic {what} across repeats "
+                    f"({sample[what]} vs {first[what]})")
+        if best is None or sample["seconds"] < best["seconds"]:
             best = sample
     return best
 

@@ -94,7 +94,8 @@ from repro.harness.runner import (
 )
 from repro.analyses.fasttrack.epoch import epoch_tid
 from repro.machine.paging import PAGE_SHIFT
-from repro.scengen.scenario import ScenarioIR, render
+from repro.machine.program import Program
+from repro.scengen.scenario import RenderInfo, ScenarioIR, render
 from repro.staticanalysis import RaceVerdict, SharingClass, lint_program
 from repro.staticanalysis.analysiscache import analysis_for
 
@@ -131,6 +132,24 @@ def install_smc(kernel, engine, uids: Tuple[int, ...],
     kernel.tick_hooks.append(_tick)
 
 
+#: ``(ir, render(ir))`` for the scenario rendered last. Rendering is a
+#: pure function of the frozen IR and no tier, recorder or analysis
+#: mutates a ``Program``, so one check renders its scenario once and
+#: every tier run, the record run, lint and the static analyses share
+#: that program.
+_last_render: Tuple = (None, None)
+
+
+def _rendered(ir: ScenarioIR) -> Tuple[Program, RenderInfo]:
+    """``render(ir)``, memoized for the most recent IR only."""
+    global _last_render
+    last_ir, rendered = _last_render
+    if last_ir is not ir and last_ir != ir:
+        rendered = render(ir)
+        _last_render = (ir, rendered)
+    return rendered
+
+
 def _race_payload(races) -> Dict:
     return {
         "races": sorted(r.describe() for r in races),
@@ -154,7 +173,7 @@ def default_tier_runner(ir: ScenarioIR, mode: str, tier: str,
                         budget: int) -> Outcome:
     """Run one tier of one mode; never raises a simulated error."""
     compile_blocks, superblocks = _tier_flags(tier)
-    program, info = render(ir)
+    program, info = _rendered(ir)
     try:
         if mode == "fasttrack":
             kernel = Kernel(seed=ir.sched_seed, quantum=ir.quantum,
@@ -208,7 +227,7 @@ def default_tier_runner(ir: ScenarioIR, mode: str, tier: str,
 
 def _record_trace(ir: ScenarioIR, budget: int):
     """Full-instrumentation record run; returns the recorder or None."""
-    program, _ = render(ir)
+    program, _ = _rendered(ir)
     kernel = Kernel(seed=ir.sched_seed, quantum=ir.quantum,
                     jitter=ir.jitter)
     kernel.create_process(program)
@@ -287,7 +306,7 @@ def check_scenario(ir: ScenarioIR, *, quick: bool = True,
         report("chaos_replay", aik_interp == aik_again,
                _surface_diff(aik_interp, aik_again))
 
-    program, _ = render(ir)
+    program, _ = _rendered(ir)
     findings = lint_program(program)
     errors = [str(f) for f in findings if f.severity == "error"]
     report("lint_clean", not errors,

@@ -10,6 +10,13 @@ builds of the same workload share an entry even across distinct
 ``Program`` objects), and each artifact inside it is computed lazily at
 most once.
 
+Calls per fuzz scenario: the oracle renders the scenario once and makes
+two lookups on that program — ``lint_program`` (which computes the
+``lint`` artifact) and the soundness checks after the record run
+(``sharing`` and ``races``, built on one CFG and one context
+discovery). The Aikido tier runs add a lookup each only when
+``static_prepass`` or ``static_elide`` is on, and those hit the cache.
+
 The cache is bounded (:data:`MAX_ENTRIES`, FIFO eviction) and safe under
 the harness's process-pool parallelism: each worker process has its own
 cache, and every artifact is a pure function of the finalized program.

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.machine.isa import BLOCK_TERMINATORS, Instruction, Opcode
+from repro.machine.isa import BLOCK_TERMINATORS, Opcode
 from repro.machine.program import Program
 
 #: Conditional branches: taken edge plus fallthrough.
@@ -190,11 +190,6 @@ class CFG:
 
     def instruction_block(self, uid: int) -> int:
         return self.program.instruction_locations[uid][0]
-
-    def iter_block_instructions(self, block: int
-                                ) -> Iterable[Tuple[int, Instruction]]:
-        for pos, instr in enumerate(self.program.blocks[block].instructions):
-            yield pos, instr
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         edges = sum(len(s) for s in self.succs)

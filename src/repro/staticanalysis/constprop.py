@@ -80,18 +80,21 @@ class AVal:
 
     @staticmethod
     def const(value: int, maybe_tid: bool = False) -> "AVal":
-        return AVal(_CONST, frozenset((value & _MASK64,)),
-                    maybe_tid=maybe_tid)
+        """The single constant ``value``, interned (see :data:`_INTERNED`)."""
+        key = (value & _MASK64, maybe_tid)
+        val = _INTERNED.get(key)
+        if val is None:
+            if len(_INTERNED) >= MAX_INTERNED:
+                _INTERNED.clear()
+            val = _INTERNED[key] = AVal(_CONST, frozenset((key[0],)),
+                                        maybe_tid=maybe_tid)
+        return val
 
     @staticmethod
     def const_set(values: Iterable[int],
                   maybe_tid: bool = False) -> "AVal":
-        vals = frozenset(v & _MASK64 for v in values)
-        if not vals:
-            return _BOT_VAL
-        if len(vals) > MAX_CONSTS:
-            return AVal.range(min(vals), max(vals), maybe_tid)
-        return AVal(_CONST, vals, maybe_tid=maybe_tid)
+        return _masked_const_set(frozenset(v & _MASK64 for v in values),
+                                 maybe_tid)
 
     @staticmethod
     def range(lo: int, hi: int, maybe_tid: bool = False) -> "AVal":
@@ -197,20 +200,29 @@ class AVal:
 
     # -- lattice --------------------------------------------------------
     def join(self, other: "AVal") -> "AVal":
-        if self.is_bot:
+        # Equal operands are the common case in a converging fixed
+        # point; the full join would only rebuild an equal value.
+        if other is self or other == self:
+            return self
+        return self._join(other)
+
+    def _join(self, other: "AVal") -> "AVal":
+        """:meth:`join` without the equal-operand short-circuit."""
+        kind, other_kind = self.kind, other.kind
+        if kind == _BOT:
             return other.with_tid(self.maybe_tid or other.maybe_tid) \
                 if self.maybe_tid else other
-        if other.is_bot:
+        if other_kind == _BOT:
             return self.with_tid(self.maybe_tid or other.maybe_tid) \
                 if other.maybe_tid else self
         tid = self.maybe_tid or other.maybe_tid
-        if self.is_top or other.is_top:
+        if kind == _TOP or other_kind == _TOP:
             return AVal.top(tid)
-        if self.kind == _CONST and other.kind == _CONST:
-            return AVal.const_set(self.consts | other.consts, tid)
-        if _SETOFF in (self.kind, other.kind):
-            a, b = ((self, other) if self.kind == _SETOFF
-                    else (other, self))
+        if kind == _CONST and other_kind == _CONST:
+            # Both operands are already masked: skip const_set's pass.
+            return _masked_const_set(self.consts | other.consts, tid)
+        if _SETOFF in (kind, other_kind):
+            a, b = (self, other) if kind == _SETOFF else (other, self)
             if b.kind == _CONST:
                 return AVal.setoff(a.consts | b.consts, a.hi, tid)
             if b.kind == _SETOFF:
@@ -231,7 +243,13 @@ class AVal:
         its region boundary instead of blowing up to 2^64. The ladder is
         finite, so repeated widening still terminates at TOP.
         """
-        joined = self.join(other)
+        if other is self or other == self:
+            return self
+        return self._widen(other)
+
+    def _widen(self, other: "AVal") -> "AVal":
+        """:meth:`widen` without the equal-operand short-circuit."""
+        joined = self._join(other)
         if joined == self:
             return self
         if joined.kind == _SETOFF:
@@ -261,6 +279,8 @@ class AVal:
     def with_tid(self, maybe_tid: bool) -> "AVal":
         if maybe_tid == self.maybe_tid:
             return self
+        if self.kind == _CONST and len(self.consts) == 1:
+            return AVal.const(next(iter(self.consts)), maybe_tid)
         return AVal(self.kind, self.consts, self.lo, self.hi, maybe_tid)
 
     def __eq__(self, other: object) -> bool:
@@ -290,6 +310,27 @@ class AVal:
 _BOT_VAL = AVal(_BOT)
 _TOP_VAL = AVal(_TOP)
 _TID_TOP_VAL = AVal(_TOP, maybe_tid=True)
+
+#: Intern table for single-constant values, keyed by (value, maybe_tid):
+#: every constant the analyses build goes through :meth:`AVal.const`,
+#: so equal constants are usually the same object and joins of them
+#: take the identity short-circuit. Cleared when it reaches
+#: :data:`MAX_INTERNED` entries, which bounds it across a long campaign
+#: of distinct programs (values stay equal after a clear, just no
+#: longer identical to ones built before it).
+_INTERNED: Dict[Tuple[int, bool], AVal] = {}
+MAX_INTERNED = 1 << 14
+
+
+def _masked_const_set(vals: FrozenSet[int], maybe_tid: bool) -> AVal:
+    """:meth:`AVal.const_set` for values already reduced to 64 bits."""
+    if not vals:
+        return _BOT_VAL
+    if len(vals) == 1:
+        return AVal.const(next(iter(vals)), maybe_tid)
+    if len(vals) > MAX_CONSTS:
+        return AVal.range(min(vals), max(vals), maybe_tid)
+    return AVal(_CONST, vals, maybe_tid=maybe_tid)
 
 
 def _pairwise(a: AVal, b: AVal, fn) -> Optional[AVal]:
@@ -537,9 +578,6 @@ class ConstProp(ForwardProblem):
         self.cfg = cfg
         self.entry_regs = entry_regs if entry_regs is not None \
             else initial_regs()
-        #: Instruction states captured during the *final* pass; see
-        #: :meth:`states_at_instructions`.
-        self._capture: Optional[Dict[int, RegState]] = None
 
     # -- ForwardProblem interface --------------------------------------
     def initial(self) -> RegState:
@@ -549,17 +587,20 @@ class ConstProp(ForwardProblem):
         return self.entry_regs
 
     def join(self, a: RegState, b: RegState) -> RegState:
-        return tuple(x.join(y) for x, y in zip(a, b))
+        if a == b:
+            return a
+        return tuple(x if x is y else x.join(y) for x, y in zip(a, b))
 
     def widen(self, old: RegState, new: RegState) -> RegState:
-        return tuple(x.widen(y) for x, y in zip(old, new))
+        if old == new:
+            return old
+        return tuple(x if x is y else x.widen(y) for x, y in zip(old, new))
 
     def transfer(self, block: int, state: RegState) -> RegState:
         regs = list(state)
-        for pos, instr in self.cfg.iter_block_instructions(block):
-            if self._capture is not None and instr.uid >= 0:
-                self._capture[instr.uid] = tuple(regs)
-            self._step(instr, regs)
+        step = self._step
+        for instr in self.cfg.program.blocks[block].instructions:
+            step(instr, regs)
         return tuple(regs)
 
     def edge_transfer(self, block: int, out: RegState, succ: int,
@@ -622,13 +663,16 @@ class ConstProp(ForwardProblem):
         this context never reaches are absent.
         """
         block_in = self.solve(entry)
-        self._capture = {}
-        try:
-            for block, state in block_in.items():
-                self.transfer(block, state)
-            return self._capture
-        finally:
-            self._capture = None
+        blocks = self.cfg.program.blocks
+        step = self._step
+        captured: Dict[int, RegState] = {}
+        for block, state in block_in.items():
+            regs = list(state)
+            for instr in blocks[block].instructions:
+                if instr.uid >= 0:
+                    captured[instr.uid] = tuple(regs)
+                step(instr, regs)
+        return captured
 
 
 def _refine_branch(last: Instruction, state: RegState,

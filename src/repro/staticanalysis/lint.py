@@ -353,9 +353,16 @@ def lint_program(program: Program, cfg: Optional[CFG] = None,
                  _cacheable: bool = True) -> List[Finding]:
     """Run every lint check; returns findings (errors first).
 
-    By default the result is memoized per program fingerprint (the
-    fuzz campaign lints every rendered scenario, often twice for the
-    reduced form); ``_cacheable=False`` is the cache's own entry point.
+    By default the result is memoized per program fingerprint through
+    :func:`~repro.staticanalysis.analysiscache.analysis_for`. The fuzz
+    oracle calls this once per scenario check, on the one program it
+    renders for all of that check's runs, so the findings are computed
+    once per distinct program; the reducer's candidates are distinct
+    programs and each is linted once. ``_cacheable=False`` is the
+    cache's own entry point, and it runs its own constant propagation
+    per thread entry (spawn arguments TOP) rather than reusing the
+    sharing analysis' contexts, whose precise arguments would change
+    the findings.
     """
     if _cacheable and cfg is None:
         from repro.staticanalysis.analysiscache import analysis_for
