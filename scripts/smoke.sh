@@ -151,11 +151,13 @@ EOF
 # every journaled verdict without re-simulating it.
 FUZZ_JOURNAL="$AIKIDO_CACHE_DIR/smoke-fuzz.jsonl"
 python -m repro.harness.cli fuzz --seed 1 --count 30 --quick
+set -m  # own process group, so the kill takes the pool workers too
 python -m repro.harness.cli fuzz --seed 100 --count 30 --quick \
     --journal "$FUZZ_JOURNAL" --no-cache 2> /dev/null &
 FUZZ_PID=$!
+set +m
 until [ -s "$FUZZ_JOURNAL" ]; do sleep 0.05; done
-kill -9 "$FUZZ_PID" 2> /dev/null || true
+kill -9 -- -"$FUZZ_PID" 2> /dev/null || true
 wait "$FUZZ_PID" 2> /dev/null || true
 JOURNALED=$(wc -l < "$FUZZ_JOURNAL")
 echo "fuzz smoke: killed campaign after $JOURNALED journaled verdict(s)"
@@ -179,75 +181,47 @@ print(f"fuzz smoke ok: resume replayed {replayed}, "
       f"simulated only the remaining {simulated}")
 EOF
 
-# Fleet smoke: the sharded campaign service must survive both kill
-# modes. First a coordinator + 2 local workers with one worker
-# SIGKILLed mid-campaign (zero lost shards, report bit-identical to
-# --serial); then the coordinator itself is SIGKILLed and the --resume
-# rerun must replay every WAL-completed shard with zero re-simulation.
-FLEET_STATE="$AIKIDO_CACHE_DIR/fleet-state"
+# Fleet smoke: a suite grid on two pool workers is SIGKILLed (its
+# process group, workers included) after its first journaled job. The
+# --resume rerun must replay every journaled job without re-simulating
+# it, and its report must be byte-identical to a --workers 1 run.
+FLEET_GRID=(--benchmarks blackscholes,canneal,swaptions --seeds 1,2,3,4
+            --scale 3 --no-cache)
+FLEET_JOURNAL="$AIKIDO_CACHE_DIR/fleet.jsonl"
 FLEET_SERIAL="$AIKIDO_CACHE_DIR/fleet-serial.json"
 FLEET_JSON="$AIKIDO_CACHE_DIR/fleet-report.json"
-python -m repro.harness.cli fleet run --kind fuzz --seed 200 \
-    --count 12 --shard-size 2 --serial --no-cache --json "$FLEET_SERIAL"
-python - "$FLEET_SERIAL" <<'EOF'
-import json
-import os
-import signal
-import sys
-import threading
-import time
-
-from repro.fleet.coordinator import FleetCoordinator
-from repro.fleet.shards import CampaignSpec
-
-spec = CampaignSpec(kind="fuzz", base_seed=200, count=12, shard_size=2)
-coordinator = FleetCoordinator(spec, cache=None, lease_s=2.0,
-                               heartbeat_s=0.3, backoff_base_s=0.05)
-box = {}
-thread = threading.Thread(
-    target=lambda: box.update(report=coordinator.run(spawn_workers=2)),
-    daemon=True)
-thread.start()
-deadline = time.monotonic() + 60
-while coordinator.counters.totals["workers_registered"] < 2:
-    assert time.monotonic() < deadline, "workers never registered"
-    time.sleep(0.05)
-os.kill(coordinator.worker_procs[0].pid, signal.SIGKILL)
-thread.join(timeout=120)
-assert not thread.is_alive(), "fleet campaign hung"
-report = box["report"]
-with open(sys.argv[1]) as fh:
-    serial = json.load(fh)
-assert report["missing_shards"] == [], "fleet smoke lost shards"
-assert json.dumps(report, sort_keys=True) == \
-    json.dumps(serial, sort_keys=True), \
-    "fleet report differs from the serial reference"
-print(f"fleet smoke ok: worker SIGKILLed, "
-      f"{coordinator.counters.stats_line()}")
-EOF
-python -m repro.harness.cli fleet run --kind fuzz --seed 200 \
-    --count 12 --shard-size 2 --workers 2 --no-cache \
-    --state-dir "$FLEET_STATE" > /dev/null 2>&1 &
+set -m
+python -m repro.harness.cli fleet run "${FLEET_GRID[@]}" --workers 2 \
+    --journal "$FLEET_JOURNAL" --json "$FLEET_JSON" > /dev/null 2>&1 &
 FLEET_PID=$!
-until grep -qs '"type": "done"' "$FLEET_STATE/wal.jsonl"; do sleep 0.05; done
-kill -9 "$FLEET_PID" 2> /dev/null || true
+set +m
+until [ -s "$FLEET_JOURNAL" ]; do sleep 0.05; done
+kill -9 -- -"$FLEET_PID" 2> /dev/null || true
 wait "$FLEET_PID" 2> /dev/null || true
-echo "fleet smoke: coordinator SIGKILLed mid-campaign"
-RESUME_STATS=$(python -m repro.harness.cli fleet run --kind fuzz \
-    --seed 200 --count 12 --shard-size 2 --workers 0 --no-cache \
-    --state-dir "$FLEET_STATE" --resume --json "$FLEET_JSON" \
+JOURNALED=$(wc -l < "$FLEET_JOURNAL")
+echo "fleet smoke: killed campaign after $JOURNALED journaled job(s)"
+RESUME_STATS=$(python -m repro.harness.cli fleet run "${FLEET_GRID[@]}" \
+    --workers 2 --journal "$FLEET_JOURNAL" --resume --json "$FLEET_JSON" \
     2>&1 > /dev/null | tail -1)
 echo "fleet smoke: $RESUME_STATS"
-case "$RESUME_STATS" in
-    *"resumed from WAL"*) ;;
-    *) echo "fleet resume re-simulated completed shards"; exit 1 ;;
-esac
-python - "$FLEET_SERIAL" "$FLEET_JSON" <<'EOF'
+python -m repro.harness.cli fleet run "${FLEET_GRID[@]}" --workers 1 \
+    --json "$FLEET_SERIAL" > /dev/null
+python - "$JOURNALED" "$RESUME_STATS" "$FLEET_SERIAL" "$FLEET_JSON" <<'EOF'
+import re
 import sys
 
-serial, fleet = (open(path, "rb").read() for path in sys.argv[1:3])
-assert serial == fleet, "resumed fleet report differs from serial"
-print("fleet smoke ok: coordinator resume byte-identical to serial")
+journaled = int(sys.argv[1])
+stats = sys.argv[2]
+simulated = int(re.search(r"(\d+) simulated", stats).group(1))
+replayed = int(re.search(r"(\d+) replayed from journal", stats).group(1))
+assert replayed >= journaled, \
+    f"resume replayed {replayed} < {journaled} journaled before the kill"
+assert simulated == 12 - replayed, \
+    f"resume re-simulated journaled jobs: {stats}"
+serial, resumed = (open(path, "rb").read() for path in sys.argv[3:5])
+assert serial == resumed, "resumed fleet report differs from --workers 1"
+print(f"fleet smoke ok: resume replayed {replayed}, simulated only the "
+      f"remaining {simulated}; report byte-identical to --workers 1")
 EOF
 
 # Tier-parity smoke: the block-compiled tier (the default) and the

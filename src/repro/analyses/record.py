@@ -87,14 +87,19 @@ class FullTraceRecorder:
     when the trace must include every access (an Aikido-collected trace
     inherits Aikido's first-touch blind spot — fine for shared-data
     analyses, wrong for ground-truth happens-before graphs).
+
+    Entries go to ``target``, anything with ``.append``: an in-memory
+    list (the default, exposed as ``trace``) or an
+    :class:`~repro.eventlog.log.EventLogWriter`, which streams them to
+    disk so recording memory stays bounded by the chunk size.
     """
 
-    def __init__(self):
-        self.trace: List[TraceEntry] = []
+    def __init__(self, target=None):
+        self.trace = [] if target is None else target
 
     def on_access(self, tid: int, addr: int, is_write: bool,
                   instr_uid: int = -1) -> None:
-        self.trace.append(("access", tid, addr, is_write, instr_uid))
+        self.trace.append(("access", tid, addr, bool(is_write), instr_uid))
 
     def on_acquire(self, tid: int, lock_id: int) -> None:
         self.trace.append(("acquire", tid, lock_id))

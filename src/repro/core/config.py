@@ -129,23 +129,3 @@ class AikidoConfig:
     def to_dict(self) -> Dict:
         """JSON-safe form (what job canonicalization already embeds)."""
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "AikidoConfig":
-        """Rebuild a config from :meth:`to_dict` output.
-
-        The inverse the fleet wire protocol needs: a worker receives the
-        canonical job dict and must reconstruct the exact config object,
-        nested :class:`ChaosPlan` included, so its cache/journal keys
-        match the coordinator's.
-        """
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(
-                f"unknown AikidoConfig field(s) {sorted(unknown)}")
-        kwargs = dict(payload)
-        chaos = kwargs.get("chaos")
-        if chaos is not None and not isinstance(chaos, ChaosPlan):
-            kwargs["chaos"] = ChaosPlan.from_dict(chaos)
-        return cls(**kwargs)

@@ -20,7 +20,6 @@ from repro.eventlog.log import EventLogReader, EventLogWriter
 from repro.eventlog.replay import (
     ANALYSES,
     ReplayFanout,
-    StreamingRecorder,
     detector_verdict,
     live_run_verdict,
     record_run,
@@ -32,7 +31,6 @@ __all__ = [
     "EventLogReader",
     "EventLogWriter",
     "ReplayFanout",
-    "StreamingRecorder",
     "decode_entries",
     "detector_verdict",
     "encode_entries",

@@ -26,7 +26,7 @@ from repro.analyses.djit import DjitDetector
 from repro.analyses.eraser import EraserDetector
 from repro.analyses.fasttrack.detector import FastTrackDetector
 from repro.analyses.memtag import MemTagDetector
-from repro.analyses.record import replay
+from repro.analyses.record import FullTraceRecorder, replay
 from repro.chaos.invariants import (
     check_analysis_agreement,
     cross_analysis_disagreements,
@@ -91,38 +91,6 @@ def detector_verdict(name: str, detector) -> Dict:
     }
 
 
-class StreamingRecorder:
-    """Detector-protocol recorder that appends straight to a log writer.
-
-    The streaming sibling of
-    :class:`repro.analyses.record.FullTraceRecorder`: same entry tuples,
-    but each one goes to the :class:`EventLogWriter` immediately, so
-    recording memory stays bounded by the chunk size.
-    """
-
-    def __init__(self, writer: EventLogWriter):
-        self.writer = writer
-
-    def on_access(self, tid: int, addr: int, is_write: bool,
-                  instr_uid: int = -1) -> None:
-        self.writer.append(("access", tid, addr, bool(is_write), instr_uid))
-
-    def on_acquire(self, tid: int, lock_id: int) -> None:
-        self.writer.append(("acquire", tid, lock_id))
-
-    def on_release(self, tid: int, lock_id: int) -> None:
-        self.writer.append(("release", tid, lock_id))
-
-    def on_fork(self, parent_tid: int, child_tid: int) -> None:
-        self.writer.append(("fork", parent_tid, child_tid))
-
-    def on_join(self, parent_tid: int, child_tid: int) -> None:
-        self.writer.append(("join", parent_tid, child_tid))
-
-    def on_barrier(self, tids, barrier_id: int = 0) -> None:
-        self.writer.append(("barrier", barrier_id, tuple(tids)))
-
-
 def record_run(program, path: str, *, seed: int = 0, quantum: int = 200,
                jitter: float = 0.0, compile_blocks: bool = True,
                chunk_events: int = DEFAULT_CHUNK_EVENTS, counters=None,
@@ -142,7 +110,7 @@ def record_run(program, path: str, *, seed: int = 0, quantum: int = 200,
 
     with EventLogWriter(path, chunk_events=chunk_events,
                         counters=counters) as writer:
-        tool = FullInstrumentationTool(kernel, StreamingRecorder(writer))
+        tool = FullInstrumentationTool(kernel, FullTraceRecorder(writer))
         engine.attach_tool(tool)
         kernel.run(max_instructions=max_instructions)
     # Stats read after close(): the final partial chunk and the trailer

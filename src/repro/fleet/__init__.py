@@ -1,48 +1,16 @@
-"""Fault-tolerant sharded campaign service.
+"""Suite-grid campaigns (``aikido-repro fleet run``).
 
-The single-host :class:`~repro.harness.parallel.ParallelRunner` caps a
-campaign at one machine and one process tree: a crashed host loses
-everything not yet journaled, and a million-run chaos x seed sweep does
-not fit in one ``ProcessPoolExecutor``. This package refactors the
-runner/journal/cache trio into a small distributed service:
+* :mod:`repro.fleet.campaign` — :class:`CampaignSpec` (benchmarks x
+  seeds x chaos seeds), its expansion into harness jobs, and the
+  deterministic campaign report;
+* :mod:`repro.fleet.cli` — the ``fleet run`` command line.
 
-* :mod:`repro.fleet.protocol` — newline-delimited JSON frames over a
-  socket (local TCP now, multi-host later), with strict size and shape
-  validation so a garbled peer can never wedge the coordinator;
-* :mod:`repro.fleet.shards` — campaign descriptions (workloads x seeds
-  x configs x chaos plans, or scengen fuzz seed ranges) partitioned
-  into content-addressed shards keyed by
-  ``sha256(shard spec + cost-model fingerprint)``;
-* :mod:`repro.fleet.wal` — journal-first coordinator state (JSONL WAL +
-  atomic snapshots) so ``--resume`` re-simulates zero completed shards
-  even after SIGKILL;
-* :mod:`repro.fleet.coordinator` — worker registration with leases and
-  heartbeats, per-shard deadlines, dead-worker detection with requeue,
-  exponential backoff + jitter, poison-shard quarantine, graceful
-  degradation to inline execution, and deterministic report merging;
-* :mod:`repro.fleet.worker` — the worker process body, including the
-  seeded chaos-on-the-harness test mode (kills / stalls / garbled
-  frames) that the survivability tests drive.
-
-The merged report is purely a function of the campaign spec and the
-cost-model fingerprint — the distributed path is bit-identical to a
-serial single-host run of the same campaign, kills and all.
+Execution, journaling and caching are the suite harness's
+:class:`~repro.harness.parallel.ParallelRunner` and
+:class:`~repro.harness.journal.RunJournal`; this package only describes
+the grid and reports on it.
 """
 
-from repro.fleet.coordinator import FleetCoordinator, run_fleet_campaign
-from repro.fleet.protocol import (FrameError, FrameStream, MAX_FRAME_BYTES,
-                                  decode_frame, encode_frame)
-from repro.fleet.shards import (CampaignSpec, ShardSpec, execute_shard,
-                                merge_report, partition, serial_report)
-from repro.fleet.wal import CoordinatorWAL
-from repro.fleet.worker import FleetChaosPlan, worker_main
+from repro.fleet.campaign import CampaignSpec, campaign_report, render_report
 
-__all__ = [
-    "FleetCoordinator", "run_fleet_campaign",
-    "FrameError", "FrameStream", "MAX_FRAME_BYTES",
-    "decode_frame", "encode_frame",
-    "CampaignSpec", "ShardSpec", "execute_shard", "merge_report",
-    "partition", "serial_report",
-    "CoordinatorWAL",
-    "FleetChaosPlan", "worker_main",
-]
+__all__ = ["CampaignSpec", "campaign_report", "render_report"]

@@ -19,9 +19,8 @@ Usage (installed as ``aikido-repro`` or ``python -m repro.harness.cli``)::
     aikido-repro bench --quick    # small/fast bench (schema smoke)
     aikido-repro fuzz --seed 1 --count 200 --quick  # differential fuzz
     aikido-repro fuzz --seed 1 --count 500 --journal f.jsonl --resume
-    aikido-repro fleet run --workers 2 --state-dir st/   # sharded fleet
-    aikido-repro fleet run --kind fuzz --count 1000 --resume --state-dir st/
-    aikido-repro fleet worker --connect HOST:PORT  # serve a coordinator
+    aikido-repro fleet run --workers 2 --seeds 1,2,3 --journal g.jsonl
+    aikido-repro fleet run --workers 2 --seeds 1,2,3 --journal g.jsonl --resume
     aikido-repro record --benchmark canneal --out canneal.aiklog
     aikido-repro replay --log canneal.aiklog \
         --analyses fasttrack,djit,eraser,memtag --jobs 4
@@ -31,9 +30,10 @@ Usage (installed as ``aikido-repro`` or ``python -m repro.harness.cli``)::
     aikido-repro all --jobs 8     # fan runs out over 8 processes
     aikido-repro all --no-cache   # force fresh simulations
 
-Suite runs fan out over a process pool (``--jobs``, default one worker
-per CPU) and are served from the on-disk result cache when an identical
-run was already simulated (disable with ``--no-cache``).
+Suite runs and fuzz campaigns fan out over a process pool (``--jobs``,
+default one worker per CPU) and are served from the on-disk result cache
+when an identical run was already simulated (disable with
+``--no-cache``).
 
 Robustness knobs: ``--timeout`` bounds each job's wall clock,
 ``--retries`` grants transient failures extra attempts, ``--journal`` +
@@ -119,13 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quantum", type=int,
                         default=experiments.DEFAULT_QUANTUM)
     parser.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="worker processes for suite runs "
-                             "(0 = one per CPU, 1 = serial; default 0)")
+                        help="worker processes for suite runs and fuzz "
+                             "campaigns (0 = one per CPU, 1 = serial; "
+                             "default 0)")
     parser.add_argument("--no-cache", action="store_true",
                         help="always re-simulate instead of reusing the "
                              "on-disk result cache")
     parser.add_argument("--json", metavar="PATH",
-                        help="also dump machine-readable suite results")
+                        help="also dump machine-readable suite (or fuzz "
+                             "campaign) results")
     parser.add_argument("--latex", metavar="PATH",
                         help="also write booktabs LaTeX tables")
     parser.add_argument("--chaos", action="store_true",
@@ -162,9 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:1] == ["fleet"]:
-        # The sharded campaign service has its own verb tree (run /
-        # worker) and keeps the exit-code contract: 0 ok, 2 usage or
-        # harness error, 3 per-unit failures / quarantined shards.
+        # Suite-grid campaigns have their own verb tree and keep the
+        # exit-code contract: 0 ok, 2 usage or harness error, 3 failed
+        # jobs.
         from repro.fleet.cli import main as fleet_main
 
         return fleet_main(argv[1:])
@@ -275,18 +277,26 @@ def _bench_artifact(args) -> list:
 
 def _fuzz_artifact(args, started: float) -> int:
     """Seeded differential fuzz campaign over generated scenarios."""
-    from repro.scengen import render_campaign, run_campaign
+    from repro.scengen import campaign_to_dict, render_campaign, run_campaign
 
     cache = None if args.no_cache else ResultCache()
     journal = (RunJournal(args.journal, resume=args.resume)
                if args.journal else None)
     result = run_campaign(
         args.seed, args.count, quick=args.quick, journal=journal,
-        cache=cache, corpus_dir=args.corpus_dir,
+        cache=cache, corpus_dir=args.corpus_dir, jobs=args.jobs,
+        timeout=args.timeout, retries=args.retries,
         progress=lambda message: print(message, file=sys.stderr))
     print(render_campaign(result))
     if args.corpus_dir and result.disagreements:
         print(f"(failing scenarios archived under {args.corpus_dir})")
+    if args.json:
+        import json
+
+        with open(args.json, "w") as handle:
+            json.dump(campaign_to_dict(result), handle, indent=2,
+                      sort_keys=True)
+        print(f"(json written to {args.json})")
     print(f"[{time.monotonic() - started:.1f}s; {result.stats_line()}]",
           file=sys.stderr)
     return 3 if result.disagreements else 0

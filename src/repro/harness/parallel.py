@@ -1,18 +1,24 @@
-"""Process-pool execution of harness runs, with an on-disk result cache.
+"""The campaign executor: process-pool runs with a journal and a cache.
 
 Every run of the evaluation (§5) is an independent, deterministic
 simulation: the same job tuple always produces the same metrics. That
 makes the suite embarrassingly parallel and perfectly cacheable, and
 this module exploits both:
 
+* the *unit contract* — :class:`ParallelRunner` runs any unit that
+  offers ``key(fp)`` (a content address that folds in the
+  fingerprint), a picklable ``execute()`` returning a JSON payload,
+  ``decode(payload)``, and ``describe()`` for failure records. The
+  harness :class:`Job` and the fuzz campaign's
+  :class:`~repro.scengen.campaign.FuzzUnit` both implement it;
 * :class:`Job` — one run, described by plain data (a registered
   benchmark name rather than a live :class:`~repro.machine.program.Program`,
   so it pickles cheaply and hashes stably);
-* :class:`ParallelRunner` — executes a batch of jobs via
+* :class:`ParallelRunner` — executes a batch of units via
   :class:`concurrent.futures.ProcessPoolExecutor` (``jobs>1``) or inline
-  (``jobs=1``, byte-for-byte today's serial behavior), consulting a
-  :class:`~repro.harness.resultcache.ResultCache` first when one is
-  attached;
+  (``jobs=1``), consulting a :class:`~repro.harness.journal.RunJournal`
+  and then a :class:`~repro.harness.resultcache.ResultCache` first when
+  they are attached;
 * :func:`fingerprint` — hash of the package version plus every active
   cost constant, folded into each cache key so editing the cost model
   (or running under a :class:`~repro.harness.costmodel.CostModel`
@@ -45,7 +51,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, List, Optional, Protocol, Sequence,
+                    Tuple, Union)
 
 from repro import __version__
 from repro.analyses.fasttrack.reports import RaceReport
@@ -65,6 +72,22 @@ from repro.harness.runner import MODES, RunResult, run_mode
 #: errors (deadlock, segfault, invariant violation) are deterministic —
 #: retrying replays the identical failure, so they fail fast instead.
 _RETRYABLE_KINDS = frozenset({"timeout", "exception", "worker-lost"})
+
+
+class Unit(Protocol):
+    """One independent, deterministic piece of campaign work."""
+
+    def key(self, fp: Optional[str] = None) -> str:
+        """Content address; folds in ``fp`` (default: :func:`fingerprint`)."""
+
+    def execute(self) -> Dict:
+        """Do the work in this process; return a JSON-able payload."""
+
+    def decode(self, payload: Dict):
+        """Rebuild the caller-facing result from a payload."""
+
+    def describe(self) -> str:
+        """Short label for failure records."""
 
 
 @dataclass(frozen=True)
@@ -102,6 +125,19 @@ class Job:
             "config": (dataclasses.asdict(self.config)
                        if self.config is not None else None),
         }
+
+    # The unit contract ParallelRunner executes.
+    def key(self, fp: Optional[str] = None) -> str:
+        return job_key(self, fp)
+
+    def execute(self) -> Dict:
+        return result_to_dict(execute_job(self))
+
+    def decode(self, payload: Dict) -> RunResult:
+        return result_from_dict(payload)
+
+    def describe(self) -> str:
+        return f"{self.workload}/{self.mode}"
 
 
 def fingerprint() -> str:
@@ -207,17 +243,18 @@ def execute_job(job: Job) -> RunResult:
 
 @dataclass
 class JobFailure:
-    """Per-job failure record: what failed, how, and what it left behind.
+    """Per-unit failure record: what failed, how, and what it left behind.
 
-    Takes a failed job's slot in the batch result list so one bad run no
-    longer costs the suite every *good* run. ``kind`` is one of
+    Takes a failed unit's slot in the batch result list so one bad run
+    no longer costs the suite every *good* run. ``job`` is the failed
+    unit (a :class:`Job` or any other unit). ``kind`` is one of
     ``timeout`` / ``simulated`` / ``exception`` / ``worker-lost``;
     ``address`` / ``thread_id`` / ``invariant`` carry the structured
     fields of :class:`~repro.errors.SegmentationFaultError` and
     :class:`~repro.errors.InvariantViolationError` when present.
     """
 
-    job: Job
+    job: Unit
     kind: str
     error_type: str
     message: str
@@ -228,7 +265,7 @@ class JobFailure:
     details: Dict = field(default_factory=dict)
 
     def describe(self) -> str:
-        parts = [f"{self.job.workload}/{self.job.mode}",
+        parts = [self.job.describe(),
                  f"[{self.kind}] {self.error_type}: {self.message}"]
         if self.address is not None:
             parts.append(f"addr={self.address:#x}")
@@ -295,8 +332,8 @@ def _error_outcome(kind: str, exc: BaseException) -> Dict:
     return outcome
 
 
-def _guarded_outcome(job: Job, timeout: Optional[float]) -> Dict:
-    """Run one job, capturing any failure as a plain outcome dict.
+def _guarded_outcome(unit: Unit, timeout: Optional[float]) -> Dict:
+    """Run one unit, capturing any failure as a plain outcome dict.
 
     Outcome dicts (not exceptions) cross the process boundary: exception
     pickling would silently drop the structured fields of errors like
@@ -305,20 +342,20 @@ def _guarded_outcome(job: Job, timeout: Optional[float]) -> Dict:
     """
     try:
         with _deadline(timeout):
-            result = execute_job(job)
+            payload = unit.execute()
     except JobTimeoutError as exc:
         return _error_outcome("timeout", exc)
     except ReproError as exc:
         return _error_outcome("simulated", exc)
     except Exception as exc:  # noqa: BLE001 - the pool must survive anything
         return _error_outcome("exception", exc)
-    return {"status": "ok", "payload": result_to_dict(result)}
+    return {"status": "ok", "payload": payload}
 
 
-def _pool_worker(job: Job, timeout: Optional[float] = None) -> Dict:
-    """Top-level (picklable) worker: run one job, ship the outcome back."""
+def _pool_worker(unit: Unit, timeout: Optional[float] = None) -> Dict:
+    """Top-level (picklable) worker: run one unit, ship the outcome back."""
     os.environ["AIKIDO_POOL_WORKER"] = "1"
-    return _guarded_outcome(job, timeout)
+    return _guarded_outcome(unit, timeout)
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -334,24 +371,42 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-#: What ParallelRunner.run hands back per job.
-BatchEntry = Union[RunResult, JobFailure]
+#: What ParallelRunner.run hands back per unit.
+BatchEntry = Union[RunResult, JobFailure, Dict]
+
+#: ``progress(unit, entry)``: called once per unit the runner executed.
+Progress = Callable[[Unit, BatchEntry], None]
+
+
+@dataclass
+class _Batch:
+    """One :meth:`ParallelRunner.run` call's units and result slots."""
+
+    units: List[Unit]
+    keys: List[str]
+    results: List[Optional[BatchEntry]]
+    progress: Optional[Progress] = None
 
 
 class ParallelRunner:
-    """Execute job batches across processes, reusing cached results.
+    """Execute unit batches across processes, reusing finished results.
 
-    ``jobs=1`` runs everything inline in submission order — exactly the
-    pre-existing serial behavior. ``jobs>1`` fans the batch out over a
-    :class:`ProcessPoolExecutor`; ``jobs=0`` (or None) sizes the pool to
-    the machine. ``cache`` (a :class:`ResultCache` or None) short-circuits
-    any job whose key is already archived.
+    The one campaign executor: suite runs and fleet grids hand it
+    :class:`Job` units, fuzz campaigns hand it
+    :class:`~repro.scengen.campaign.FuzzUnit` units, and it treats both
+    alike through the unit contract.
+
+    ``jobs=1`` runs everything inline in submission order. ``jobs>1``
+    fans the batch out over a :class:`ProcessPoolExecutor`; ``jobs=0``
+    (or None) sizes the pool to the machine. ``cache`` (a
+    :class:`ResultCache` or None) short-circuits any unit whose key is
+    already archived.
 
     Hardening knobs (all keyword-only, all off by default):
 
     ``timeout``
-        Per-job wall-clock budget in seconds; an overrunning job becomes
-        a ``timeout`` failure record instead of hanging the suite.
+        Per-unit wall-clock budget in seconds; an overrunning unit
+        becomes a ``timeout`` failure record instead of hanging the suite.
     ``retries``
         Extra attempts granted to *transient* failures (timeout, host
         exception, killed worker). Simulated errors never retry — the
@@ -359,14 +414,15 @@ class ParallelRunner:
     ``backoff``
         Seconds slept before retry attempt *n* (scaled by n).
     ``journal``
-        A :class:`RunJournal`; every finished job is checkpointed, and
-        journaled results are replayed before cache lookup, so resuming
-        an interrupted suite re-simulates nothing that finished.
+        A :class:`RunJournal`; every finished unit is checkpointed —
+        cache hits included — and journaled results are replayed before
+        cache lookup, so resuming an interrupted campaign re-simulates
+        nothing that finished.
 
     A worker death (:class:`BrokenProcessPool`) is absorbed: completed
-    results are kept, the pool is rebuilt for jobs with retry budget, and
-    jobs without budget run inline in this process — the batch always
-    comes back full.
+    results are kept, the pool is rebuilt for units with retry budget,
+    and units without budget run inline in this process — the batch
+    always comes back full.
 
     Counters: ``simulations`` (runs actually started), ``cache_hits``,
     ``journal_hits``, ``timeouts``, ``retries_performed``,
@@ -395,72 +451,75 @@ class ParallelRunner:
         self.pool_recoveries = 0
         self.inline_fallbacks = 0
 
-    def run(self, jobs: Sequence[Job],
-            strict: bool = True) -> List[BatchEntry]:
+    def run(self, units: Sequence[Unit], strict: bool = True,
+            progress: Optional[Progress] = None) -> List[BatchEntry]:
         """Run a batch; entries come back in submission order.
 
-        With ``strict=True`` (default) any failed job raises
+        With ``strict=True`` (default) any failed unit raises
         :class:`SuiteFailureError` *after* the whole batch settles; the
         exception carries both the failure records and the full mixed
         result list, so completed work is never lost. ``strict=False``
         returns the mixed list directly.
         """
-        jobs = list(jobs)
-        results: List[Optional[BatchEntry]] = [None] * len(jobs)
+        units = list(units)
+        results: List[Optional[BatchEntry]] = [None] * len(units)
         keys: List[str] = []
         pending: List[int] = []
 
         fp = fingerprint()
-        for index, job in enumerate(jobs):
-            keys.append(job_key(job, fp))
+        for index, unit in enumerate(units):
+            key = unit.key(fp)
+            keys.append(key)
             payload = None
             if self.journal is not None:
-                payload = self.journal.get(keys[index])
+                payload = self.journal.get(key)
                 if payload is not None:
                     self.journal_hits += 1
             if payload is None and self.cache is not None:
-                payload = self.cache.get(keys[index])
+                payload = self.cache.get(key)
                 if payload is not None:
                     self.cache_hits += 1
+                    if self.journal is not None:
+                        # Backfill, so a resume without the cache still
+                        # replays this unit instead of re-simulating it.
+                        self.journal.record(key, payload)
             if payload is not None:
-                results[index] = result_from_dict(payload)
+                results[index] = unit.decode(payload)
             else:
                 pending.append(index)
 
         if pending:
             self.simulations += len(pending)
             queue: List[Tuple[int, int]] = [(i, 1) for i in pending]
+            batch = _Batch(units, keys, results, progress)
             if self.jobs == 1 or len(pending) == 1:
-                self._run_inline(jobs, queue, results, keys)
+                self._run_inline(batch, queue)
             else:
-                self._run_pool(jobs, queue, results, keys)
+                self._run_pool(batch, queue)
 
         failures = [entry for entry in results
                     if isinstance(entry, JobFailure)]
         if failures and strict:
             lines = "; ".join(f.describe() for f in failures)
             raise SuiteFailureError(
-                f"{len(failures)} of {len(jobs)} jobs failed: {lines}",
+                f"{len(failures)} of {len(units)} jobs failed: {lines}",
                 failures=failures, results=results)
         return results
 
     # ------------------------------------------------------------------
     # execution backends
     # ------------------------------------------------------------------
-    def _run_inline(self, jobs: List[Job], queue: List[Tuple[int, int]],
-                    results: List[Optional[BatchEntry]],
-                    keys: List[str]) -> None:
+    def _run_inline(self, batch: _Batch,
+                    queue: List[Tuple[int, int]]) -> None:
         while queue:
             retry_queue: List[Tuple[int, int]] = []
             for index, attempt in queue:
-                outcome = _guarded_outcome(jobs[index], self.timeout)
-                self._settle(jobs, index, attempt, outcome, results, keys,
-                             retry_queue)
+                outcome = _guarded_outcome(batch.units[index], self.timeout)
+                self._settle(batch, index, attempt, outcome, retry_queue)
             queue = retry_queue
 
-    def _run_pool(self, jobs: List[Job], queue: List[Tuple[int, int]],
-                  results: List[Optional[BatchEntry]],
-                  keys: List[str]) -> None:
+    def _run_pool(self, batch: _Batch,
+                  queue: List[Tuple[int, int]]) -> None:
         while queue:
             workers = min(self.jobs, len(queue))
             retry_queue: List[Tuple[int, int]] = []
@@ -468,8 +527,8 @@ class ParallelRunner:
             broken = False
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
-                    pool.submit(_pool_worker, jobs[index], self.timeout):
-                    (index, attempt)
+                    pool.submit(_pool_worker, batch.units[index],
+                                self.timeout): (index, attempt)
                     for index, attempt in queue
                 }
                 not_done = set(futures)
@@ -484,8 +543,8 @@ class ParallelRunner:
                             broken = True
                             casualties.append((index, attempt))
                             continue
-                        self._settle(jobs, index, attempt, outcome,
-                                     results, keys, retry_queue)
+                        self._settle(batch, index, attempt, outcome,
+                                     retry_queue)
                 if broken:
                     # The pool is dead but completed futures still hold
                     # their outcomes — harvest them, requeue the rest.
@@ -497,8 +556,8 @@ class ParallelRunner:
                         except Exception:  # noqa: BLE001 - dead future
                             casualties.append((index, attempt))
                             continue
-                        self._settle(jobs, index, attempt, outcome,
-                                     results, keys, retry_queue)
+                        self._settle(batch, index, attempt, outcome,
+                                     retry_queue)
             for index, attempt in casualties:
                 if attempt <= self.retries:
                     self.retries_performed += 1
@@ -508,46 +567,49 @@ class ParallelRunner:
                     # the casualty inline (a kill loop cannot reach us
                     # here — this process is the suite).
                     self.inline_fallbacks += 1
-                    outcome = _guarded_outcome(jobs[index], self.timeout)
-                    self._settle(jobs, index, attempt, outcome, results,
-                                 keys, retry_queue,
-                                 lost_worker_fallback=True)
+                    outcome = _guarded_outcome(batch.units[index],
+                                               self.timeout)
+                    self._settle(batch, index, attempt, outcome,
+                                 retry_queue, lost_worker_fallback=True)
             queue = retry_queue
 
-    def _settle(self, jobs: List[Job], index: int, attempt: int,
-                outcome: Dict, results: List[Optional[BatchEntry]],
-                keys: List[str], retry_queue: List[Tuple[int, int]],
+    def _settle(self, batch: _Batch, index: int, attempt: int,
+                outcome: Dict, retry_queue: List[Tuple[int, int]],
                 lost_worker_fallback: bool = False) -> None:
         """Turn one outcome dict into a result, a retry, or a failure."""
+        unit = batch.units[index]
         if outcome["status"] == "ok":
             payload = outcome["payload"]
-            results[index] = result_from_dict(payload)
+            key = batch.keys[index]
+            batch.results[index] = unit.decode(payload)
             if self.cache is not None:
-                self.cache.put(keys[index], payload)
+                self.cache.put(key, payload)
             if self.journal is not None:
-                self.journal.record(keys[index], payload)
-            return
-        kind = outcome["kind"]
-        if kind == "timeout":
-            self.timeouts += 1
-        if (kind in _RETRYABLE_KINDS and attempt <= self.retries
-                and not lost_worker_fallback):
-            self.retries_performed += 1
-            if self.backoff > 0:
-                time.sleep(self.backoff * attempt)
-            retry_queue.append((index, attempt + 1))
-            return
-        results[index] = JobFailure(
-            job=jobs[index], kind=kind,
-            error_type=outcome.get("error_type", "Exception"),
-            message=outcome.get("message", ""), attempts=attempt,
-            address=outcome.get("address"),
-            thread_id=outcome.get("thread_id"),
-            invariant=outcome.get("invariant"),
-            details=outcome.get("details", {}))
+                self.journal.record(key, payload)
+        else:
+            kind = outcome["kind"]
+            if kind == "timeout":
+                self.timeouts += 1
+            if (kind in _RETRYABLE_KINDS and attempt <= self.retries
+                    and not lost_worker_fallback):
+                self.retries_performed += 1
+                if self.backoff > 0:
+                    time.sleep(self.backoff * attempt)
+                retry_queue.append((index, attempt + 1))
+                return
+            batch.results[index] = JobFailure(
+                job=unit, kind=kind,
+                error_type=outcome.get("error_type", "Exception"),
+                message=outcome.get("message", ""), attempts=attempt,
+                address=outcome.get("address"),
+                thread_id=outcome.get("thread_id"),
+                invariant=outcome.get("invariant"),
+                details=outcome.get("details", {}))
+        if batch.progress is not None:
+            batch.progress(unit, batch.results[index])
 
-    def run_one(self, job: Job) -> RunResult:
-        """Convenience wrapper: run a single job through cache + pool."""
+    def run_one(self, job: Unit) -> BatchEntry:
+        """Convenience wrapper: run a single unit through cache + pool."""
         return self.run([job])[0]
 
     def stats_line(self) -> str:

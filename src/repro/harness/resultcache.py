@@ -43,17 +43,17 @@ class ResultCache:
     ``stores``) track this instance's traffic so callers can assert cache
     behavior (e.g. a warm rerun performing zero simulations).
 
-    **Multi-writer safe.** Fleet workers on one host share this
+    **Multi-writer safe.** Concurrent campaigns on one host share this
     directory, and two of them racing on the same key is routine (the
-    same job lands in two redelivered shards). Every ``put`` writes to
+    same job in two overlapping grids). Every ``put`` writes to
     a private ``mkstemp`` file and publishes with ``os.replace``, which
     is atomic on POSIX: a concurrent ``get`` observes either the old
     complete entry or the new complete one, never a torn interleaving —
     and because keys are content addresses, concurrent writers are by
     construction publishing identical bytes, so last-write-wins is
     harmless. ``durable=True`` additionally fsyncs before publishing,
-    so an entry that a coordinator WAL refers to cannot be lost to a
-    host power cut after the rename.
+    so a published entry cannot be lost to a host power cut after the
+    rename.
     """
 
     def __init__(self, directory: Optional[os.PathLike] = None, *,

@@ -13,8 +13,6 @@ from repro.observability.attribution import (BUCKETS, CATEGORY_BUCKETS,
                                              attribution_fractions,
                                              overhead_cycles)
 from repro.observability.eventlog import EventLogCounters
-from repro.observability.fleet import (FleetCounters, WallClock,
-                                       fleet_instant)
 from repro.observability.metrics import (MetricsRecorder, TIMELINE_FIELDS,
                                          metrics_snapshot)
 from repro.observability.sink import TraceSink, load_chrome, validate_chrome
@@ -24,7 +22,6 @@ __all__ = [
     "BUCKETS", "CATEGORY_BUCKETS", "attribute_cycles",
     "attribution_fractions", "overhead_cycles",
     "EventLogCounters",
-    "FleetCounters", "WallClock", "fleet_instant",
     "MetricsRecorder", "TIMELINE_FIELDS", "metrics_snapshot",
     "TraceSink", "load_chrome", "validate_chrome",
     "TraceEvent", "Tracer",

@@ -24,7 +24,8 @@ COUNTER_NAMES = (
 
 
 class EventLogCounters:
-    """Record/replay pipeline totals (FleetCounters-shaped)."""
+    """Record/replay pipeline totals: a name -> count map with
+    :meth:`bump`, :meth:`as_dict` and a one-line :meth:`stats_line`."""
 
     def __init__(self):
         self.totals: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}

@@ -10,6 +10,8 @@ resumable seed-range campaigns (``aikido-repro fuzz``).
 from repro.scengen.campaign import (
     ORACLE_VERSION,
     CampaignResult,
+    FuzzUnit,
+    campaign_to_dict,
     render_campaign,
     run_campaign,
     scenario_key,
@@ -46,6 +48,8 @@ from repro.scengen.scenario import (
 __all__ = [
     "ORACLE_VERSION",
     "CampaignResult",
+    "FuzzUnit",
+    "campaign_to_dict",
     "render_campaign",
     "run_campaign",
     "scenario_key",

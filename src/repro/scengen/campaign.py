@@ -1,14 +1,17 @@
 """Resumable fuzz campaigns over generated scenarios.
 
 A campaign is a seed range: scenario ``i`` is ``generate(base_seed + i,
-config)``, checked by the differential oracle, and its verdict is
-journaled (``--journal``/``--resume``, the same
-:class:`~repro.harness.journal.RunJournal` the suite harness uses) and
-cached (:class:`~repro.harness.resultcache.ResultCache`). Keys fold in
-the generator config, the oracle version and the harness fingerprint
-(package version + cost model), so stale verdicts never satisfy a
-lookup. A killed campaign resumed with ``--resume`` re-simulates
-nothing that was already journaled.
+config)``, checked by the differential oracle. Each seed is one
+:class:`FuzzUnit` run by the suite harness's
+:class:`~repro.harness.parallel.ParallelRunner` — inline by default, or
+over a process pool with ``jobs`` — so verdicts are journaled
+(``--journal``/``--resume``, a
+:class:`~repro.harness.journal.RunJournal`) and cached
+(:class:`~repro.harness.resultcache.ResultCache`) exactly like suite
+runs. Keys fold in the generator config, the oracle version and the
+harness fingerprint (package version + cost model), so stale verdicts
+never satisfy a lookup. A killed campaign resumed with ``--resume``
+re-simulates nothing that was already journaled.
 
 Failing scenarios are automatically shrunk by the reducer and, when a
 corpus directory is given, archived as one JSON file per seed::
@@ -28,7 +31,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.harness.journal import RunJournal
-from repro.harness.parallel import fingerprint
+from repro.harness.parallel import JobFailure, ParallelRunner, fingerprint
 from repro.harness.resultcache import ResultCache
 from repro.scengen.generator import (
     DEFAULT_CONFIG,
@@ -52,7 +55,8 @@ from repro.scengen.scenario import ScenarioIR, describe, render
 ORACLE_VERSION = 4
 
 
-def scenario_key(config: GeneratorConfig, seed: int, quick: bool) -> str:
+def scenario_key(config: GeneratorConfig, seed: int, quick: bool,
+                 fp: Optional[str] = None) -> str:
     """Stable journal/cache key for one scenario's verdict."""
     basis = {
         "kind": "scengen-verdict",
@@ -60,7 +64,7 @@ def scenario_key(config: GeneratorConfig, seed: int, quick: bool) -> str:
         "config": config.canonical(),
         "seed": seed,
         "quick": quick,
-        "fingerprint": fingerprint(),
+        "fingerprint": fp if fp is not None else fingerprint(),
     }
     blob = json.dumps(basis, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -123,20 +127,42 @@ def _minimize(ir: ScenarioIR, verdict: Dict, quick: bool,
 def scenario_payload(seed: int, config: GeneratorConfig, *,
                      quick: bool = True, reduce_failing: bool = True,
                      tier_runner: Optional[TierRunner] = None) -> Dict:
-    """Generate + check one scenario, returning the journal payload.
-
-    The single-scenario unit of work shared by :func:`run_campaign` and
-    the fleet's fuzz shards (:mod:`repro.fleet.shards`): both paths
-    produce byte-identical payloads for the same ``(seed, config,
-    quick)``, which is what makes a distributed fuzz campaign's merged
-    report bit-identical to the serial one.
-    """
+    """Generate + check one scenario, returning the journal payload."""
     ir = generate(seed, config)
     verdict = check_scenario(ir, quick=quick, tier_runner=tier_runner)
     payload = {"seed": seed, "ir": ir.to_dict(), "verdict": verdict}
     if not verdict["ok"] and reduce_failing:
         payload["minimized"] = _minimize(ir, verdict, quick, tier_runner)
     return payload
+
+
+@dataclass(frozen=True)
+class FuzzUnit:
+    """One scenario seed, in the unit contract :class:`ParallelRunner` runs.
+
+    ``tier_runner`` (tests plant divergence bugs there) is a closure, so
+    a unit carrying one only ever runs inline.
+    """
+
+    seed: int
+    quick: bool = True
+    config: GeneratorConfig = QUICK_CONFIG
+    reduce_failing: bool = True
+    tier_runner: Optional[TierRunner] = field(default=None, compare=False)
+
+    def key(self, fp: Optional[str] = None) -> str:
+        return scenario_key(self.config, self.seed, self.quick, fp)
+
+    def execute(self) -> Dict:
+        return scenario_payload(self.seed, self.config, quick=self.quick,
+                                reduce_failing=self.reduce_failing,
+                                tier_runner=self.tier_runner)
+
+    def decode(self, payload: Dict) -> Dict:
+        return payload
+
+    def describe(self) -> str:
+        return f"scenario seed {self.seed}"
 
 
 def run_campaign(base_seed: int, count: int, *,
@@ -147,54 +173,59 @@ def run_campaign(base_seed: int, count: int, *,
                  corpus_dir: Optional[str] = None,
                  reduce_failing: bool = True,
                  tier_runner: Optional[TierRunner] = None,
-                 progress: Optional[Callable[[str], None]] = None
-                 ) -> CampaignResult:
+                 progress: Optional[Callable[[str], None]] = None,
+                 jobs: Optional[int] = 1,
+                 timeout: Optional[float] = None,
+                 retries: int = 0) -> CampaignResult:
     """Check ``count`` scenarios starting at ``base_seed``.
+
+    ``jobs``, ``timeout`` and ``retries`` configure the
+    :class:`ParallelRunner` (``jobs=1``, the default, runs inline). A
+    scenario that raises instead of producing a verdict makes the call
+    raise :class:`~repro.errors.SuiteFailureError` once every other
+    scenario has settled (and been journaled).
 
     ``tier_runner`` overrides the oracle's tier execution (tests plant
     divergence bugs there); journal and cache are bypassed in that case
     so a planted bug can never poison real verdicts.
     """
     config = config or (QUICK_CONFIG if quick else DEFAULT_CONFIG)
-    use_store = tier_runner is None
-    result = CampaignResult()
-    corpus = Path(corpus_dir) if corpus_dir else None
-    if corpus is not None:
+    if tier_runner is not None:
+        journal = cache = None
+        jobs = 1
+    runner = ParallelRunner(jobs, cache, timeout=timeout, retries=retries,
+                            journal=journal)
+    units = [FuzzUnit(seed, quick, config, reduce_failing, tier_runner)
+             for seed in range(base_seed, base_seed + count)]
+
+    def report(unit: FuzzUnit, entry) -> None:
+        if isinstance(entry, JobFailure):
+            status = f"FAILED [{entry.kind}] {entry.error_type}"
+        else:
+            verdict = entry["verdict"]
+            status = (f"{'ok' if verdict['ok'] else 'DISAGREEMENT'} "
+                      f"[{verdict['outcome']}]")
+        progress(f"scenario {unit.seed}: {status}")
+
+    payloads = runner.run(units, progress=report if progress else None)
+    result = CampaignResult(payloads, runner.simulations,
+                            runner.journal_hits, runner.cache_hits)
+    if corpus_dir:
+        corpus = Path(corpus_dir)
         corpus.mkdir(parents=True, exist_ok=True)
-    for seed in range(base_seed, base_seed + count):
-        key = scenario_key(config, seed, quick)
-        payload = None
-        if use_store and journal is not None:
-            payload = journal.get(key)
-            if payload is not None:
-                result.journal_hits += 1
-        if payload is None and use_store and cache is not None:
-            payload = cache.get(key)
-            if payload is not None:
-                result.cache_hits += 1
-                if journal is not None:
-                    journal.record(key, payload)
-        if payload is None:
-            payload = scenario_payload(seed, config, quick=quick,
-                                       reduce_failing=reduce_failing,
-                                       tier_runner=tier_runner)
-            verdict = payload["verdict"]
-            result.simulated += 1
-            if use_store:
-                if journal is not None:
-                    journal.record(key, payload)
-                if cache is not None:
-                    cache.put(key, payload)
-            if progress is not None:
-                status = "ok" if verdict["ok"] else "DISAGREEMENT"
-                progress(f"scenario {seed}: {status} "
-                         f"[{verdict['outcome']}]")
-        result.payloads.append(payload)
-        if corpus is not None and not payload["verdict"]["ok"]:
-            path = corpus / f"seed-{seed:06d}.json"
+        for payload in result.disagreements:
+            path = corpus / f"seed-{payload['seed']:06d}.json"
             path.write_text(json.dumps(payload, indent=2,
                                        sort_keys=True) + "\n")
     return result
+
+
+def campaign_to_dict(result: CampaignResult) -> Dict:
+    """The campaign's ``--json`` archive (identical for any ``jobs``)."""
+    return {"scenarios": len(result.payloads),
+            "checks": result.check_totals(),
+            "disagreements": [p["seed"] for p in result.disagreements],
+            "payloads": result.payloads}
 
 
 def render_campaign(result: CampaignResult) -> str:

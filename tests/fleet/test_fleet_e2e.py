@@ -1,28 +1,30 @@
-"""End-to-end survivability: real workers, real SIGKILLs, real resume.
+"""End-to-end ``fleet run``: real pool workers, real SIGKILLs, real resume.
 
-The acceptance criteria from the fleet issue, verbatim:
+The contracts of the single campaign executor:
 
-* a campaign across >= 2 workers survives one of them being SIGKILLed
-  mid-campaign with zero lost shards and no duplicate aggregation, and
-  the merged report is bit-identical to a serial run;
-* a SIGKILLed coordinator resumed with ``--resume`` re-simulates zero
-  completed shards.
+* ``--workers 2 --json`` is byte-identical to ``--workers 1``, also when
+  a pool worker is SIGKILLed mid-campaign;
+* a campaign SIGKILLed mid-run and rerun with ``--journal --resume``
+  re-simulates zero journaled jobs, and its report is byte-identical to
+  an uninterrupted one.
 """
 
-import json
 import os
+import re
 import signal
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
 
-from repro.fleet.coordinator import FleetCoordinator, run_fleet_campaign
-from repro.fleet.shards import CampaignSpec, serial_report
-from repro.fleet.worker import FleetChaosPlan
 from repro.harness.cli import main as cli_main
+from repro.harness.journal import RunJournal
+
+#: 3 benchmarks x 4 seeds, each job long enough that a kill lands
+#: mid-campaign.
+GRID = ["--benchmarks", "blackscholes,canneal,swaptions",
+        "--seeds", "1,2,3,4", "--scale", "3"]
 
 
 def wait_for(predicate, timeout=60.0, message="condition"):
@@ -30,159 +32,109 @@ def wait_for(predicate, timeout=60.0, message="condition"):
     while time.monotonic() < deadline:
         if predicate():
             return
-        time.sleep(0.02)
+        time.sleep(0.01)
     raise AssertionError(f"timed out waiting for {message}")
 
 
+def stats(stderr: str):
+    """(simulated, replayed from journal) from a run's footer line."""
+    footer = stderr.strip().splitlines()[-1]
+    simulated = int(re.search(r"(\d+) simulated", footer).group(1))
+    replayed = re.search(r"(\d+) replayed from journal", footer)
+    return simulated, int(replayed.group(1)) if replayed else 0
+
+
 class TestWorkerLoss:
-    def test_sigkill_one_of_two_workers(self):
-        """The headline e2e: two real workers, one murdered mid-run."""
-        spec = CampaignSpec(kind="fuzz", base_seed=1, count=40,
-                            shard_size=2)
-        coordinator = FleetCoordinator(
-            spec, lease_s=2.0, heartbeat_s=0.2, backoff_base_s=0.05,
-            backoff_max_s=0.5)
-        box = {}
-        thread = threading.Thread(
-            target=lambda: box.update(
-                report=coordinator.run(spawn_workers=2)),
-            daemon=True)
-        thread.start()
-        wait_for(lambda: coordinator.counters.totals[
-            "workers_registered"] >= 2, message="2 workers registered")
-        victim = coordinator.worker_procs[0]
-        os.kill(victim.pid, signal.SIGKILL)
-        thread.join(timeout=120.0)
-        assert not thread.is_alive(), "campaign failed to finish"
-        report = box["report"]
-        # Zero lost shards, no duplicate aggregation.
-        assert report["missing_shards"] == []
-        assert report["completed_units"] == report["units"] == 40
-        assert coordinator.counters.totals["workers_dead"] >= 1
-        # Bit-identical to the single-host serial reference.
-        assert report == serial_report(spec)
-
-    def test_seeded_kill_chaos_campaign(self):
-        """Chaos-on-the-harness: every worker SIGKILLs itself per the
-        seeded plan; inline degradation finishes whatever remains."""
-        spec = CampaignSpec(kind="fuzz", base_seed=7, count=12,
-                            shard_size=3)
-        chaos = FleetChaosPlan(seed=3, kill_rate=0.4)
-        report, counters = run_fleet_campaign(
-            spec, workers=2, cache=None, chaos=chaos,
-            lease_s=1.5, heartbeat_s=0.2, backoff_base_s=0.05,
-            backoff_max_s=0.3, max_deliveries=10)
-        assert report["missing_shards"] == []
-        assert report == serial_report(spec)
-
-    def test_garbling_worker_evicted_then_inline(self):
-        spec = CampaignSpec(kind="fuzz", base_seed=2, count=4,
-                            shard_size=2)
-        chaos = FleetChaosPlan(seed=1, garble_rate=1.0)
-        report, counters = run_fleet_campaign(
-            spec, workers=1, cache=None, chaos=chaos,
-            lease_s=2.0, heartbeat_s=0.2, backoff_base_s=0.05,
-            backoff_max_s=0.3, max_deliveries=10)
-        assert counters.totals["frames_garbled"] >= 1
-        assert report["missing_shards"] == []
-        assert report == serial_report(spec)
-
-    def test_worker_exit_code_when_coordinator_unreachable(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.harness.cli", "fleet",
-             "worker", "--connect", "127.0.0.1:1", "--no-cache"],
-            capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 1
-        assert "cannot reach coordinator" in proc.stderr
+    def test_sigkill_one_of_two_workers(self, tmp_path, monkeypatch):
+        """The kill-worker diagnostic SIGKILLs its pool worker once; the
+        runner recovers and the report matches an inline run."""
+        flag = tmp_path / "kill.flag"
+        monkeypatch.setenv("AIKIDO_CHAOS_KILL_FILE", str(flag))
+        base = ["fleet", "run", "--benchmarks", "kill-worker,blackscholes",
+                "--mode", "native", "--threads", "1", "--seeds", "2,3",
+                "--no-cache"]
+        pooled, inline = tmp_path / "pooled.json", tmp_path / "inline.json"
+        assert cli_main(base + ["--workers", "2", "--json",
+                                str(pooled)]) == 0
+        assert flag.exists()  # a worker really died
+        assert cli_main(base + ["--workers", "1", "--json",
+                                str(inline)]) == 0
+        assert pooled.read_bytes() == inline.read_bytes()
 
 
 class TestCoordinatorLoss:
-    def test_sigkill_coordinator_then_resume(self, tmp_path):
-        """Crash-safe resume: kill the whole service mid-campaign, then
-        resume from the WAL — completed shards are never re-executed."""
-        state = tmp_path / "state"
-        spec = CampaignSpec(kind="fuzz", base_seed=1, count=30,
-                            shard_size=2)
+    def test_sigkill_coordinator_then_resume(self, tmp_path, capsys):
+        """Kill the campaign process (and its pool) mid-run, then resume
+        from the journal: no journaled job is simulated again."""
+        journal = tmp_path / "grid.jsonl"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.harness.cli", "fleet", "run",
-             "--kind", "fuzz", "--seed", "1", "--count", "30",
-             "--shard-size", "2", "--workers", "2", "--no-cache",
-             "--state-dir", str(state)],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+             *GRID, "--workers", "2", "--no-cache",
+             "--journal", str(journal)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True)
         try:
-            wal = state / "wal.jsonl"
-
-            def some_shard_done():
-                if not wal.exists():
-                    return False
-                return sum(1 for line in wal.read_text().splitlines()
-                           if '"type": "done"' in line) >= 2
-
-            wait_for(some_shard_done, timeout=90.0,
-                     message="2 durable shard completions")
-            os.kill(proc.pid, signal.SIGKILL)
+            wait_for(lambda: journal.exists() and journal.stat().st_size,
+                     message="the first journaled job")
+            os.killpg(proc.pid, signal.SIGKILL)
         finally:
             proc.wait(timeout=30)
-            if proc.returncode is None:
-                proc.kill()
-        # Resume inline (workers=0, no fleet): the WAL must supply every
-        # completed shard and only the remainder gets executed.
-        report, counters = run_fleet_campaign(
-            spec, workers=0, cache=None, state_dir=state, resume=True)
-        resumed = counters.totals["shards_resumed"]
-        assert resumed >= 2
-        assert counters.totals["shards_completed"] == 15 - resumed
-        assert report["missing_shards"] == []
-        assert report == serial_report(spec)
+        journaled = len(RunJournal(journal, resume=True))
+        assert journaled >= 1
 
-    def test_resume_completed_campaign_executes_nothing(self, tmp_path):
-        state = tmp_path / "state"
-        spec = CampaignSpec(kind="fuzz", base_seed=4, count=6,
-                            shard_size=2)
-        first, _ = run_fleet_campaign(spec, workers=0, cache=None,
-                                      state_dir=state)
-        again, counters = run_fleet_campaign(spec, workers=0, cache=None,
-                                             state_dir=state, resume=True)
-        assert counters.totals["shards_resumed"] == 3
-        assert counters.totals["shards_completed"] == 0
-        assert counters.totals["shards_inline"] == 0
-        assert again == first == serial_report(spec)
+        resumed = tmp_path / "resumed.json"
+        assert cli_main(["fleet", "run", *GRID, "--workers", "2",
+                         "--no-cache", "--journal", str(journal),
+                         "--resume", "--json", str(resumed)]) == 0
+        simulated, replayed = stats(capsys.readouterr().err)
+        assert replayed == journaled
+        assert simulated == 12 - journaled
+
+        reference = tmp_path / "reference.json"
+        assert cli_main(["fleet", "run", *GRID, "--workers", "1",
+                         "--no-cache", "--json", str(reference)]) == 0
+        assert resumed.read_bytes() == reference.read_bytes()
+
+    def test_resume_completed_campaign_executes_nothing(self, tmp_path,
+                                                        capsys):
+        journal = str(tmp_path / "grid.jsonl")
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        base = ["fleet", "run", "--seeds", "4,5", "--no-cache",
+                "--journal", journal]
+        assert cli_main(base + ["--json", str(first)]) == 0
+        capsys.readouterr()
+        assert cli_main(base + ["--resume", "--json", str(again)]) == 0
+        assert stats(capsys.readouterr().err) == (0, 2)
+        assert first.read_bytes() == again.read_bytes()
 
 
 class TestCliContract:
     def test_serial_and_fleet_reports_are_byte_identical(self, tmp_path):
         serial_json = tmp_path / "serial.json"
         fleet_json = tmp_path / "fleet.json"
-        base = ["fleet", "run", "--kind", "fuzz", "--seed", "1",
-                "--count", "4", "--shard-size", "2"]
-        assert cli_main(base + ["--serial", "--json",
-                                str(serial_json)]) == 0
+        base = ["fleet", "run", "--benchmarks", "blackscholes,canneal",
+                "--seeds", "1,2", "--chaos-seeds", "11", "--no-cache"]
         assert cli_main(base + ["--workers", "1", "--json",
+                                str(serial_json)]) == 0
+        assert cli_main(base + ["--workers", "2", "--json",
                                 str(fleet_json)]) == 0
         assert serial_json.read_bytes() == fleet_json.read_bytes()
 
     def test_unit_failures_exit_3(self, capsys):
-        code = cli_main(["fleet", "run", "--serial", "--benchmarks",
-                         "segfault", "--mode", "native", "--threads",
-                         "1", "--seeds", "2", "--no-cache"])
+        code = cli_main(["fleet", "run", "--benchmarks", "segfault",
+                         "--mode", "native", "--threads", "1", "--seeds",
+                         "2", "--no-cache"])
         assert code == 3
         out = capsys.readouterr().out
         assert "1 unit failure(s)" in out
-
-    def test_quarantine_exits_3(self):
-        """Poison campaign: the lone worker kills itself every delivery
-        and inline fallback is disabled, so the shard quarantines."""
-        code = cli_main(["fleet", "run", "--kind", "fuzz", "--seed",
-                         "1", "--count", "2", "--shard-size", "2",
-                         "--workers", "1", "--no-cache", "--no-inline",
-                         "--max-deliveries", "1", "--fleet-kill-rate",
-                         "1.0", "--fleet-chaos-seed", "5",
-                         "--lease", "2.0", "--heartbeat", "0.2",
-                         "--backoff", "0.05"])
-        assert code == 3
+        assert "SegmentationFaultError" in out
 
     def test_invalid_campaign_exits_2(self, capsys):
-        code = cli_main(["fleet", "run", "--kind", "fuzz",
-                         "--count", "0"])
+        code = cli_main(["fleet", "run", "--benchmarks", "blackscholez"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_resume_requires_journal(self):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["fleet", "run", "--resume"])
+        assert excinfo.value.code == 2  # argparse usage error

@@ -171,6 +171,21 @@ class TestJournalResume:
         resumed.run([GOOD])
         assert resumed.journal_hits == 1 and resumed.cache_hits == 0
 
+    def test_cache_hits_backfill_the_journal(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        ParallelRunner(jobs=1, cache=cache).run(self.BATCH)
+        path = tmp_path / "suite.jsonl"
+        warm = ParallelRunner(jobs=1, cache=cache,
+                              journal=RunJournal(path))
+        warm.run(self.BATCH)
+        assert warm.cache_hits == 3 and warm.simulations == 0
+        # Resumed without the cache, every job replays from the journal.
+        resumed = ParallelRunner(jobs=1,
+                                 journal=RunJournal(path, resume=True))
+        resumed.run(self.BATCH)
+        assert resumed.journal_hits == 3
+        assert resumed.simulations == 0
+
     def test_truncated_tail_is_tolerated(self, tmp_path):
         path = tmp_path / "suite.jsonl"
         ParallelRunner(jobs=1, journal=RunJournal(path)).run(self.BATCH)

@@ -1,7 +1,12 @@
 """Campaign runner: journal resume, result cache, corpus archiving."""
 
+import hashlib
 import json
 
+import pytest
+
+from repro.errors import SuiteFailureError
+from repro.harness import cli
 from repro.harness.journal import RunJournal
 from repro.harness.resultcache import ResultCache
 from repro.machine.isa import Opcode
@@ -10,6 +15,7 @@ from repro.scengen import (
     GeneratorConfig,
     generate,
     render,
+    FuzzUnit,
     render_campaign,
     run_campaign,
     scenario_key,
@@ -77,6 +83,51 @@ class TestResume:
         resumed = run_campaign(
             1, 4, quick=True, journal=RunJournal(path, resume=True))
         assert resumed.journal_hits == 4
+
+
+class TestParallelCampaign:
+    def test_jobs_do_not_change_payloads(self):
+        serial = run_campaign(1, 6, quick=True, jobs=1)
+        pooled = run_campaign(1, 6, quick=True, jobs=2)
+        assert pooled.simulated == 6
+        assert pooled.payloads == serial.payloads
+
+    def test_payload_digest_is_pinned(self, tmp_path):
+        """The perfbench fuzz-campaign input: moving the campaign onto
+        the shared runner must not change a single verdict."""
+        result = run_campaign(1, 100, quick=True, cache=None,
+                              journal=RunJournal(tmp_path / "j.jsonl"))
+        blob = json.dumps(result.payloads, sort_keys=True, default=str)
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "ca72f5c2376ac2933d925f6e4ed9828a425cb959061231e7b8031787eb825e5f")
+
+    def test_failed_scenario_raises_after_the_batch(self, tmp_path):
+        path = tmp_path / "fuzz.jsonl"
+        with pytest.raises(SuiteFailureError) as excinfo:
+            run_campaign(1, 3, quick=True, timeout=1e-6,
+                         journal=RunJournal(path))
+        failures = excinfo.value.failures
+        assert [f.job for f in failures] == [FuzzUnit(s) for s in (1, 2, 3)]
+        assert failures[0].kind == "timeout"
+        assert "scenario seed 1" in failures[0].describe()
+
+
+class TestCli:
+    def test_fuzz_json_is_identical_for_any_jobs(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        base = ["fuzz", "--seed", "5", "--count", "6", "--quick",
+                "--no-cache"]
+        assert cli.main(base + ["--jobs", "2", "--json", str(a)]) == 0
+        assert cli.main(base + ["--jobs", "1", "--json", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["scenarios"] == 6
+
+    def test_failed_scenario_is_reported_by_seed(self, capsys):
+        code = cli.main(["fuzz", "--seed", "5", "--count", "2", "--quick",
+                         "--no-cache", "--jobs", "1", "--timeout", "1e-6"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "scenario seed 5" in err and "scenario seed 6" in err
 
 
 class TestFailureHandling:
