@@ -19,10 +19,14 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import run_once
+from repro.analyses.djit import DjitDetector
 from repro.analyses.eraser import EraserDetector
 from repro.analyses.fasttrack.detector import FastTrackDetector
+from repro.analyses.generic_tool import GenericAnalysis
+from repro.analyses.record import TraceRecorder, replay_into
 from repro.analyses.sampling import SamplingDetector
 from repro.core.config import AikidoConfig
+from repro.core.system import AikidoSystem
 from repro.harness.runner import run_aikido_fasttrack, run_fasttrack
 from repro.workloads import micro
 from repro.workloads.parsec import get_benchmark
@@ -188,15 +192,12 @@ class TestEpochOptimizationAblation:
     def test_djit_vs_fasttrack(self, benchmark):
         """Why the paper built on FastTrack (§4.1): DJIT+'s full-vector
         operations vs epoch fast paths on the same event stream."""
-        from repro.analyses.djit import DjitDetector
-        from repro.analyses.record import TraceRecorder, replay_into
-        from repro.core.system import AikidoSystem
         from repro.machine.cpu import CycleCounter
 
-        system = AikidoSystem(_program(), TraceRecorder(), seed=1,
-                              quantum=150)
+        system = AikidoSystem(_program(), GenericAnalysis(TraceRecorder()),
+                              seed=1, quantum=150)
         system.run()
-        trace = system.analysis.trace
+        trace = system.analysis.detector.trace
 
         def replay_cost(detector_cls):
             counter = CycleCounter()

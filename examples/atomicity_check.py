@@ -12,7 +12,8 @@ which is unserializable (AVIO case R-W-W / W-W-R).
     python examples/atomicity_check.py
 """
 
-from repro.analyses.atomicity import AikidoAtomicity
+from repro.analyses.atomicity import AVIOChecker
+from repro.analyses.generic_tool import GenericAnalysis
 from repro.core.system import AikidoSystem
 from repro.guestos import syscalls
 from repro.machine.asm import ProgramBuilder
@@ -52,9 +53,10 @@ def bank_program(buggy: bool):
 
 
 def run(buggy: bool):
-    system = AikidoSystem(bank_program(buggy),
-                          lambda kernel: AikidoAtomicity(kernel),
-                          seed=9, quantum=5, jitter=0.3)
+    system = AikidoSystem(
+        bank_program(buggy),
+        lambda kernel: GenericAnalysis(AVIOChecker(kernel.counter)),
+        seed=9, quantum=5, jitter=0.3)
     system.run()
     return system
 
@@ -62,17 +64,18 @@ def run(buggy: bool):
 def main():
     print("=== buggy auditor (no lock) ===")
     system = run(buggy=True)
-    for violation in system.analysis.violations[:4]:
+    checker = system.analysis.detector
+    for violation in checker.violations[:4]:
         print("  ", violation.describe())
-    if not system.analysis.violations:
+    if not checker.violations:
         print("   no violation observed on this schedule (try other seeds)")
-    print(f"   checked {system.analysis.checker.checked} shared accesses "
+    print(f"   checked {checker.checked} shared accesses "
           f"out of {system.run_stats.memory_refs} total — "
           "Aikido skipped the rest")
 
     print("\n=== fixed auditor (locked) ===")
     system = run(buggy=False)
-    print(f"   violations: {len(system.analysis.violations)}")
+    print(f"   violations: {len(system.analysis.detector.violations)}")
 
 
 if __name__ == "__main__":

@@ -15,8 +15,7 @@ Two things the FastTrack report alone doesn't tell you:
 
 from repro.analyses.generic_tool import FullInstrumentationTool
 from repro.analyses.hbgraph import HBGraph, explain_pair
-from repro.analyses.record import FullTraceRecorder, TraceRecorder
-from repro.core.system import AikidoSystem
+from repro.analyses.record import TraceRecorder
 from repro.dbr.engine import DBREngine
 from repro.guestos.kernel import Kernel
 from repro.harness.explore import explore, render_exploration
@@ -28,7 +27,7 @@ def record_full(program, seed=3, quantum=5):
     kernel = Kernel(seed=seed, quantum=quantum, jitter=0.0)
     kernel.create_process(program)
     engine = DBREngine(kernel)
-    recorder = FullTraceRecorder()
+    recorder = TraceRecorder()
     engine.attach_tool(FullInstrumentationTool(kernel, recorder))
     kernel.run()
     return recorder.trace

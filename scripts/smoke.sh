@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Smoke check: tier-1 tests, then a tiny parallel suite run twice against
-# a fresh cache directory — the second invocation must be served entirely
-# from the cache (zero simulations).
+# Smoke check: tier-1 tests and the benchmark files' assertions, then a
+# tiny parallel suite run twice against a fresh cache directory — the
+# second invocation must be served entirely from the cache (zero
+# simulations).
 #
 #     bash scripts/smoke.sh
 set -euo pipefail
@@ -13,6 +14,12 @@ export AIKIDO_CACHE_DIR
 trap 'rm -rf "$AIKIDO_CACHE_DIR"' EXIT
 
 python -m pytest -x -q
+
+# The pytest-benchmark files live outside the tier-1 testpaths; run
+# their assertions once (timing disabled) so an API change that breaks
+# them fails here. They run at the default scale: the ratio assertions
+# are calibrated for it.
+python -m pytest benchmarks --benchmark-disable -x -q
 
 # Workload linter gate: every bundled workload must be finding-free at
 # the thread counts the suite uses (the CLI exits non-zero on findings).

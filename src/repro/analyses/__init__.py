@@ -1,8 +1,7 @@
 """Dynamic analyses (DBR tools) usable standalone or under Aikido.
 
 * :mod:`repro.analyses.fasttrack` — the FastTrack happens-before race
-  detector, in both the conservative full-instrumentation form (the
-  paper's baseline) and the Aikido-accelerated form.
+  detector and its Aikido-accelerated form (the paper's system).
 * :mod:`repro.analyses.djit` — plain DJIT+ vector-clock detection (the
   baseline FastTrack's epoch optimization is measured against).
 * :mod:`repro.analyses.eraser` — an Eraser-style LockSet detector
@@ -13,15 +12,15 @@
   (related-work comparison; trades false negatives for speed).
 * :mod:`repro.analyses.generic_tool` — run any detector under full
   instrumentation or under Aikido.
-* :mod:`repro.analyses.record` — trace recording and offline replay.
+* :mod:`repro.analyses.record` — trace recording, offline replay and
+  the one sync-event table every adapter dispatches through.
 """
 
-from repro.analyses.atomicity import AikidoAtomicity, AVIOChecker
+from repro.analyses.atomicity import AVIOChecker
 from repro.analyses.djit import DjitDetector
-from repro.analyses.eraser import EraserAnalysis, EraserDetector
+from repro.analyses.eraser import EraserDetector
 from repro.analyses.fasttrack.aikido_tool import AikidoFastTrack
 from repro.analyses.fasttrack.detector import FastTrackDetector
-from repro.analyses.fasttrack.tool import FastTrackTool
 from repro.analyses.generic_tool import (
     FullInstrumentationTool,
     GenericAnalysis,
@@ -31,13 +30,10 @@ from repro.analyses.sampling import SamplingDetector
 
 __all__ = [
     "AVIOChecker",
-    "AikidoAtomicity",
     "AikidoFastTrack",
     "DjitDetector",
-    "EraserAnalysis",
     "EraserDetector",
     "FastTrackDetector",
-    "FastTrackTool",
     "FullInstrumentationTool",
     "GenericAnalysis",
     "SamplingDetector",

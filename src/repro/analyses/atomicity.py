@@ -3,9 +3,10 @@
 The paper's introduction motivates Aikido with *both* race detectors and
 atomicity checkers [18, 32, 26, 20]; this module implements the
 access-interleaving-invariant checker of AVIO (Lu et al., ASPLOS'06,
-the paper's citation [26]) as a second
-:class:`~repro.core.analysis.SharedDataAnalysis`, demonstrating that
-AikidoSD accelerates the whole analysis class, not just FastTrack.
+the paper's citation [26]) as a second detector, which runs under Aikido
+through :class:`~repro.analyses.generic_tool.GenericAnalysis`,
+demonstrating that AikidoSD accelerates the whole analysis class, not
+just FastTrack.
 
 AVIO's insight: for two consecutive accesses by one thread to the same
 variable inside an atomic region, exactly four interleavings by a remote
@@ -28,8 +29,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import costs
-from repro.core.analysis import SharedDataAnalysis
-from repro.events import AcquireEvent, ReleaseEvent
 
 #: The four unserializable (local, remote, local) interleavings, as
 #: (prev_local_is_write, remote_is_write, current_local_is_write).
@@ -168,27 +167,3 @@ class AVIOChecker:
             return
         self._reported.add(violation.key)
         self.violations.append(violation)
-
-
-class AikidoAtomicity(SharedDataAnalysis):
-    """AVIO as an Aikido-accelerated shared-data analysis."""
-
-    name = "aikido-avio"
-
-    def __init__(self, kernel, block_size: int = 8):
-        self.checker = AVIOChecker(kernel.counter, block_size)
-
-    def on_shared_access(self, thread, instr, addr: int,
-                         is_write: bool) -> None:
-        self.checker.on_access(thread.tid, addr, is_write, instr.uid)
-
-    def on_sync_event(self, event) -> None:
-        cls = event.__class__
-        if cls is AcquireEvent:
-            self.checker.on_acquire(event.tid, event.lock_id)
-        elif cls is ReleaseEvent:
-            self.checker.on_release(event.tid, event.lock_id)
-
-    @property
-    def violations(self):
-        return self.checker.violations

@@ -24,14 +24,6 @@ import enum
 from typing import Dict, FrozenSet, List, Set
 
 from repro import costs
-from repro.core.analysis import SharedDataAnalysis
-from repro.events import (
-    AcquireEvent,
-    BarrierEvent,
-    ForkEvent,
-    JoinEvent,
-    ReleaseEvent,
-)
 
 
 class VarMode(enum.Enum):
@@ -136,31 +128,3 @@ class EraserDetector:
             return
         self._reported.add(block)
         self.reports.append(LockSetReport(block, addr, tid, is_write))
-
-
-class EraserAnalysis(SharedDataAnalysis):
-    """Eraser as an Aikido shared-data analysis.
-
-    LockSet famously ignores fork/join and barrier ordering — the source
-    of its false positives — so only acquire/release events matter here.
-    """
-
-    name = "aikido-eraser"
-
-    def __init__(self, kernel, block_size: int = 8):
-        self.detector = EraserDetector(kernel.counter, block_size)
-
-    def on_shared_access(self, thread, instr, addr, is_write) -> None:
-        self.detector.on_access(thread.tid, addr, is_write, instr.uid)
-
-    def on_sync_event(self, event) -> None:
-        cls = event.__class__
-        if cls is AcquireEvent:
-            self.detector.on_acquire(event.tid, event.lock_id)
-        elif cls is ReleaseEvent:
-            self.detector.on_release(event.tid, event.lock_id)
-        # Fork/Join/Barrier deliberately ignored: Eraser's imprecision.
-
-    @property
-    def reports(self):
-        return self.detector.reports

@@ -7,9 +7,10 @@ clock is materialized only for read-shared variables.
 
 This package contains the algorithm (:mod:`detector`), its metadata
 (:mod:`vectorclock`, :mod:`epoch`, :mod:`metadata`), race records
-(:mod:`reports`), and the two integrations the paper evaluates: the
-conservative instrument-everything DBR tool (:mod:`tool`) and the
-Aikido-accelerated analysis (:mod:`aikido_tool`).
+(:mod:`reports`), and the Aikido-accelerated analysis
+(:mod:`aikido_tool`). The paper's conservative instrument-everything
+baseline is the detector under
+:class:`~repro.analyses.generic_tool.FullInstrumentationTool`.
 """
 
 from repro.analyses.fasttrack.vectorclock import VectorClock
@@ -21,14 +22,12 @@ from repro.analyses.fasttrack.epoch import (
 )
 from repro.analyses.fasttrack.detector import FastTrackDetector
 from repro.analyses.fasttrack.reports import RaceReport
-from repro.analyses.fasttrack.tool import FastTrackTool
 from repro.analyses.fasttrack.aikido_tool import AikidoFastTrack
 
 __all__ = [
     "AikidoFastTrack",
     "EPOCH_NONE",
     "FastTrackDetector",
-    "FastTrackTool",
     "RaceReport",
     "VectorClock",
     "epoch_clock",

@@ -3,7 +3,8 @@
 Under Aikido, FastTrack "only instruments instructions that access shared
 data and only maintains the epoch metadata for shared data": AikidoSD
 feeds this adapter just the shared-page accesses, so private data costs
-nothing and its metadata is never allocated.
+nothing and its metadata is never allocated. Access and sync dispatch
+are :class:`~repro.analyses.generic_tool.GenericAnalysis`'s.
 
 When the §6 first-access ordering workaround is enabled
 (:attr:`repro.core.config.AikidoConfig.order_first_accesses`), the page
@@ -16,34 +17,28 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.analyses.fasttrack.detector import (
-    FastTrackDetector,
-    apply_sync_event,
-)
+from repro.analyses.fasttrack.detector import FastTrackDetector
 from repro.analyses.fasttrack.vectorclock import VectorClock
-from repro.core.analysis import SharedDataAnalysis
+from repro.analyses.generic_tool import GenericAnalysis
 
 
-class AikidoFastTrack(SharedDataAnalysis):
+class AikidoFastTrack(GenericAnalysis):
     """FastTrack as a shared-data analysis driven by AikidoSD."""
 
     name = "aikido-fasttrack"
 
     def __init__(self, kernel, detector: Optional[FastTrackDetector] = None,
                  block_size: int = 8):
-        self.detector = (detector if detector is not None
+        super().__init__(detector if detector is not None
                          else FastTrackDetector(kernel.counter, block_size))
         #: vpn -> owner's clock snapshot, kept while the §6 ordering
         #: workaround is active.
         self._page_clocks: Dict[int, VectorClock] = {}
 
-    # ------------------------------------------------------------------
-    def on_shared_access(self, thread, instr, addr: int,
-                         is_write: bool) -> None:
-        self.detector.on_access(thread.tid, addr, is_write, instr.uid)
-
-    def on_sync_event(self, event) -> None:
-        apply_sync_event(self.detector, event)
+    # perfbench/layers.py times the analysis layer on this class's own
+    # attributes, so the inherited dispatch is bound here by name.
+    on_shared_access = GenericAnalysis.on_shared_access
+    on_sync_event = GenericAnalysis.on_sync_event
 
     # ------------------------------------------------------------------
     # §6 ordering workaround

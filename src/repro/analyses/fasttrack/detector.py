@@ -30,14 +30,6 @@ from repro.analyses.fasttrack.epoch import (
 from repro.analyses.fasttrack.metadata import MetadataStore
 from repro.analyses.fasttrack.reports import RaceReport
 from repro.analyses.fasttrack.vectorclock import VectorClock
-from repro.events import (
-    AcquireEvent,
-    BarrierEvent,
-    ForkEvent,
-    JoinEvent,
-    ReleaseEvent,
-    ThreadExitEvent,
-)
 
 
 class FastTrackDetector:
@@ -197,9 +189,8 @@ class FastTrackDetector:
         """All-to-all ordering across the barrier's participants.
 
         ``barrier_id`` identifies which barrier fired; the vector-clock
-        math is the same for all of them, but accepting it keeps the
-        detector protocol faithful for recorders that must round-trip
-        the id (see ``FullTraceRecorder``).
+        math is the same for all of them, but every adapter passes it
+        so recorders can round-trip the id (see ``TraceRecorder``).
         """
         self.sync_ops += 1
         merged = VectorClock()
@@ -254,20 +245,3 @@ class FastTrackDetector:
     def _charge(self, cycles: int) -> None:
         if self.counter is not None:
             self.counter.charge("fasttrack", cycles)
-
-
-def apply_sync_event(detector: FastTrackDetector, event) -> None:
-    """Dispatch a kernel synchronization event to the detector."""
-    cls = event.__class__
-    if cls is AcquireEvent:
-        detector.on_acquire(event.tid, event.lock_id)
-    elif cls is ReleaseEvent:
-        detector.on_release(event.tid, event.lock_id)
-    elif cls is ForkEvent:
-        detector.on_fork(event.parent_tid, event.child_tid)
-    elif cls is JoinEvent:
-        detector.on_join(event.parent_tid, event.child_tid)
-    elif cls is BarrierEvent:
-        detector.on_barrier(event.tids, event.barrier_id)
-    elif cls is ThreadExitEvent:
-        pass  # join handles the happens-before edge

@@ -1,105 +1,48 @@
 """Run *any* detector under full instrumentation or under Aikido.
 
 The paper's framework claim is that AikidoSD accelerates the whole class
-of shared-data analyses. This module provides the two generic adapters
-that make that concrete for any detector exposing ``on_access(tid, addr,
-is_write, instr_uid)`` plus optional ``on_acquire/on_release/on_fork/
-on_join/on_barrier`` handlers (FastTrack, Eraser and AVIO all qualify):
+of shared-data analyses. The detector protocol is the one way an
+analysis plugs in: ``on_access(tid, addr, is_write, instr_uid)`` plus
+optional ``on_acquire/on_release/on_fork/on_join/on_barrier`` handlers
+(FastTrack, DJIT+, Eraser, AVIO, memtag and the trace recorder all
+qualify). Three adapters feed it:
 
 * :class:`FullInstrumentationTool` — a DBR tool that instruments every
   memory access (the conservative baseline for that detector);
 * :class:`GenericAnalysis` — a :class:`SharedDataAnalysis` feeding the
-  detector only shared-page accesses under Aikido.
+  detector only shared-page accesses under Aikido;
+* :func:`repro.analyses.record.replay` — a recorded trace.
 
-Both dispatch synchronization events the same way, so a detector's
-results differ between the two modes only by the access subset — which
-is exactly the property the equivalence tests check.
+All three map synchronization to handlers through
+:data:`repro.analyses.record.SYNC_HANDLERS`, so a detector's results
+differ between the modes only by the access subset — which is exactly
+the property the equivalence tests check.
 """
 
 from __future__ import annotations
 
-import inspect
-
+from repro.analyses.record import dispatch_sync
 from repro.core.analysis import SharedDataAnalysis
 from repro.dbr.codecache import CachedBlock
 from repro.dbr.tool import Tool
-from repro.errors import ToolError
-from repro.events import (
-    AcquireEvent,
-    BarrierEvent,
-    ForkEvent,
-    JoinEvent,
-    ReleaseEvent,
-    ThreadExitEvent,
-)
 from repro.umbra.shadow import ShadowMemory
 
 
-def call_barrier_handler(handler, tids, barrier_id: int) -> None:
-    """Invoke ``on_barrier``, passing the barrier id only if accepted.
-
-    The protocol grew ``barrier_id`` late; detectors that predate it (or
-    third-party ones) still take just ``tids``. Signature inspection —
-    not ``try/except TypeError``, which would mask arity errors *inside*
-    the handler — decides which form to use, so the id is never silently
-    dropped for a handler that can take it.
-    """
-    try:
-        params = list(inspect.signature(handler).parameters.values())
-    except (TypeError, ValueError):
-        handler(tids, barrier_id)
-        return
-    if any(p.name == "barrier_id" for p in params):
-        handler(tids, barrier_id=barrier_id)
-    elif any(p.kind is p.VAR_POSITIONAL for p in params) or len(
-            [p for p in params
-             if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]) >= 2:
-        handler(tids, barrier_id)
-    else:
-        handler(tids)
-
-
-def dispatch_sync(detector, event) -> None:
-    """Forward a kernel sync event to whichever handler the detector has."""
-    cls = event.__class__
-    if cls is AcquireEvent:
-        handler = getattr(detector, "on_acquire", None)
-        if handler:
-            handler(event.tid, event.lock_id)
-    elif cls is ReleaseEvent:
-        handler = getattr(detector, "on_release", None)
-        if handler:
-            handler(event.tid, event.lock_id)
-    elif cls is ForkEvent:
-        handler = getattr(detector, "on_fork", None)
-        if handler:
-            handler(event.parent_tid, event.child_tid)
-    elif cls is JoinEvent:
-        handler = getattr(detector, "on_join", None)
-        if handler:
-            handler(event.parent_tid, event.child_tid)
-    elif cls is BarrierEvent:
-        handler = getattr(detector, "on_barrier", None)
-        if handler:
-            call_barrier_handler(handler, event.tids, event.barrier_id)
-    elif cls is ThreadExitEvent:
-        pass  # join carries the happens-before edge
-    else:
-        raise ToolError(
-            f"dispatch_sync: unrecognized sync event {cls.__name__}; "
-            f"dropping it would silently desynchronize the detector")
-
-
 class FullInstrumentationTool(Tool):
-    """Instrument every memory access and feed the wrapped detector."""
+    """Instrument every memory access and feed the wrapped detector.
+
+    Each access pays a shadow-memory translation (Umbra at
+    ``block_size`` granularity) plus the detector's clean call, and
+    counts as one tool invocation in the engine stats.
+    """
 
     name = "full-generic"
 
-    def __init__(self, kernel, detector):
+    def __init__(self, kernel, detector, block_size: int = 8):
         super().__init__()
         self.kernel = kernel
         self.detector = detector
-        self.shadow = ShadowMemory(kernel.counter)
+        self.shadow = ShadowMemory(kernel.counter, block_size)
         vm = kernel.process.vm
         for region in vm.user_regions():
             self.shadow.add_region(region.start, region.length)
@@ -116,6 +59,7 @@ class FullInstrumentationTool(Tool):
 
     def _access_hook(self, thread, instr, ea):
         self.shadow.translate(thread.tid, ea)
+        self.engine.stats.tool_invocations += 1
         self.detector.on_access(thread.tid, ea, instr.is_write, instr.uid)
         return None
 

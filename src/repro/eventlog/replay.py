@@ -26,7 +26,7 @@ from repro.analyses.djit import DjitDetector
 from repro.analyses.eraser import EraserDetector
 from repro.analyses.fasttrack.detector import FastTrackDetector
 from repro.analyses.memtag import MemTagDetector
-from repro.analyses.record import FullTraceRecorder, replay
+from repro.analyses.record import TraceRecorder, replay
 from repro.chaos.invariants import (
     check_analysis_agreement,
     cross_analysis_disagreements,
@@ -110,7 +110,7 @@ def record_run(program, path: str, *, seed: int = 0, quantum: int = 200,
 
     with EventLogWriter(path, chunk_events=chunk_events,
                         counters=counters) as writer:
-        tool = FullInstrumentationTool(kernel, FullTraceRecorder(writer))
+        tool = FullInstrumentationTool(kernel, TraceRecorder(writer))
         engine.attach_tool(tool)
         kernel.run(max_instructions=max_instructions)
     # Stats read after close(): the final partial chunk and the trailer

@@ -21,7 +21,8 @@ import inspect
 from typing import Dict, List, Optional
 
 from repro.analyses.fasttrack.aikido_tool import AikidoFastTrack
-from repro.analyses.fasttrack.tool import FastTrackTool
+from repro.analyses.fasttrack.detector import FastTrackDetector
+from repro.analyses.generic_tool import FullInstrumentationTool
 from repro.core.config import AikidoConfig
 from repro.core.system import AikidoSystem
 from repro.dbr.engine import DBREngine
@@ -221,13 +222,14 @@ def run_fasttrack(program, *, seed: int = 0, quantum: int = 200,
     kernel.create_process(program)
     engine = DBREngine(kernel, compile_blocks=compile_blocks,
                        superblocks=superblocks)
-    tool = FastTrackTool(kernel, block_size=block_size)
-    engine.attach_tool(tool)
+    detector = FastTrackDetector(kernel.counter, block_size)
+    engine.attach_tool(
+        FullInstrumentationTool(kernel, detector, block_size=block_size))
     kernel.run(max_instructions=max_instructions)
     return RunResult("fasttrack", kernel.counter.total,
                      _engine_run_stats(engine), kernel.counter.snapshot(),
-                     races=list(tool.races),
-                     detector_profile=_detector_profile(tool.detector),
+                     races=list(detector.races),
+                     detector_profile=_detector_profile(detector),
                      superblocks=engine.superblock_snapshot())
 
 

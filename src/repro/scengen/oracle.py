@@ -75,10 +75,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.analyses.djit import DjitDetector
 from repro.analyses.eraser import EraserDetector
 from repro.analyses.fasttrack.detector import FastTrackDetector
-from repro.analyses.fasttrack.tool import FastTrackTool
 from repro.analyses.generic_tool import FullInstrumentationTool
 from repro.analyses.memtag import MemTagDetector
-from repro.analyses.record import FullTraceRecorder, replay_into
+from repro.analyses.record import TraceRecorder, replay_into
 from repro.chaos.invariants import cross_analysis_disagreements
 from repro.chaos.plan import ChaosPlan
 from repro.eventlog.encoding import decode_entries, encode_entries
@@ -181,17 +180,18 @@ def default_tier_runner(ir: ScenarioIR, mode: str, tier: str,
             kernel.create_process(program)
             engine = DBREngine(kernel, compile_blocks=compile_blocks,
                                superblocks=superblocks)
-            tool = FastTrackTool(kernel, block_size=BLOCK_SIZE)
-            engine.attach_tool(tool)
+            detector = FastTrackDetector(kernel.counter, BLOCK_SIZE)
+            engine.attach_tool(FullInstrumentationTool(
+                kernel, detector, block_size=BLOCK_SIZE))
             install_smc(kernel, engine, info.smc_uids, ir.smc_period)
             kernel.run(max_instructions=budget)
             surface = {
                 "cycles": kernel.counter.total,
                 "run_stats": _engine_run_stats(engine),
                 "cycle_breakdown": kernel.counter.snapshot(),
-                "detector_profile": _detector_profile(tool.detector),
+                "detector_profile": _detector_profile(detector),
             }
-            surface.update(_race_payload(tool.races))
+            surface.update(_race_payload(detector.races))
             return ("ok", surface)
         if mode == "aikido-fasttrack":
             chaos_plan = None
@@ -232,7 +232,7 @@ def _record_trace(ir: ScenarioIR, budget: int):
                     jitter=ir.jitter)
     kernel.create_process(program)
     engine = DBREngine(kernel, compile_blocks=False)
-    recorder = FullTraceRecorder()
+    recorder = TraceRecorder()
     tool = FullInstrumentationTool(kernel, recorder)
     engine.attach_tool(tool)
     try:
@@ -339,13 +339,16 @@ def check_scenario(ir: ScenarioIR, *, quick: bool = True,
                "" if ft_blocks == djit_blocks else
                f"fasttrack blocks {ft_blocks} vs djit {djit_blocks}")
 
-        def eraser_reports():
+        def eraser_replay():
             detector = replay_into(
                 trace, lambda: EraserDetector(block_size=BLOCK_SIZE))
-            return [(r.block, r.address, r.tid, r.is_write)
-                    for r in detector.reports]
+            return detector, [(r.block, r.address, r.tid, r.is_write)
+                              for r in detector.reports]
 
-        first, second = eraser_reports(), eraser_reports()
+        # The second replay's detector also gives the cross-analysis
+        # check its Eraser verdict.
+        _, first = eraser_replay()
+        eraser_det, second = eraser_replay()
         report("eraser_determinism", first == second,
                "" if first == second else "eraser replay is unstable")
 
@@ -358,8 +361,6 @@ def check_scenario(ir: ScenarioIR, *, quick: bool = True,
                ("decode is not entry-exact" if not lossless
                 else "re-encoding is not byte-stable"))
 
-        eraser_det = replay_into(
-            trace, lambda: EraserDetector(block_size=BLOCK_SIZE))
         memtag = replay_into(
             trace, lambda: MemTagDetector(block_size=BLOCK_SIZE))
         disagreements = cross_analysis_disagreements({

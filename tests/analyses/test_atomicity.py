@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.analyses.atomicity import (
-    AVIOChecker,
-    AikidoAtomicity,
-    UNSERIALIZABLE,
-)
+from repro.analyses.atomicity import AVIOChecker, UNSERIALIZABLE
+from repro.analyses.generic_tool import GenericAnalysis
 from repro.core.system import AikidoSystem
 from repro.machine.asm import ProgramBuilder
 
@@ -152,19 +149,21 @@ def atomicity_bug_program():
 
 class TestAtomicityUnderAikido:
     def test_finds_the_bug_in_the_full_stack(self):
-        system = AikidoSystem(atomicity_bug_program(),
-                              lambda kernel: AikidoAtomicity(kernel),
-                              seed=5, quantum=4, jitter=0.3)
+        system = AikidoSystem(
+            atomicity_bug_program(),
+            lambda kernel: GenericAnalysis(AVIOChecker(kernel.counter)),
+            seed=5, quantum=4, jitter=0.3)
         system.run()
-        assert system.analysis.violations
-        v = system.analysis.violations[0]
+        assert system.analysis.detector.violations
+        v = system.analysis.detector.violations[0]
         assert v.pattern in UNSERIALIZABLE
 
     def test_clean_program_reports_nothing(self):
         from repro.workloads import micro
         program, _ = micro.locked_counter(2, 15)
-        system = AikidoSystem(program,
-                              lambda kernel: AikidoAtomicity(kernel),
-                              seed=5, quantum=4, jitter=0.3)
+        system = AikidoSystem(
+            program,
+            lambda kernel: GenericAnalysis(AVIOChecker(kernel.counter)),
+            seed=5, quantum=4, jitter=0.3)
         system.run()
-        assert not system.analysis.violations
+        assert not system.analysis.detector.violations

@@ -15,7 +15,7 @@ from repro.analyses.djit import DjitDetector
 from repro.analyses.fasttrack.detector import FastTrackDetector
 from repro.analyses.generic_tool import FullInstrumentationTool
 from repro.analyses.hbgraph import HBGraph
-from repro.analyses.record import FullTraceRecorder, replay_into
+from repro.analyses.record import TraceRecorder, replay_into
 from repro.dbr.engine import DBREngine
 from repro.guestos.kernel import Kernel
 from repro.machine.asm import ProgramBuilder
@@ -68,7 +68,7 @@ def test_three_verdicts_coincide_on_real_executions(pattern, seed):
     kernel.create_process(program)
     engine = DBREngine(kernel)
     online = FastTrackDetector()
-    recorder = FullTraceRecorder()
+    recorder = TraceRecorder()
 
     class Both:
         """Feed the online detector and the recorder from one stream."""

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.analyses.eraser import EraserAnalysis, EraserDetector, VarMode
+from repro.analyses.eraser import EraserDetector, VarMode
 from repro.analyses.fasttrack.detector import FastTrackDetector
+from repro.analyses.generic_tool import GenericAnalysis
 from repro.analyses.sampling import SamplingDetector
 from repro.core.system import AikidoSystem
 from repro.workloads import micro
@@ -82,16 +83,20 @@ class TestEraserUnderAikido:
     def test_eraser_analysis_runs_on_aikido(self):
         program, info = micro.racy_counter(2, 20)
         system = AikidoSystem(
-            program, lambda kernel: EraserAnalysis(kernel), jitter=0.0)
+            program,
+            lambda kernel: GenericAnalysis(EraserDetector(kernel.counter)),
+            jitter=0.0)
         system.run()
-        assert system.analysis.reports
+        assert system.analysis.detector.reports
 
     def test_eraser_clean_on_locked_counter(self):
         program, info = micro.locked_counter(2, 20)
         system = AikidoSystem(
-            program, lambda kernel: EraserAnalysis(kernel), jitter=0.0)
+            program,
+            lambda kernel: GenericAnalysis(EraserDetector(kernel.counter)),
+            jitter=0.0)
         system.run()
-        assert not system.analysis.reports
+        assert not system.analysis.detector.reports
 
 
 class TestSampling:

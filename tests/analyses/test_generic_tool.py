@@ -3,12 +3,14 @@
 import pytest
 
 from repro.analyses.atomicity import AVIOChecker
+from repro.analyses.djit import DjitDetector
 from repro.analyses.eraser import EraserDetector
 from repro.analyses.fasttrack.detector import FastTrackDetector
 from repro.analyses.generic_tool import (
     FullInstrumentationTool,
     GenericAnalysis,
 )
+from repro.analyses.memtag import MemTagDetector
 from repro.core.system import AikidoSystem
 from repro.dbr.engine import DBREngine
 from repro.guestos.kernel import Kernel
@@ -17,13 +19,26 @@ from repro.workloads import micro
 DETECTORS = [FastTrackDetector, EraserDetector, AVIOChecker]
 
 
-def run_full(program, detector):
+def work(detector):
+    """Accesses the detector was fed, whatever it calls the counter."""
+    return (getattr(detector, "reads", 0)
+            + getattr(detector, "writes", 0)
+            + getattr(detector, "accesses", 0)
+            + getattr(detector, "checked", 0))
+
+
+def run_full_engine(program, detector):
     kernel = Kernel(seed=3, quantum=20, jitter=0.0)
     kernel.create_process(program)
     engine = DBREngine(kernel)
     tool = FullInstrumentationTool(kernel, detector)
     engine.attach_tool(tool)
     kernel.run()
+    return engine
+
+
+def run_full(program, detector):
+    run_full_engine(program, detector)
     return detector
 
 
@@ -39,19 +54,19 @@ class TestBothModesRunEveryDetector:
     def test_full_mode(self, detector_cls):
         detector = run_full(micro.racy_counter(2, 10)[0], detector_cls())
         # Every detector exposes a nonzero work counter.
-        worked = (getattr(detector, "reads", 0)
-                  + getattr(detector, "writes", 0)
-                  + getattr(detector, "accesses", 0)
-                  + getattr(detector, "checked", 0))
-        assert worked > 0
+        assert work(detector) > 0
 
     def test_aikido_mode(self, detector_cls):
         detector = run_aikido(micro.racy_counter(2, 10)[0], detector_cls())
-        worked = (getattr(detector, "reads", 0)
-                  + getattr(detector, "writes", 0)
-                  + getattr(detector, "accesses", 0)
-                  + getattr(detector, "checked", 0))
-        assert worked > 0
+        assert work(detector) > 0
+
+
+@pytest.mark.parametrize("detector_cls",
+                         DETECTORS + [DjitDetector, MemTagDetector])
+def test_full_mode_counts_one_tool_invocation_per_access(detector_cls):
+    detector = detector_cls()
+    engine = run_full_engine(micro.racy_counter(2, 10)[0], detector)
+    assert engine.stats.tool_invocations == work(detector) > 0
 
 
 class TestEraserEquivalence:
@@ -70,8 +85,8 @@ class TestEraserEquivalence:
 
 class TestFastTrackViaGenericAdapters:
     def test_generic_full_equals_dedicated_tool(self):
-        """The generic adapter and the dedicated FastTrackTool must see
-        the same accesses and races."""
+        """The generic adapter and the ``fasttrack`` mode runner must
+        see the same races."""
         from repro.harness.runner import run_fasttrack
         dedicated = run_fasttrack(micro.racy_counter(2, 15)[0], seed=3,
                                   quantum=20)
@@ -92,11 +107,6 @@ class TestAikidoWorkReduction:
     def test_aikido_feeds_fewer_accesses(self, detector_cls):
         """On a mostly-private workload, Aikido must deliver strictly
         fewer accesses to the detector than full instrumentation."""
-        def work(detector):
-            return (getattr(detector, "reads", 0)
-                    + getattr(detector, "writes", 0)
-                    + getattr(detector, "accesses", 0)
-                    + getattr(detector, "checked", 0))
         full = work(run_full(micro.private_work(2, 20)[0], detector_cls()))
         aik = work(run_aikido(micro.private_work(2, 20)[0],
                               detector_cls()))

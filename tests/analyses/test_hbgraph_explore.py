@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analyses.generic_tool import GenericAnalysis
 from repro.analyses.hbgraph import HBGraph, explain_pair
 from repro.analyses.record import TraceRecorder
 from repro.core.system import AikidoSystem
@@ -14,10 +15,11 @@ from repro.workloads import micro
 
 
 def recorded_trace(program_factory, seed=3, quantum=20):
-    system = AikidoSystem(program_factory(), TraceRecorder(), seed=seed,
+    system = AikidoSystem(program_factory(),
+                          GenericAnalysis(TraceRecorder()), seed=seed,
                           quantum=quantum, jitter=0.0)
     system.run()
-    return system.analysis.trace
+    return system.analysis.detector.trace
 
 
 class TestHBGraphStructure:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analyses.eraser import EraserDetector
+from repro.analyses.generic_tool import GenericAnalysis
 from repro.analyses.memtag import (
     TAG_COUNT,
     MemTagDetector,
@@ -14,10 +15,11 @@ from repro.workloads import micro
 
 
 def record(program_factory, seed=3, quantum=20):
-    system = AikidoSystem(program_factory(), TraceRecorder(), seed=seed,
+    system = AikidoSystem(program_factory(),
+                          GenericAnalysis(TraceRecorder()), seed=seed,
                           quantum=quantum, jitter=0.0)
     system.run()
-    return system.analysis.trace
+    return system.analysis.detector.trace
 
 
 class TestTagMapping:

@@ -4,20 +4,34 @@ import pytest
 
 from repro.analyses.atomicity import AVIOChecker
 from repro.analyses.eraser import EraserDetector
+from repro.analyses.fasttrack.aikido_tool import AikidoFastTrack
 from repro.analyses.fasttrack.detector import FastTrackDetector
-from repro.analyses.record import TraceRecorder, replay, replay_into
+from repro.analyses.generic_tool import (
+    FullInstrumentationTool,
+    GenericAnalysis,
+)
+from repro.analyses.record import (
+    TraceRecorder,
+    dispatch_sync,
+    replay,
+    replay_into,
+)
+from repro.dbr.engine import DBREngine
 from repro.errors import ToolError
 from repro.events import SyncEvent, ThreadExitEvent
 from repro.core.system import AikidoSystem
+from repro.guestos.kernel import Kernel
 from repro.harness.runner import run_aikido_fasttrack
 from repro.workloads import micro
 
 
 def record(program_factory, seed=3, quantum=20):
-    system = AikidoSystem(program_factory(), TraceRecorder(), seed=seed,
+    """Aikido recording: shared-page accesses plus all sync."""
+    system = AikidoSystem(program_factory(),
+                          GenericAnalysis(TraceRecorder()), seed=seed,
                           quantum=quantum, jitter=0.0)
     system.run()
-    return system.analysis
+    return system.analysis.detector
 
 
 class TestRecording:
@@ -85,22 +99,13 @@ class TestReplay:
         assert [r.key for r in first.races] == [r.key for r in second.races]
 
 
-class TestFullTraceRecorder:
+class TestFullRecording:
     def test_full_trace_includes_first_touch_accesses(self):
         """An Aikido trace misses first touches (§6); a full trace does
-        not — the distinction the ground-truth recorder exists for."""
-        from repro.analyses.generic_tool import FullInstrumentationTool
-        from repro.analyses.record import FullTraceRecorder
-        from repro.dbr.engine import DBREngine
-        from repro.guestos.kernel import Kernel
-
+        not — the distinction full-instrumentation recording exists
+        for."""
         program, info = micro.first_touch_race()
-        kernel = Kernel(seed=3, quantum=20, jitter=0.0)
-        kernel.create_process(program)
-        engine = DBREngine(kernel)
-        full = FullTraceRecorder()
-        engine.attach_tool(FullInstrumentationTool(kernel, full))
-        kernel.run()
+        full = record_full(lambda: program)
         accesses = [e for e in full.trace if e[0] == "access"
                     and e[2] == info["cell"]]
         assert len(accesses) == 2  # the write AND the read
@@ -112,18 +117,7 @@ class TestFullTraceRecorder:
         assert aikido.access_count == 1
 
     def test_full_trace_replays_into_detectors(self):
-        from repro.analyses.fasttrack.detector import FastTrackDetector
-        from repro.analyses.generic_tool import FullInstrumentationTool
-        from repro.analyses.record import FullTraceRecorder
-        from repro.dbr.engine import DBREngine
-        from repro.guestos.kernel import Kernel
-
-        kernel = Kernel(seed=3, quantum=20, jitter=0.0)
-        kernel.create_process(micro.racy_counter(2, 10)[0])
-        engine = DBREngine(kernel)
-        full = FullTraceRecorder()
-        engine.attach_tool(FullInstrumentationTool(kernel, full))
-        kernel.run()
+        full = record_full(lambda: micro.racy_counter(2, 10)[0])
         detector = replay_into(full.trace, FastTrackDetector)
         assert detector.races
 
@@ -143,41 +137,50 @@ class TestUnrecognizedSyncEvents:
             self.tid = tid
 
     def test_recorder_rejects_unknown_event(self):
-        recorder = TraceRecorder()
+        analysis = GenericAnalysis(TraceRecorder())
         with pytest.raises(ToolError, match="unrecognized sync event"):
-            recorder.on_sync_event(self.NovelEvent(1))
-        assert recorder.trace == []  # nothing half-recorded
+            analysis.on_sync_event(self.NovelEvent(1))
+        assert analysis.detector.trace == []  # nothing half-recorded
 
     def test_recorder_tolerates_thread_exit(self):
         # JOIN carries the happens-before edge; EXIT is deliberately
         # (and now explicitly) not recorded.
-        recorder = TraceRecorder()
-        recorder.on_sync_event(ThreadExitEvent(3))
-        assert recorder.trace == []
+        analysis = GenericAnalysis(TraceRecorder())
+        analysis.on_sync_event(ThreadExitEvent(3))
+        assert analysis.detector.trace == []
 
     def test_dispatch_sync_rejects_unknown_event(self):
-        from repro.analyses.generic_tool import dispatch_sync
-
         with pytest.raises(ToolError, match="unrecognized sync event"):
             dispatch_sync(FastTrackDetector(), self.NovelEvent(1))
 
     def test_dispatch_sync_tolerates_thread_exit(self):
-        from repro.analyses.generic_tool import dispatch_sync
-
         dispatch_sync(FastTrackDetector(), ThreadExitEvent(3))
+
+    @pytest.mark.parametrize("adapter", [
+        "AikidoFastTrack", "GenericAnalysis", "FullInstrumentationTool"])
+    def test_every_adapter_rejects_unknown_event(self, adapter):
+        """The paper's configuration used to drop a novel event silently
+        while the other adapters raised."""
+        kernel = Kernel(jitter=0.0)
+        kernel.create_process(micro.private_work(1, 1)[0])
+        detector = FastTrackDetector(kernel.counter)
+        tool = {
+            "AikidoFastTrack": lambda: AikidoFastTrack(kernel, detector),
+            "GenericAnalysis": lambda: GenericAnalysis(detector),
+            "FullInstrumentationTool":
+                lambda: FullInstrumentationTool(kernel, detector),
+        }[adapter]()
+        with pytest.raises(ToolError, match="unrecognized sync event"):
+            tool.on_sync_event(self.NovelEvent(1))
+        assert detector.sync_ops == 0
 
 
 def record_full(program_factory, seed=3, quantum=20):
     """Full-instrumentation ground-truth recording."""
-    from repro.analyses.generic_tool import FullInstrumentationTool
-    from repro.analyses.record import FullTraceRecorder
-    from repro.dbr.engine import DBREngine
-    from repro.guestos.kernel import Kernel
-
     kernel = Kernel(seed=seed, quantum=quantum, jitter=0.0)
     kernel.create_process(program_factory())
     engine = DBREngine(kernel)
-    recorder = FullTraceRecorder()
+    recorder = TraceRecorder()
     engine.attach_tool(FullInstrumentationTool(kernel, recorder))
     kernel.run()
     return recorder
@@ -186,7 +189,8 @@ def record_full(program_factory, seed=3, quantum=20):
 class TestBarrierIdFidelity:
     """Regression: barrier ids must survive record -> replay -> re-record.
 
-    ``FullTraceRecorder.on_barrier`` used to hardcode ``barrier_id=0``
+    The full-instrumentation recorder's ``on_barrier`` used to hardcode
+    ``barrier_id=0``
     and ``replay`` dropped the recorded id on dispatch, so a round trip
     collapsed every barrier to id 0 and HBGraph edge labels degenerated
     to ``barrier-0``.
@@ -208,18 +212,14 @@ class TestBarrierIdFidelity:
         assert full_ids == aikido_ids
 
     def test_replay_rerecord_round_trip_is_identity(self):
-        from repro.analyses.record import FullTraceRecorder
-
         recorder = record_full(lambda: micro.barrier_phases(2, 3)[0])
-        rerecorded = replay_into(recorder.trace, FullTraceRecorder)
+        rerecorded = replay_into(recorder.trace, TraceRecorder)
         assert rerecorded.trace == recorder.trace
 
     def test_round_trip_identity_on_lock_heavy_trace(self):
-        from repro.analyses.record import FullTraceRecorder
-
         recorder = record_full(lambda: micro.producer_consumer(
             items=20, consumers=2)[0])
-        rerecorded = replay_into(recorder.trace, FullTraceRecorder)
+        rerecorded = replay_into(recorder.trace, TraceRecorder)
         assert rerecorded.trace == recorder.trace
 
     def test_hbgraph_labels_carry_real_barrier_ids(self):
@@ -241,27 +241,12 @@ class TestBarrierIdFidelity:
             def on_access(self, tid, addr, is_write, instr_uid=-1):
                 pass
 
-            def on_barrier(self, tids, barrier_id=0):
+            def on_barrier(self, tids, barrier_id):
                 self.ids.append(barrier_id)
 
         trace = [("barrier", 7, (0, 1)), ("barrier", 9, (0, 1))]
         collector = replay_into(trace, IdCollector)
         assert collector.ids == [7, 9]
-
-    def test_replay_still_supports_tids_only_barrier_handler(self):
-        class Legacy:
-            def __init__(self):
-                self.calls = []
-
-            def on_access(self, tid, addr, is_write, instr_uid=-1):
-                pass
-
-            def on_barrier(self, tids):
-                self.calls.append(tuple(tids))
-
-        trace = [("barrier", 7, (0, 1))]
-        legacy = replay_into(trace, Legacy)
-        assert legacy.calls == [(0, 1)]
 
 
 class TestUnknownEntryKinds:

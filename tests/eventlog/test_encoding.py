@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analyses.record import FullTraceRecorder
+from repro.analyses.record import TraceRecorder
 from repro.errors import EventLogError
 from repro.eventlog.encoding import decode_entries, encode_entries
 
@@ -75,7 +75,7 @@ class TestScengenTraces:
                         jitter=ir.jitter)
         kernel.create_process(program)
         engine = DBREngine(kernel, compile_blocks=False)
-        recorder = FullTraceRecorder()
+        recorder = TraceRecorder()
         engine.attach_tool(FullInstrumentationTool(kernel, recorder))
         try:
             kernel.run(max_instructions=100_000)

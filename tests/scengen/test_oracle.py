@@ -8,6 +8,7 @@ from repro.scengen import (
     generate,
     render,
 )
+from repro.scengen import oracle
 from repro.scengen.oracle import default_tier_runner
 
 
@@ -64,6 +65,21 @@ class TestCleanScenarios:
         ir = generate(3)
         assert check_scenario(ir, quick=True) \
             == check_scenario(ir, quick=True)
+
+    def test_eraser_is_replayed_twice_per_scenario(self, monkeypatch):
+        """Determinism needs two replays; the agreement check reuses
+        the second instead of paying for a third."""
+        built = []
+
+        class CountingEraser(oracle.EraserDetector):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(oracle, "EraserDetector", CountingEraser)
+        verdict = check_scenario(generate(1), quick=True)
+        assert not verdict["checks"]["eraser_determinism"].get("skipped")
+        assert len(built) == 2
 
 
 class TestPlantedBugs:
