@@ -26,7 +26,6 @@ from repro.harness.report import (
     render_figure5,
     render_figure6,
     render_instrumentation,
-    render_prepass,
     render_races,
     render_summary,
     render_table1,
@@ -59,9 +58,6 @@ def main() -> None:
     table1 = experiments.table1(scale=args.scale, seed=args.seed,
                                 runner=runner)
     races = experiments.detected_races(suite)
-    prepass = experiments.prepass_ablation(
-        threads=args.threads, scale=args.scale, seed=args.seed,
-        runner=runner)
     elapsed = time.monotonic() - started
 
     def block(text):
@@ -105,14 +101,6 @@ def main() -> None:
         "Chrome trace with `aikido-repro trace --benchmark NAME`.",
         "",
         block(render_attribution(suite)),
-        "## Static-prepass ablation",
-        "",
-        "Aikido-FastTrack run twice per benchmark, dynamic-only vs "
-        "seeded by the static sharing pre-classifier "
-        "(`--static-prepass`). Analysis results are asserted identical; "
-        "the columns show the discovery overhead the seeding removed.",
-        "",
-        block(render_prepass(prepass)),
     ]
     if args.chaos_json:
         with open(args.chaos_json) as handle:

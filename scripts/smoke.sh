@@ -27,6 +27,13 @@ for threads in 2 8; do
     python -m repro.harness.cli lint --threads "$threads"
 done
 
+# Elision smoke: --static-elide is the one static fast path on the
+# Aikido stack. The ablation runs vips plain and elided and exits 2 if
+# any simulated statistic differs; at this size the dynamic tripwire
+# retires locked-tier uids, so the retirement path runs too.
+python -m repro.harness.cli elide --benchmark vips --threads 2 \
+    --scale 0.1 --jobs 1 --no-cache
+
 python - <<'EOF'
 from repro.harness.experiments import run_suite
 from repro.harness.parallel import ParallelRunner

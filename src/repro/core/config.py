@@ -40,14 +40,6 @@ class AikidoConfig:
         protect_new_threads: protect every mapped page for newly spawned
             threads (required for correctness; exposed only to let tests
             demonstrate what breaks without it).
-        static_prepass: seed the sharing detector with the static
-            pre-classifier's results (see
-            :mod:`repro.staticanalysis.sharing`): instructions proved
-            shared are instrumented at install time — no discovery
-            fault, no re-JIT, no cache flush — and instructions proved
-            private arm a soundness tripwire. Off by default; analysis
-            results (races, shared accesses) are identical either way,
-            only the discovery overhead changes.
         per_thread_protection: when False, emulate what a system limited
             to *process-wide* page protection (ordinary mprotect, as
             Grace/Dthreads-style designs would have without their
@@ -56,28 +48,21 @@ class AikidoConfig:
             conservatively be treated as shared immediately. The
             ablation shows per-thread protection is the paper's key
             enabler — without it nearly everything gets instrumented.
-        trace_threshold: block execution count before trace promotion in
-            the DBR engine.
         chaos: a :class:`~repro.chaos.plan.ChaosPlan` of deterministic
             fault injections to deliver during the run, or None (the
             default) for a chaos-free run. With chaos disabled every
             metric is byte-identical to a build without the chaos hooks.
         check_invariants: run the cross-layer
-            :class:`~repro.chaos.invariants.InvariantMonitor` during and
-            after the run, raising a structured
-            :class:`~repro.errors.InvariantViolationError` on the first
-            inconsistency.
-        invariant_cadence: scheduler quanta between in-run invariant
-            sweeps (0 = only the run-end check). Only meaningful with
-            ``check_invariants``.
+            :class:`~repro.chaos.invariants.InvariantMonitor` during
+            (every 50 scheduler quanta) and after the run, raising a
+            structured :class:`~repro.errors.InvariantViolationError`
+            on the first inconsistency.
         trace: record structured trace events (spans/instants/counter
             samples on the simulated cycle clock) via
-            :class:`~repro.observability.tracer.Tracer`. Off by default;
-            tracing charges no cycles and touches no statistic, so every
-            metric is bit-identical either way.
-        trace_max_events: trace buffer cap (events beyond it are counted
-            as dropped, never silently lost). Only meaningful with
-            ``trace``.
+            :class:`~repro.observability.tracer.Tracer` (default
+            250,000-event buffer). Off by default; tracing charges no
+            cycles and touches no statistic, so every metric is
+            bit-identical either way.
         metrics_cadence: scheduler quanta between
             :class:`~repro.observability.metrics.MetricsRecorder`
             timeline samples (0 = no timeline; the run-end snapshot is
@@ -113,14 +98,10 @@ class AikidoConfig:
     mirror_pages: bool = True
     order_first_accesses: bool = False
     protect_new_threads: bool = True
-    static_prepass: bool = False
     per_thread_protection: bool = True
-    trace_threshold: int = 50
     chaos: Optional[ChaosPlan] = None
     check_invariants: bool = False
-    invariant_cadence: int = 50
     trace: bool = False
-    trace_max_events: int = 250_000
     metrics_cadence: int = 0
     compile_blocks: bool = True
     superblocks: bool = True

@@ -38,7 +38,6 @@ from repro.guestos.signals import HandlerResult
 from repro.hypervisor.hypercalls import ALL_THREADS, PROT_CLEAR
 from repro.machine.paging import PAGE_SHIFT, PROT_NONE
 from repro.staticanalysis.analysiscache import analysis_for
-from repro.staticanalysis.sharing import SharingClass
 from repro.umbra.shadow import ShadowMemory
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -69,12 +68,6 @@ class SharingDetector(Tool):
                                     enabled=self.config.mirror_pages)
         self.lib = AikidoLib(kernel, hypervisor, process=self.process)
         self.instrumented: Set[int] = set()
-        #: --static-prepass state: the classifier's report, the
-        #: PROVABLY_PRIVATE uids (soundness tripwire), and the seeded
-        #: uids whose avoided discovery has not been credited yet.
-        self.prepass_report = None
-        self.prepass_private: Set[int] = set()
-        self._prepass_pending: Set[int] = set()
         #: --static-elide state: the elision plan handed to the engine
         #: (None when off); see :mod:`repro.staticanalysis.elision`.
         self.elision_plan = None
@@ -95,8 +88,6 @@ class SharingDetector(Tool):
         if self._installed:
             raise ToolError("SharingDetector installed twice")
         self._installed = True
-        if self.config.static_prepass:
-            self._run_prepass()
         self.lib.initialize()
         self.mirror.attach()
         engine.attach_tool(self)
@@ -124,26 +115,6 @@ class SharingDetector(Tool):
         # order), so the region is mirrored before it is protected.
         self.process.vm.post_map_hooks.append(self._on_new_region)
 
-    def _run_prepass(self) -> None:
-        """Seed instrumentation from the static pre-classifier (§tentpole).
-
-        PROVABLY_SHARED instructions enter ``instrumented`` before the
-        first block is ever built, so they are hooked at build time —
-        the discovery fault, the re-JIT and the cache flush all become
-        unnecessary. PROVABLY_PRIVATE instructions must *never* be
-        discovered touching a shared page; they arm a tripwire in
-        :meth:`_instrument_instruction` instead of changing behavior.
-        """
-        report = analysis_for(self.process.program).sharing
-        self.prepass_report = report
-        seeded = report.uids(SharingClass.PROVABLY_SHARED)
-        self.instrumented.update(seeded)
-        self._prepass_pending = set(seeded)
-        self.prepass_private = report.uids(SharingClass.PROVABLY_PRIVATE)
-        self.stats.prepass_seeded = len(seeded)
-        self.stats.prepass_private = len(self.prepass_private)
-        self.stats.prepass_coverage = report.coverage
-
     # ------------------------------------------------------------------
     # Tool interface
     # ------------------------------------------------------------------
@@ -157,15 +128,7 @@ class SharingDetector(Tool):
             if instr.mem is None:
                 continue
             if instr.mem.base is None:
-                if instr.uid in self._prepass_pending:
-                    # Statically seeded, never yet seen touching a
-                    # shared page: patching now would redirect accesses
-                    # to still-private pages through the mirror and
-                    # change what the analysis sees. A conditional hook
-                    # defers the patch to the first shared observation.
-                    self._hook_seeded_direct(cached, pos, instr)
-                else:
-                    self._patch_direct(cached, pos, instr)
+                self._patch_direct(cached, pos, instr)
             else:
                 self.stats.indirect_hooks += 1
                 cached.set_hook(pos, self._indirect_hook)
@@ -288,8 +251,8 @@ class SharingDetector(Tool):
         closures, host-side only), and escalate private-tier hits: with
         per-thread protection a PROVABLY_PRIVATE access's page becoming
         shared means the classifier was wrong. (The process-wide
-        ablation shares pages without evidence of a second thread, so —
-        like the prepass tripwire — it only retires there.)
+        ablation shares pages without evidence of a second thread, so
+        it only retires there.)
         """
         if self.elision_plan is None:
             return
@@ -316,28 +279,15 @@ class SharingDetector(Tool):
 
     def _instrument_instruction(self, instr) -> None:
         if instr.uid in self.instrumented:
-            # Already instrumented — including statically seeded
-            # instructions reached by a page-transition fault: the
-            # fault itself was unavoidable, but the re-JIT flush is.
-            self._credit_prepass(instr.uid, fault_avoided=False)
             return
-        if (instr.uid in self.prepass_private
-                and self.config.per_thread_protection):
+        if (self.elision_plan is not None
+                and self.config.per_thread_protection
+                and self.elision_plan.tier(instr.uid) == "private"):
             # Soundness tripwire: with real per-thread protection a
             # PROVABLY_PRIVATE instruction can never be discovered
             # touching a shared page. (The process-wide-protection
             # ablation marks pages shared without any second thread, so
             # the invariant intentionally does not hold there.)
-            raise ToolError(
-                f"static prepass unsound: provably-private instruction "
-                f"uid {instr.uid} ({instr!r}) discovered touching a "
-                f"shared page")
-        if (self.elision_plan is not None
-                and self.config.per_thread_protection
-                and self.elision_plan.tier(instr.uid) == "private"):
-            # Same invariant as the prepass tripwire, for the elision
-            # plan's private tier (which exists even without
-            # static_prepass).
             raise ToolError(
                 f"static elision unsound: provably-private elided "
                 f"instruction uid {instr.uid} ({instr!r}) discovered "
@@ -348,21 +298,6 @@ class SharingDetector(Tool):
             self.tracer.instant("instrument", "aikido_sd", uid=instr.uid)
         flushed = self.engine.invalidate_instruction(instr.uid)
         self.stats.rejit_flushes += flushed
-
-    def _credit_prepass(self, uid: int, *, fault_avoided: bool) -> None:
-        """Record the discovery work one seeded instruction saved.
-
-        Called at most once per seeded uid, on the first event where
-        dynamic-only operation would have had to instrument it: either
-        its hook observed the page shared with no fault at all
-        (``fault_avoided=True``), or a page-state-transition fault it
-        caused anyway landed on it (flush avoided, fault not).
-        """
-        if uid in self._prepass_pending:
-            self._prepass_pending.discard(uid)
-            if fault_avoided:
-                self.stats.prepass_faults_avoided += 1
-            self.stats.prepass_flushes_avoided += 1
 
     def _patch_direct(self, cached: CachedBlock, pos: int, instr) -> None:
         """Rewrite a direct instruction's address and hook the analysis.
@@ -395,43 +330,6 @@ class SharingDetector(Tool):
 
         cached.set_hook(pos, direct_hook)
 
-    def _hook_seeded_direct(self, cached: CachedBlock, pos: int,
-                            instr) -> None:
-        """Conditional hook for a statically seeded *direct* instruction.
-
-        Until its page is dynamically shared, the original access runs
-        untouched — first-touch faults and the Fig. 3 state machine are
-        preserved exactly (the hook only pays the Fig. 4 status check).
-        On the first shared observation the block copy is patched to
-        the mirror just as a fault-discovered instruction would be,
-        minus the fault and the re-JIT flush.
-        """
-        counter = self.counter
-
-        def seeded_hook(thread, _instr, ea):
-            counter.charge("aikido_inline", costs.SHARED_STATUS_CHECK)
-            if not self.pagestate.is_shared(ea >> PAGE_SHIFT):
-                # Private/untracked page: native access (it may fault
-                # into the SD and drive the page state machine, exactly
-                # as if this instruction were not seeded).
-                return None
-            app_addr = _instr.mem.disp
-            self._credit_prepass(_instr.uid, fault_avoided=True)
-            # Patch the cached copy in place and swap in the plain
-            # reporting hook for every later execution of this copy.
-            self._patch_direct(cached, pos, _instr)
-            if self.config.mirror_pages:
-                counter.charge("aikido_inline",
-                               costs.MIRROR_ACCESS_PENALTY)
-            self.stats.shared_accesses += 1
-            self.analysis.on_shared_access(thread, _instr, app_addr,
-                                           _instr.is_write)
-            if not self.config.mirror_pages:
-                return None
-            return self.mirror.mirror_address(app_addr)
-
-        cached.set_hook(pos, seeded_hook)
-
     def _indirect_hook(self, thread, instr, ea: int) -> Optional[int]:
         """The Fig. 4 runtime sequence for register-indirect instructions.
 
@@ -448,8 +346,6 @@ class SharingDetector(Tool):
             # thread has not touched the page before.
             self.stats.private_fastpath += 1
             return None
-        if self._prepass_pending:
-            self._credit_prepass(instr.uid, fault_avoided=True)
         self.stats.shared_accesses += 1
         if self.tracer is not None:
             self.tracer.instant("shared_access", "tool", tid=thread.tid,

@@ -12,8 +12,8 @@ class AikidoStats:
         self.faults_handled = 0
         self.private_transitions = 0
         self.shared_transitions = 0
-        #: Static instructions upgraded to instrumented *dynamically*
-        #: (fault-discovered; statically seeded ones count separately).
+        #: Static instructions upgraded to instrumented on discovery
+        #: (a fault on a shared page, §3.3).
         self.instructions_instrumented = 0
         #: Code-cache blocks flushed for re-JIT.
         self.rejit_flushes = 0
@@ -23,22 +23,6 @@ class AikidoStats:
         #: Fig. 4 runtime hooks installed on indirect instructions at
         #: block build (same multiplicity as direct_patches).
         self.indirect_hooks = 0
-        #: --static-prepass: instructions seeded as PROVABLY_SHARED.
-        self.prepass_seeded = 0
-        #: --static-prepass: instructions proved PROVABLY_PRIVATE
-        #: (these arm the soundness tripwire).
-        self.prepass_private = 0
-        #: --static-prepass: fraction of static memory instructions the
-        #: pre-classifier decided (0.0 when the prepass is off).
-        self.prepass_coverage = 0.0
-        #: Discovery faults that seeding made unnecessary (the seeded
-        #: instruction observed its page shared via its hook instead of
-        #: faulting into the SD).
-        self.prepass_faults_avoided = 0
-        #: Re-JIT cache flushes that seeding made unnecessary (the
-        #: instruction was already instrumented when discovery would
-        #: have upgraded it).
-        self.prepass_flushes_avoided = 0
         #: Dynamic accesses that went to shared pages through the Fig. 4
         #: path (Table 2 column 3).
         self.shared_accesses = 0

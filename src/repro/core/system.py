@@ -43,7 +43,6 @@ class AikidoSystem:
                              quantum=quantum, jitter=jitter)
         self.process = self.kernel.create_process(program)
         self.engine = DBREngine(self.kernel,
-                                trace_threshold=self.config.trace_threshold,
                                 compile_blocks=self.config.compile_blocks,
                                 superblocks=self.config.superblocks)
         if callable(analysis) and not isinstance(analysis,
@@ -56,8 +55,7 @@ class AikidoSystem:
         self.tracer: Optional[Tracer] = None
         self.metrics: Optional[MetricsRecorder] = None
         if self.config.trace:
-            self.tracer = Tracer(self.kernel.counter,
-                                 max_events=self.config.trace_max_events)
+            self.tracer = Tracer(self.kernel.counter)
             # Every layer holds the same tracer; sites stay inert (one
             # attribute load + None test) on untraced stacks.
             self.kernel.tracer = self.tracer
@@ -82,7 +80,7 @@ class AikidoSystem:
         if self.config.check_invariants:
             self.monitor = InvariantMonitor(self.kernel, self.hypervisor,
                                             sd=self.sd)
-            self.monitor.install(cadence=self.config.invariant_cadence)
+            self.monitor.install()
 
     def run(self, max_instructions: int = 200_000_000) -> "AikidoSystem":
         """Execute the workload to completion; returns self for chaining."""

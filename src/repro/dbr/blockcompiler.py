@@ -42,8 +42,8 @@ three step kinds —
     everything else (kernel actions, HALT, and *every* hooked
     position): the engine runs the interpreter body verbatim for that
     one instruction, reading ``hooks[ii]`` and ``instr.mem`` live so
-    runtime hook swaps (AikidoSD's seeded direct-patching) need no
-    recompile. Only the cycle charge is precomputed.
+    runtime hook swaps need no recompile. Only the cycle charge is
+    precomputed.
 
 A :class:`CompiledBlock` stores the engine's ``overhead_per_instr`` it
 was baked with; the engine recompiles when the installed stack changes

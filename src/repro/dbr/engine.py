@@ -50,15 +50,13 @@ class DBREngine(ExecutionDriver):
     stats.
     """
 
-    def __init__(self, kernel, *, trace_threshold: int = 50,
-                 process=None, compile_blocks: bool = True,
+    def __init__(self, kernel, *, process=None, compile_blocks: bool = True,
                  superblocks: bool = True):
         super().__init__(kernel)
         self.process = process if process is not None else kernel.process
         if self.process is None:
             raise RuntimeError("create the process before the engine")
-        self.codecache = CodeCache(self.process.program, kernel.counter,
-                                   trace_threshold=trace_threshold)
+        self.codecache = CodeCache(self.process.program, kernel.counter)
         self.tool: Optional[Tool] = None
         #: Installed by AikidoSD: callable(thread, SignalInfo) ->
         #: HandlerResult or None (None = not an Aikido fault).

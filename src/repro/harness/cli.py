@@ -10,7 +10,6 @@ Usage (installed as ``aikido-repro`` or ``python -m repro.harness.cli``)::
     aikido-repro races-static     # static race analyzer verdicts
     aikido-repro profile --benchmark vips   # workload profile
     aikido-repro lint             # static linter over the workloads
-    aikido-repro prepass          # --static-prepass on/off ablation
     aikido-repro elide            # --static-elide on/off ablation
     aikido-repro instr            # instrumentation-machinery counters
     aikido-repro chaos            # fault-injection survivability sweep
@@ -25,7 +24,6 @@ Usage (installed as ``aikido-repro`` or ``python -m repro.harness.cli``)::
     aikido-repro replay --log canneal.aiklog \
         --analyses fasttrack,djit,eraser,memtag --jobs 4
     aikido-repro all              # everything, one suite run
-    aikido-repro all --static-prepass  # suite with seeded discovery
     aikido-repro all --scale 0.5  # faster, smaller run
     aikido-repro all --jobs 8     # fan runs out over 8 processes
     aikido-repro all --no-cache   # force fresh simulations
@@ -79,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("artifact",
                         choices=("fig5", "fig6", "table1", "table2",
                                  "races", "races-static", "profile",
-                                 "breakdown", "instr", "prepass", "elide",
+                                 "breakdown", "instr", "elide",
                                  "chaos", "trace", "bench", "fuzz", "lint",
                                  "all"))
     parser.add_argument("--benchmark", default=None,
@@ -102,9 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "workload subset)")
     parser.add_argument("--repeats", type=int, default=3, metavar="N",
                         help="best-of-N repeats per bench measurement")
-    parser.add_argument("--static-prepass", action="store_true",
-                        help="seed the sharing detector from the static "
-                             "pre-classifier in aikido-fasttrack runs")
     parser.add_argument("--static-elide", action="store_true",
                         help="fuse statically race-free shared-checks "
                              "into compiled fast paths in "
@@ -231,8 +226,7 @@ def _trace_artifact(args) -> list:
     chaos_plan = (ChaosPlan.recovery(seed=args.chaos_seed,
                                      intensity=args.chaos_intensity)
                   if args.chaos else None)
-    config = AikidoConfig(static_prepass=args.static_prepass,
-                          chaos=chaos_plan,
+    config = AikidoConfig(chaos=chaos_plan,
                           check_invariants=args.check_invariants,
                           trace=True, metrics_cadence=25)
     system = build_aikido_system(program, seed=args.seed,
@@ -319,10 +313,8 @@ def _run(args) -> int:
                                      intensity=args.chaos_intensity)
                   if args.chaos else None)
     config = None
-    if (args.static_prepass or args.static_elide or chaos_plan
-            or args.check_invariants):
-        config = AikidoConfig(static_prepass=args.static_prepass,
-                              static_elide=args.static_elide,
+    if args.static_elide or chaos_plan or args.check_invariants:
+        config = AikidoConfig(static_elide=args.static_elide,
                               chaos=chaos_plan,
                               check_invariants=args.check_invariants)
     wants_suite = args.artifact in SUITE_ARTIFACTS or args.artifact == "all"
@@ -375,14 +367,6 @@ def _run(args) -> int:
             with open(args.json, "w") as handle:
                 json.dump(sweep.to_dict(), handle, indent=2)
             pieces.append(f"(json written to {args.json})")
-    if args.artifact == "prepass":
-        from repro.harness.report import render_prepass
-
-        comparisons = experiments.prepass_ablation(
-            threads=args.threads, scale=args.scale, seed=args.seed,
-            quantum=args.quantum, runner=runner,
-            benchmarks=[args.benchmark] if args.benchmark else None)
-        pieces.append(render_prepass(comparisons))
     if args.artifact == "elide":
         from repro.harness.report import render_elision
 

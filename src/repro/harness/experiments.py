@@ -162,7 +162,7 @@ def run_suite(*, threads: int = DEFAULT_THREADS, scale: float = DEFAULT_SCALE,
     exactly. Pass ``cache`` to reuse archived runs, or a pre-built
     ``runner`` (which overrides ``jobs``/``cache``) to share counters
     across calls. ``config`` shapes the aikido-fasttrack runs only
-    (e.g. ``AikidoConfig(static_prepass=True)`` for ``--static-prepass``).
+    (e.g. ``AikidoConfig(static_elide=True)`` for ``--static-elide``).
     """
     suite = SuiteResult(threads=threads, scale=scale, seed=seed)
     specs = (PARSEC_BENCHMARKS if benchmarks is None
@@ -255,87 +255,6 @@ def table2(suite: SuiteResult) -> List[Table2Row]:
                       runs.aikido.shared_accesses,
                       runs.aikido.segfaults)
             for name, runs in suite.runs.items()]
-
-
-# ---------------------------------------------------------------------
-# Static-prepass ablation: discovery overhead with and without seeding
-# ---------------------------------------------------------------------
-@dataclass
-class PrepassComparison:
-    """One benchmark's aikido-fasttrack run, dynamic-only vs seeded.
-
-    The prepass is overhead-only by construction: ``races_match`` and
-    ``analysis_match`` must always hold (the soundness cross-check and
-    the runtime tripwire both enforce it); the savings columns are what
-    the seeding buys.
-    """
-
-    benchmark: str
-    dynamic: RunResult
-    prepass: RunResult
-
-    @property
-    def faults_saved(self) -> int:
-        return (self.dynamic.aikido_stats.get("faults_handled", 0)
-                - self.prepass.aikido_stats.get("faults_handled", 0))
-
-    @property
-    def flushes_saved(self) -> int:
-        return (self.dynamic.run_stats.get("codecache_flushes", 0)
-                - self.prepass.run_stats.get("codecache_flushes", 0))
-
-    @property
-    def coverage(self) -> float:
-        return self.prepass.prepass_coverage
-
-    @property
-    def races_match(self) -> bool:
-        return ([r.describe() for r in self.dynamic.races]
-                == [r.describe() for r in self.prepass.races])
-
-    @property
-    def analysis_match(self) -> bool:
-        """Same races and the same shared-access stream length."""
-        return (self.races_match
-                and self.dynamic.shared_accesses
-                == self.prepass.shared_accesses)
-
-
-def prepass_ablation(*, threads: int = DEFAULT_THREADS,
-                     scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
-                     quantum: int = DEFAULT_QUANTUM,
-                     benchmarks: Optional[List[str]] = None, jobs: int = 1,
-                     cache: Optional[ResultCache] = None,
-                     runner: Optional[ParallelRunner] = None
-                     ) -> List[PrepassComparison]:
-    """Run every benchmark twice in aikido-fasttrack mode: with and
-    without ``--static-prepass``, same seed/quantum, one batch."""
-    specs = (PARSEC_BENCHMARKS if benchmarks is None
-             else [get_benchmark(n) for n in benchmarks])
-    if runner is None:
-        runner = ParallelRunner(jobs=jobs, cache=cache)
-    seeded = AikidoConfig(static_prepass=True)
-    batch: List[Job] = []
-    for spec in specs:
-        for config in (None, seeded):
-            batch.append(Job(spec.name, "aikido-fasttrack",
-                             threads=threads, scale=scale, seed=seed,
-                             quantum=quantum, config=config))
-    results = runner.run(batch)
-    out: List[PrepassComparison] = []
-    for index, spec in enumerate(specs):
-        dynamic, prepass = results[2 * index:2 * index + 2]
-        comparison = PrepassComparison(spec.name, dynamic, prepass)
-        if not comparison.analysis_match:
-            raise HarnessError(
-                f"{spec.name}: --static-prepass changed analysis "
-                f"results (races {len(dynamic.races)} vs "
-                f"{len(prepass.races)}, shared accesses "
-                f"{dynamic.shared_accesses} vs "
-                f"{prepass.shared_accesses}) — seeding must be "
-                f"overhead-only")
-        out.append(comparison)
-    return out
 
 
 # ---------------------------------------------------------------------

@@ -209,37 +209,6 @@ def render_instrumentation(suite: SuiteResult) -> str:
     return out.getvalue()
 
 
-def render_prepass(comparisons) -> str:
-    """The --static-prepass ablation: discovery overhead saved.
-
-    Every row is one benchmark run twice in aikido-fasttrack mode with
-    identical seed/quantum; the driver has already asserted analysis
-    parity, so only overhead columns can differ.
-    """
-    out = io.StringIO()
-    out.write("Static-prepass ablation (aikido-fasttrack, "
-              "dynamic-only vs seeded)\n")
-    out.write(f"{'benchmark':>14s} {'coverage':>9s} {'seeded':>7s} "
-              f"{'faults':>13s} {'cc flushes':>13s} {'cycles':>15s} "
-              f"{'parity':>7s}\n")
-    for c in comparisons:
-        dyn_f = c.dynamic.aikido_stats.get("faults_handled", 0)
-        pre_f = c.prepass.aikido_stats.get("faults_handled", 0)
-        dyn_x = c.dynamic.run_stats.get("codecache_flushes", 0)
-        pre_x = c.prepass.run_stats.get("codecache_flushes", 0)
-        out.write(
-            f"{c.benchmark:>14s} {c.coverage*100:8.1f}% "
-            f"{c.prepass.aikido_stats.get('prepass_seeded', 0):>7d} "
-            f"{f'{dyn_f}->{pre_f}':>13s} "
-            f"{f'{dyn_x}->{pre_x}':>13s} "
-            f"{f'{c.dynamic.cycles}->{c.prepass.cycles}':>15s} "
-            f"{'ok' if c.analysis_match else 'BROKEN':>7s}\n")
-    total_f = sum(c.faults_saved for c in comparisons)
-    total_x = sum(c.flushes_saved for c in comparisons)
-    out.write(f"total saved: {total_f} faults, {total_x} cache flushes\n")
-    return out.getvalue()
-
-
 def render_elision(comparisons) -> str:
     """The static-elision ablation: checks elided at bit-identity.
 
@@ -368,13 +337,6 @@ def suite_to_dict(suite: SuiteResult) -> dict:
                 runs.aikido.run_stats.get("codecache_flushes", 0),
             "traces_built":
                 runs.aikido.run_stats.get("traces_built", 0),
-            "prepass": {
-                "seeded":
-                    runs.aikido.aikido_stats.get("prepass_seeded", 0),
-                "coverage": runs.aikido.prepass_coverage,
-                "faults_avoided": runs.aikido.prepass_faults_avoided,
-                "flushes_avoided": runs.aikido.prepass_flushes_avoided,
-            },
             # The complete counter set, under its canonical field names
             # (the schema-consistency test pins this against AikidoStats).
             "aikido_stats": dict(runs.aikido.aikido_stats),

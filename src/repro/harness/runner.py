@@ -131,19 +131,6 @@ class RunResult:
         """Code-cache flushes forced by instrumentation upgrades."""
         return self.aikido_stats.get("rejit_flushes", 0)
 
-    @property
-    def prepass_coverage(self) -> float:
-        """Fraction of static memory instructions the prepass decided."""
-        return self.aikido_stats.get("prepass_coverage", 0.0)
-
-    @property
-    def prepass_faults_avoided(self) -> int:
-        return self.aikido_stats.get("prepass_faults_avoided", 0)
-
-    @property
-    def prepass_flushes_avoided(self) -> int:
-        return self.aikido_stats.get("prepass_flushes_avoided", 0)
-
     def slowdown_vs(self, native: "RunResult") -> float:
         if native.cycles == 0:
             raise HarnessError("native run has zero cycles")
@@ -189,9 +176,8 @@ def _detector_profile(detector) -> Dict[str, int]:
 def _engine_run_stats(engine) -> Dict[str, int]:
     """Driver stats plus the engine's code-cache traffic counters.
 
-    Builds/flushes/traces are the denominator the prepass savings are
-    judged against (every avoided re-JIT is one build + one flush less),
-    so DBR-backed modes surface them alongside the execution counts.
+    Every discovery re-JIT costs one flush and one rebuild, so DBR-backed
+    modes surface builds/flushes/traces alongside the execution counts.
     """
     stats = engine.stats.as_dict()
     cache = engine.codecache

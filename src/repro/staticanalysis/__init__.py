@@ -12,9 +12,8 @@ This package is the first layer of the stack that reasons about programs
   effective addresses resolve to bounded address sets where possible;
 * :mod:`repro.staticanalysis.sharing` — an escape-style classifier
   mapping every static memory instruction to PROVABLY_PRIVATE /
-  PROVABLY_SHARED / UNKNOWN, which the runtime's ``--static-prepass``
-  option feeds into AikidoSD (seed the instrumentation set up front: no
-  discovery fault, no re-JIT, no cache flush);
+  PROVABLY_SHARED / UNKNOWN, whose PROVABLY_PRIVATE verdicts feed the
+  elision plan and the fuzz oracle's ``classifier_soundness`` check;
 * :mod:`repro.staticanalysis.lockset` — sound must-hold-lockset forward
   dataflow per thread context (LOCK/UNLOCK/CALL effects, lock ids
   resolved through constprop);
@@ -27,8 +26,8 @@ This package is the first layer of the stack that reasons about programs
   the block compiler (``--static-elide``);
 * :mod:`repro.staticanalysis.analysiscache` — one memoized analysis
   pass (CFG, contexts, classifier, locksets, races, elision, lint) per
-  program fingerprint, shared by the prepass, linter, race analyzer and
-  elision planner;
+  program fingerprint, shared by the linter, race analyzer, elision
+  planner and fuzz oracle;
 * :mod:`repro.staticanalysis.lint` — structural and concurrency checks
   over workload programs (``aikido-repro lint``).
 """

@@ -1,7 +1,7 @@
 """One static-analysis pass per program, shared by every consumer.
 
-The sharing-detector prepass, the linter, the static race analyzer and
-the elision planner all start from the same expensive artifacts: the CFG
+The linter, the static race analyzer, the elision planner and the fuzz
+oracle's soundness checks all start from the same expensive artifacts: the CFG
 and the context discovery + footprint pass. Before this module each
 consumer rebuilt them from scratch — up to four CFG constructions per
 harness job. :func:`analysis_for` memoizes a :class:`ProgramAnalysis`
@@ -15,7 +15,7 @@ two lookups on that program — ``lint_program`` (which computes the
 ``lint`` artifact) and the soundness checks after the record run
 (``sharing`` and ``races``, built on one CFG and one context
 discovery). The Aikido tier runs add a lookup each only when
-``static_prepass`` or ``static_elide`` is on, and those hit the cache.
+``static_elide`` is on, and those hit the cache.
 
 The cache is bounded (:data:`MAX_ENTRIES`, FIFO eviction) and safe under
 the harness's process-pool parallelism: each worker process has its own

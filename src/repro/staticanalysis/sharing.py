@@ -33,10 +33,9 @@ so they are irrelevant here. When the context enumeration cannot
 complete (cap exceeded, or HYPERCALLs that could rewrite protections),
 everything degrades to UNKNOWN.
 
-PROVABLY_SHARED feeds the ``--static-prepass`` seeding and is *allowed*
-to be heuristic: a seeded instruction gets a runtime-checked hook that
-only reports when its page is dynamically shared, so mis-seeding costs
-a check per execution but never changes analysis results.
+PROVABLY_SHARED is *allowed* to be heuristic: nothing at run time acts
+on it, because AikidoSD discovers shared instructions through
+protection faults alone.
 """
 
 from __future__ import annotations

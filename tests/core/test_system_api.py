@@ -36,11 +36,10 @@ class TestConstruction:
 
     def test_config_threaded_through(self):
         program, _ = micro.racy_counter(2, 5)
-        config = AikidoConfig(mirror_pages=False, trace_threshold=7)
+        config = AikidoConfig(mirror_pages=False)
         system = AikidoSystem(program, Counting(), config, jitter=0.0)
         assert system.sd.config is config
         assert not system.sd.mirror.enabled
-        assert system.engine.codecache.trace_threshold == 7
 
     def test_default_config_created(self):
         program, _ = micro.racy_counter(2, 5)

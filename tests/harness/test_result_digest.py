@@ -14,7 +14,7 @@ from repro.harness.runner import run_mode
 from repro.workloads.parsec import benchmark_names, build_benchmark
 
 DIGEST = (
-    "5c76f4406f8f515baa46eff09f60df03bcef671a8ff0fe757ce0e40bdd3f0902")
+    "39d9d93657338844b8be18b888062e5ab67fb2ab5d2051f02bd1e8edfb7c213a")
 
 
 def _result_record(result):

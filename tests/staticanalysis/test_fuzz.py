@@ -2,10 +2,10 @@
 
 Extends the ``test_builder_fuzz`` approach to the new layer: for every
 generated program the classifier and linter must never raise, and
-running the full Aikido stack with the static prepass armed must never
-trip the prepass-soundness ToolError.  When both the dynamic-only and
-prepass runs complete, they must report identical races and shared
-accesses (the prepass is overhead-only).
+running the full Aikido stack with ``--static-elide`` must never trip
+the elision private-tier ToolError.  When both the plain and elided
+runs complete, they must report identical races, shared accesses and
+cycles (elision is bit-identical by contract).
 """
 
 from __future__ import annotations
@@ -85,8 +85,8 @@ def test_classifier_and_linter_never_crash(n_workers, body, loop_count):
     report = classify_sharing(program)
     # Structural invariants of the report.
     private = report.uids(SharingClass.PROVABLY_PRIVATE)
-    seeded = report.uids(SharingClass.PROVABLY_SHARED)
-    assert not private & seeded
+    shared = report.uids(SharingClass.PROVABLY_SHARED)
+    assert not private & shared
     assert 0.0 <= report.coverage <= 1.0
     lint_program(program)  # findings are fine; exceptions are not
 
@@ -94,25 +94,26 @@ def test_classifier_and_linter_never_crash(n_workers, body, loop_count):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 3), st.lists(statement, min_size=1, max_size=10),
        st.integers(1, 3), st.integers(0, 3))
-def test_prepass_soundness_and_parity(n_workers, body, loop_count, seed):
+def test_elision_soundness_and_parity(n_workers, body, loop_count, seed):
     try:
         program = _build(n_workers, body, loop_count)
     except ReproError:
         return
     kwargs = dict(seed=seed, quantum=120, max_instructions=200_000)
     try:
-        dynamic = run_aikido_fasttrack(_build(n_workers, body, loop_count),
-                                       **kwargs)
+        plain = run_aikido_fasttrack(_build(n_workers, body, loop_count),
+                                     **kwargs)
     except ReproError:
-        return  # simulated failures are legitimate without the prepass
+        return  # simulated failures are legitimate without elision
     try:
-        prepass = run_aikido_fasttrack(
-            program, config=AikidoConfig(static_prepass=True), **kwargs)
+        elided = run_aikido_fasttrack(
+            program, config=AikidoConfig(static_elide=True), **kwargs)
     except ToolError:
-        raise  # the prepass-unsoundness tripwire must never fire
+        raise  # the elision private-tier tripwire must never fire
     except ReproError:
         return
-    assert ([r.describe() for r in dynamic.races]
-            == [r.describe() for r in prepass.races])
-    assert (dynamic.aikido_stats["shared_accesses"]
-            == prepass.aikido_stats["shared_accesses"])
+    assert ([r.describe() for r in plain.races]
+            == [r.describe() for r in elided.races])
+    assert (plain.aikido_stats["shared_accesses"]
+            == elided.aikido_stats["shared_accesses"])
+    assert plain.cycles == elided.cycles
