@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.core.pagestate import SHARED_MARK
 from repro.errors import InvariantViolationError
 from repro.hypervisor.shadow import effective_flags
 from repro.machine.paging import (
@@ -32,9 +33,6 @@ from repro.machine.paging import (
 
 #: The permission bits a stale TLB entry could illegally grant.
 _PERMISSION_BITS = PTE_PRESENT | PTE_WRITABLE | PTE_USER
-
-#: Shared marker in the page-state snapshot (matches PageStateTable).
-_SHARED = -1
 
 #: All checks the monitor runs, in execution order.
 INVARIANTS = (
@@ -56,7 +54,7 @@ class InvariantMonitor:
         self.sd = sd
         self.checks_run = 0
         self.violations = 0
-        #: vpn -> owner tid (or _SHARED) as of the previous check; the
+        #: vpn -> owner tid (or SHARED_MARK) as of the previous check; the
         #: monotonicity check compares against this snapshot.
         self._page_snapshot: Dict[int, int] = {}
         self._quanta = 0
@@ -207,12 +205,12 @@ class InvariantMonitor:
                     "page_state_monotone",
                     f"vpn {vpn:#x} was tracked and is now untracked",
                     vpn=vpn, old=old)
-            if old == _SHARED and new != _SHARED:
+            if old == SHARED_MARK and new != SHARED_MARK:
                 raise InvariantViolationError(
                     "page_state_monotone",
                     f"vpn {vpn:#x} left the absorbing SHARED state",
                     vpn=vpn, old=old, new=new)
-            if old != _SHARED and new not in (old, _SHARED):
+            if old != SHARED_MARK and new not in (old, SHARED_MARK):
                 raise InvariantViolationError(
                     "page_state_monotone",
                     f"vpn {vpn:#x} changed private owner t{old} -> "
@@ -338,7 +336,7 @@ class InvariantMonitor:
         plan = engine.elision_plan
         retired = engine._elision_retired
         shared_vpns = [vpn for vpn, owner in self.sd.pagestate._table.items()
-                       if owner == _SHARED]
+                       if owner == SHARED_MARK]
         for cached in engine.codecache._blocks.values():
             compiled = cached.compiled
             if compiled is None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.errors import ToolError
+from repro.machine.paging import PAGE_SHIFT
 from repro.umbra.shadow import ShadowMemory
 
 
@@ -50,6 +51,8 @@ class MirrorManager:
         self.backing_files: Dict[int, BackingFile] = {}
         self._next_file_id = 1
         self._attached = False
+        #: page -> mirror address minus application address.
+        self._page_delta: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def attach(self) -> None:
@@ -62,11 +65,25 @@ class MirrorManager:
         self.vm.post_map_hooks.append(self._on_new_region)
 
     def mirror_address(self, addr: int) -> int:
-        """Translate an application address to its mirror alias."""
+        """Translate an application address to its mirror alias.
+
+        The mirror offset is memoized per page for pages that lie wholly
+        inside one region: shadow regions are never removed and each
+        gets its mirror when registered here, so a page's offset never
+        changes. Uncosted host bookkeeping, like ``region_for``.
+        """
+        page = addr >> PAGE_SHIFT
+        delta = self._page_delta.get(page)
+        if delta is not None:
+            return addr + delta
         region = self.shadow.region_for(addr)
         if region is None:
             raise ToolError(f"address {addr:#x} is not in a mirrored region")
-        return region.mirror_address(addr)
+        mirrored = region.mirror_address(addr)
+        if (region.app_start <= page << PAGE_SHIFT
+                and (page + 1) << PAGE_SHIFT <= region.app_end):
+            self._page_delta[page] = mirrored - addr
+        return mirrored
 
     # ------------------------------------------------------------------
     def _on_new_region(self, region) -> None:

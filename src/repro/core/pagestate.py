@@ -23,11 +23,15 @@ class PageState(enum.Enum):
 
 
 #: Encoded shared marker in the internal table (tids are positive).
-_SHARED = -1
+SHARED_MARK = -1
 
 
 class PageStateTable:
-    """vpn -> sharing state, with transition counters."""
+    """vpn -> sharing state, with transition counters.
+
+    ``_table`` maps a tracked vpn to its owner tid (PRIVATE) or to
+    :data:`SHARED_MARK`; an untracked vpn is UNUSED.
+    """
 
     def __init__(self):
         self._table: Dict[int, int] = {}
@@ -39,13 +43,13 @@ class PageStateTable:
         value = self._table.get(vpn)
         if value is None:
             return PageState.UNUSED, None
-        if value == _SHARED:
+        if value == SHARED_MARK:
             return PageState.SHARED, None
         return PageState.PRIVATE, value
 
     def is_shared(self, vpn: int) -> bool:
-        """Fast path used by the Fig. 4 runtime check."""
-        return self._table.get(vpn) == _SHARED
+        """Is ``vpn`` SHARED? (The SD's Fig. 4 hook inlines this test.)"""
+        return self._table.get(vpn) == SHARED_MARK
 
     def make_private(self, vpn: int, tid: int) -> None:
         current = self._table.get(vpn)
@@ -58,10 +62,10 @@ class PageStateTable:
     def make_shared(self, vpn: int) -> int:
         """Transition PRIVATE -> SHARED; returns the previous owner tid."""
         current = self._table.get(vpn)
-        if current is None or current == _SHARED:
+        if current is None or current == SHARED_MARK:
             raise ToolError(
                 f"page {vpn:#x} cannot become shared from state {current}")
-        self._table[vpn] = _SHARED
+        self._table[vpn] = SHARED_MARK
         self.shared_transitions += 1
         return current
 
@@ -76,16 +80,16 @@ class PageStateTable:
         if current is not None:
             raise ToolError(
                 f"page {vpn:#x} already tracked (state {current})")
-        self._table[vpn] = _SHARED
+        self._table[vpn] = SHARED_MARK
         self.shared_transitions += 1
 
     @property
     def private_pages(self) -> int:
-        return sum(1 for v in self._table.values() if v != _SHARED)
+        return sum(1 for v in self._table.values() if v != SHARED_MARK)
 
     @property
     def shared_pages(self) -> int:
-        return sum(1 for v in self._table.values() if v == _SHARED)
+        return sum(1 for v in self._table.values() if v == SHARED_MARK)
 
     def __len__(self) -> int:
         return len(self._table)

@@ -21,14 +21,14 @@ ones.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Callable, Optional, Set
 
 from repro import costs
 from repro.core.aikidolib import AikidoLib
 from repro.core.analysis import SharedDataAnalysis
 from repro.core.config import AikidoConfig
 from repro.core.mirror import MirrorManager
-from repro.core.pagestate import PageState, PageStateTable
+from repro.core.pagestate import SHARED_MARK, PageState, PageStateTable
 from repro.core.stats import AikidoStats
 from repro.dbr.codecache import CachedBlock
 from repro.dbr.tool import Tool
@@ -77,7 +77,11 @@ class SharingDetector(Tool):
         #: ones front-load them).
         self.fault_log: list = []
         self._installed = False
-        #: Observability tracer, attached by AikidoSystem (None = off).
+        #: The Fig. 4 hook every instrumented indirect instruction
+        #: shares; built at install (see :meth:`_make_indirect_hook`).
+        self._fig4_hook: Optional[Callable] = None
+        #: Observability tracer, attached by AikidoSystem before install
+        #: (None = off).
         self.tracer = None
 
     # ------------------------------------------------------------------
@@ -88,6 +92,7 @@ class SharingDetector(Tool):
         if self._installed:
             raise ToolError("SharingDetector installed twice")
         self._installed = True
+        self._fig4_hook = self._make_indirect_hook()
         self.lib.initialize()
         self.mirror.attach()
         engine.attach_tool(self)
@@ -131,7 +136,7 @@ class SharingDetector(Tool):
                 self._patch_direct(cached, pos, instr)
             else:
                 self.stats.indirect_hooks += 1
-                cached.set_hook(pos, self._indirect_hook)
+                cached.set_hook(pos, self._fig4_hook)
 
     def on_sync_event(self, event) -> None:
         # Kernel sync events are global; Aikido instruments exactly one
@@ -330,32 +335,46 @@ class SharingDetector(Tool):
 
         cached.set_hook(pos, direct_hook)
 
-    def _indirect_hook(self, thread, instr, ea: int) -> Optional[int]:
-        """The Fig. 4 runtime sequence for register-indirect instructions.
+    def _make_indirect_hook(self) -> Callable:
+        """Build the Fig. 4 runtime sequence for register-indirect
+        instructions, binding everything it touches once (at install).
 
         Per Fig. 4, the app->shadow translation happens *before* the
         shared/private branch (the page-status word lives in shadow
         memory), so every execution of an instrumented indirect
         instruction pays it — including private fast-path executions.
         """
-        self.shadow.translate(thread.tid, ea)
-        self.counter.charge("aikido_inline", costs.SHARED_STATUS_CHECK)
-        if not self.pagestate.is_shared(ea >> PAGE_SHIFT):
-            # Private (or not-yet-tracked) page: run the original access.
-            # It executes at native speed, or faults into the SD if this
-            # thread has not touched the page before.
-            self.stats.private_fastpath += 1
-            return None
-        self.stats.shared_accesses += 1
-        if self.tracer is not None:
-            self.tracer.instant("shared_access", "tool", tid=thread.tid,
-                                addr=ea, write=instr.is_write)
-        self.analysis.on_shared_access(thread, instr, ea, instr.is_write)
-        if not self.config.mirror_pages:
-            return None
-        self.counter.charge("aikido_inline", costs.MIRROR_REDIRECT
-                            + costs.MIRROR_ACCESS_PENALTY)
-        return self.mirror.mirror_address(ea)
+        shadow_translate = self.shadow.translate
+        charge = self.counter.charge
+        page_state = self.pagestate._table.get
+        stats = self.stats
+        tracer = self.tracer
+        on_shared_access = self.analysis.on_shared_access
+        mirror_pages = self.config.mirror_pages
+        mirror_address = self.mirror.mirror_address
+        check_cost = costs.SHARED_STATUS_CHECK
+        redirect_cost = costs.MIRROR_REDIRECT + costs.MIRROR_ACCESS_PENALTY
+
+        def indirect_hook(thread, instr, ea: int) -> Optional[int]:
+            shadow_translate(thread.tid, ea)
+            charge("aikido_inline", check_cost)
+            if page_state(ea >> PAGE_SHIFT) != SHARED_MARK:
+                # Private (or not-yet-tracked) page: run the original
+                # access. It executes at native speed, or faults into
+                # the SD if this thread has not touched the page before.
+                stats.private_fastpath += 1
+                return None
+            stats.shared_accesses += 1
+            if tracer is not None:
+                tracer.instant("shared_access", "tool", tid=thread.tid,
+                               addr=ea, write=instr.is_write)
+            on_shared_access(thread, instr, ea, instr.is_write)
+            if not mirror_pages:
+                return None
+            charge("aikido_inline", redirect_cost)
+            return mirror_address(ea)
+
+        return indirect_hook
 
     # ------------------------------------------------------------------
     # protection plumbing

@@ -5,10 +5,10 @@ The interpreter tier (``DBREngine._run_interp``) pays a dict-dispatched
 test and a ``consume_yield`` call for *every* retired instruction. The
 compiled tier pays those costs once, at compile time: when the engine
 first enters a cached block it classifies every position into one of
-three step kinds —
+four step kinds —
 
 ``SEG``
-    a maximal run of pure-ALU, unhooked instructions (LI/MOV/ADD/SUB/
+    a maximal run of pure-ALU instructions (LI/MOV/ADD/SUB/
     MUL/AND/OR/XOR/SHL/SHR/NOP) fused into a tuple of micro-closures
     that only touch the register file. The run's cycle charges are
     pre-summed so the whole segment retires with one
@@ -20,15 +20,18 @@ three step kinds —
     would corrupt the pre-summed charge at exception time).
 
 ``MEM``
-    an unhooked LOAD/STORE/ATOMIC_ADD bound into a closure with the
-    operands pre-decoded. It probes the owning thread's TLB micro-cache
+    a LOAD/STORE/ATOMIC_ADD bound into a closure with the operands
+    pre-decoded. It probes the owning thread's TLB micro-cache
     (``fast_ro``/``fast_rw``) first and falls back to the platform's
     ``translate`` — counting TLB hits/misses exactly as the interpreter
     path would — and routes page faults through ``kernel.repair_fault``
-    with the not-retired/refetch contract intact.
+    with the not-retired/refetch contract intact. A hooked access gets
+    its own closure with the tool's hook bound in front of the access
+    (AikidoSD's Fig. 4 sequence runs from here); unhooked accesses never
+    test for a hook.
 
 ``CTL``
-    an unhooked control transfer (JMP/BZ/BNZ/BLT/BGE/CALL/RET) or MOD,
+    a control transfer (JMP/BZ/BNZ/BLT/BGE/CALL/RET) or MOD,
     specialized into a ``fn(thread) -> bool`` closure (True = control
     transferred, the engine must re-fetch). Branch/call targets are
     resolved through ``program.label_index`` once, at compile time, and
@@ -39,11 +42,15 @@ three step kinds —
     provably dead and skipped.
 
 ``GEN``
-    everything else (kernel actions, HALT, and *every* hooked
-    position): the engine runs the interpreter body verbatim for that
-    one instruction, reading ``hooks[ii]`` and ``instr.mem`` live so
-    runtime hook swaps need no recompile. Only the cycle charge is
-    precomputed.
+    everything else (kernel actions and HALT): the engine runs
+    ``CPU.execute`` for that one instruction and hands any trap to the
+    kernel. Only the cycle charge is precomputed.
+
+Hooks exist only on memory positions (``CachedBlock.set_hook`` refuses
+any other) and are set only while a block is built, by the tool's
+``instrument_block``; nothing swaps one at run time. So a compiled step
+may bind its hook once, and the classification of a position is stable
+for the life of its ``CachedBlock``.
 
 A :class:`CompiledBlock` stores the engine's ``overhead_per_instr`` it
 was baked with; the engine recompiles when the installed stack changes
@@ -93,7 +100,7 @@ SEG_OPCODES = frozenset((
     Opcode.SHR,
 ))
 
-#: Opcodes specialized as CTL steps when unhooked.
+#: Opcodes specialized as CTL steps.
 CTL_OPCODES = frozenset((
     Opcode.JMP, Opcode.BZ, Opcode.BNZ, Opcode.BLT, Opcode.BGE,
     Opcode.CALL, Opcode.RET, Opcode.MOD,
@@ -131,9 +138,8 @@ def chain_stitchable(cached) -> bool:
     addresses it sees are aligned).
 
     The verdict is stable for the life of the CachedBlock for the same
-    reason step classification is: hooks are only *added* through a
-    flush-and-rebuild, and runtime hook swaps only touch already-hooked
-    positions (which already made the block unstitchable).
+    reason step classification is: hooks are set only while the block
+    is built, so a hook can appear only through a flush-and-rebuild.
     """
     instrs = cached.instrs
     last = len(instrs) - 1
@@ -582,6 +588,71 @@ def _mem_closure(instr, engine, charge: int, next_ii: int) -> Callable:
     return fn
 
 
+def _hooked_mem_closure(instr, hook, engine, charge: int,
+                        next_ii: int) -> Callable:
+    """Bind one hooked memory instruction into ``fn(thread) -> bool``.
+
+    The :func:`_mem_closure` contract with the tool's hook in front:
+    every attempt calls ``hook(thread, instr, ea)`` on the computed
+    effective address and accesses the address it returns instead, when
+    it returns one — exactly the interpreter's ``ea_override`` path. A
+    faulting attempt retries through the hook again; only the retire
+    counts toward ``stats.instrumented_execs``. The hook is bound once:
+    tools set hooks only while a block is built. One body serves all
+    three opcodes: next to the hook call, its opcode tests are noise.
+    """
+    is_load = instr.op is Opcode.LOAD
+    is_atomic = instr.op is Opcode.ATOMIC_ADD
+    mem = instr.mem
+    base = mem.base
+    disp = mem.disp
+    rd = instr.rd
+    rs1 = instr.rs1
+    memory = engine.cpu.memory
+    translate = engine.cpu.translate
+    kernel = engine.kernel
+    counter = engine.counter
+    stats = engine.stats
+    read_word = memory.read_word
+    write_word = memory.write_word
+
+    def fn(thread):
+        regs = thread.regs
+        ea = disp if base is None else (regs[base] + disp) & _MASK64
+        override = hook(thread, instr, ea)
+        if override is not None:
+            ea = override
+        tlb = thread.tlb
+        pb = (tlb.fast_ro if is_load else tlb.fast_rw).get(ea >> PAGE_SHIFT)
+        if pb is not None:
+            tlb.hits += 1
+            tlb.fast_hits += 1
+            paddr = pb | (ea & _PAGE_MASK)
+        else:
+            tlb.fast_misses += 1
+            try:
+                paddr = translate(thread, ea, not is_load)
+            except PageFault as fault:
+                kernel.repair_fault(thread, fault)
+                return False
+        if is_load:
+            regs[rd] = read_word(paddr)
+        elif is_atomic:
+            old = read_word(paddr)
+            write_word(paddr, (old + regs[rs1]) & _MASK64)
+            if rd is not None:
+                regs[rd] = old
+        else:
+            write_word(paddr, regs[rs1])
+        counter.instr_cycles += charge
+        stats.instructions += 1
+        stats.memory_refs += 1
+        stats.instrumented_execs += 1
+        thread.pc[1] = next_ii
+        return True
+    return fn
+
+
 def _eli_fast_fn(instrs, start: int, engine, overhead: int) -> Callable:
     """exec()-generate the fast body for one statically-elided run.
 
@@ -700,9 +771,9 @@ def compile_block(cached, engine) -> CompiledBlock:
     """Compile a cached block against ``engine``'s current overhead.
 
     Classification is stable for the life of the ``CachedBlock``: hooks
-    are only *added* through a flush-and-rebuild (AikidoSD's re-JIT), and
-    runtime hook swaps replace the callable at an already-hooked (GEN)
-    position in place.
+    are set only while the block is built (AikidoSD adds one through a
+    flush-and-rebuild, its re-JIT), so a hooked position's closure binds
+    its hook once.
     """
     overhead = engine.overhead_per_instr
     instrs = cached.instrs
@@ -712,12 +783,11 @@ def compile_block(cached, engine) -> CompiledBlock:
     i = 0
     while i < n:
         instr = instrs[i]
-        if hooks[i] is None and instr.op in SEG_OPCODES:
+        if instr.op in SEG_OPCODES:
             j = i
             fns: List[Callable] = []
             charges: List[int] = []
-            while (j < n and hooks[j] is None
-                   and instrs[j].op in SEG_OPCODES):
+            while j < n and instrs[j].op in SEG_OPCODES:
                 fns.append(_alu_closure(instrs[j]))
                 charges.append(BASE_COST[instrs[j].op] + overhead)
                 j += 1
@@ -738,16 +808,19 @@ def compile_block(cached, engine) -> CompiledBlock:
                                 tuple(prefixes), j)
             i = j
             continue
-        if hooks[i] is None and instr.op in MEMORY_OPCODES:
-            charge = BASE_COST[instr.op] + overhead
-            steps[i] = (MEM, _mem_closure(instr, engine, charge, i + 1))
-        elif hooks[i] is None and instr.op in CTL_OPCODES:
-            charge = BASE_COST[instr.op] + overhead
+        charge = BASE_COST[instr.op] + overhead
+        if instr.op in MEMORY_OPCODES:
+            hook = hooks[i]
+            if hook is None:
+                fn = _mem_closure(instr, engine, charge, i + 1)
+            else:
+                fn = _hooked_mem_closure(instr, hook, engine, charge, i + 1)
+            steps[i] = (MEM, fn)
+        elif instr.op in CTL_OPCODES:
             steps[i] = (CTL, _ctl_closure(instr, engine, charge,
                                           cached.block_index, i + 1))
         else:
-            steps[i] = (GEN, BASE_COST[instr.op] + overhead,
-                        instr.op in MEMORY_OPCODES)
+            steps[i] = (GEN, charge)
         i += 1
 
     # ------------------------------------------------------------------
@@ -762,7 +835,9 @@ def compile_block(cached, engine) -> CompiledBlock:
     elided_private = set()
 
     def _elidable(pos: int) -> bool:
-        if steps[pos][0] != MEM:
+        # A hooked access is a MEM step too, but the fused body never
+        # calls hooks: it must keep its own step.
+        if steps[pos][0] != MEM or hooks[pos] is not None:
             return False
         uid = instrs[pos].uid
         return uid in plan and uid not in retired

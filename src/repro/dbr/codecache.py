@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro import costs
+from repro.errors import ToolError
 from repro.machine.program import BasicBlock, Program
 
 
@@ -47,6 +48,17 @@ class CachedBlock:
         self.compiled = None
 
     def set_hook(self, position: int, hook: Callable) -> None:
+        """Hook the memory instruction at ``position``.
+
+        Tools call this only from ``instrument_block``, while the block
+        is built; the compiled tier binds the hook into the position's
+        closure once. Only memory instructions take hooks.
+        """
+        instr = self.instrs[position]
+        if instr.mem is None:
+            raise ToolError(
+                f"hook on non-memory instruction {instr!r} "
+                f"(block {self.block_index}, position {position})")
         self.hooks[position] = hook
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

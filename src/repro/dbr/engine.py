@@ -563,10 +563,11 @@ class DBREngine(ExecutionDriver):
             if kind == MEM:
                 if step[1](thread):
                     executed += 1
-                    # The closure never enters the kernel on the retire
-                    # path, so the yield flag can only be pending from a
-                    # chaos preempt during this instruction's own fault
-                    # repair — only then is the check live.
+                    # The closure (and a tool hook it calls) never
+                    # enters the kernel on the retire path, so the yield
+                    # flag can only be pending from a chaos preempt
+                    # during this instruction's own fault repair — only
+                    # then is the check live.
                     if pending_yield and kernel.consume_yield():
                         return "yield"
                     pending_yield = False
@@ -585,42 +586,16 @@ class DBREngine(ExecutionDriver):
                     cur_bi = -1
                 executed += 1
                 continue
-            # GEN: the interpreter body, verbatim, for one instruction.
-            # hooks[ii] and instr.mem are read live — AikidoSD swaps the
-            # hook and patches the displacement in place at runtime.
-            instr = cached.instrs[ii]
-            hook = cached.hooks[ii]
-            try:
-                if hook is not None:
-                    mem = instr.mem
-                    if mem is not None:
-                        if mem.base is None:
-                            ea = mem.disp
-                        else:
-                            ea = (thread.regs[mem.base] + mem.disp) & _MASK64
-                    else:
-                        ea = None
-                    override = hook(thread, instr, ea)
-                    res = execute(instr, thread, ea_override=override)
-                    stats.instrumented_execs += 1
-                else:
-                    res = execute(instr, thread)
-            except PageFault as fault:
-                kernel.repair_fault(thread, fault)
-                check_runnable = True
-                cur_bi = -1
-                continue
+            # GEN: a kernel action or HALT. Every memory access, hooked
+            # or not, is a MEM step, so CPU.execute returns a trap here
+            # and cannot page-fault.
+            res = execute(cached.instrs[ii], thread)
             counter.instr_cycles += step[1]
             executed += 1
             stats.instructions += 1
-            if step[2]:
-                stats.memory_refs += 1
-            if res is None:
-                pc[1] = ii + 1
-            else:
-                if not self._apply_result(thread, pc, ii, res):
-                    return "exited" if thread.exited else "blocked"
-                cur_bi = -1
+            if not self._apply_result(thread, pc, ii, res):
+                return "exited" if thread.exited else "blocked"
+            cur_bi = -1
             if kernel.consume_yield():
                 return "yield"
             pending_yield = False

@@ -5,7 +5,9 @@ specified instrumentation tool". Tools see two things:
 
 * **block-build callbacks**: :meth:`Tool.instrument_block` runs whenever a
   basic block is (re)copied into the code cache; the tool may attach
-  per-instruction hooks or patch instruction operands on the cached copy;
+  hooks to memory instructions or patch instruction operands on the
+  cached copy. This is the only time hooks are set: the compiled tier
+  binds each one into its instruction's closure;
 * **synchronization events** from the guest kernel
   (:meth:`Tool.on_sync_event`), the equivalent of wrapping pthread
   functions.

@@ -1,14 +1,27 @@
 """Tests for the DBR engine: code cache, hooks, re-JIT, signal routing."""
 
+import sys
+
 import pytest
 
+from repro.dbr.blockcompiler import ELI
 from repro.dbr.codecache import CodeCache
 from repro.dbr.engine import DBREngine
 from repro.dbr.tool import Tool
-from repro.errors import SegmentationFaultError
+from repro.errors import SegmentationFaultError, ToolError
 from repro.guestos.kernel import Kernel
 from repro.guestos.signals import SIGSEGV, HandlerResult
+from repro.harness.runner import build_aikido_system
+from repro.hypervisor.aikidovm import AikidoVM
 from repro.machine.asm import ProgramBuilder
+from repro.machine.isa import MEMORY_OPCODES
+from repro.machine.paging import PAGE_SIZE
+from repro.staticanalysis.elision import TIER_LOCKED, ElisionPlan
+from repro.workloads.parsec import build_benchmark
+
+#: ``(compile_blocks, superblocks)``: superblock, compiled and
+#: interpreter tiers.
+TIERS = ((True, True), (True, False), (False, False))
 
 
 def counting_program(iters=10):
@@ -110,11 +123,13 @@ class TestEngineExecution:
         kernel.run()
         assert kernel.process.vm.read_word(data) == 12
 
-    def test_every_memory_access_hooked(self):
+    @pytest.mark.parametrize("compile_blocks", [True, False],
+                             ids=["compiled", "interp"])
+    def test_every_memory_access_hooked(self, compile_blocks):
         program, data = counting_program(7)
         kernel = Kernel(jitter=0.0)
         kernel.create_process(program)
-        engine = DBREngine(kernel)
+        engine = DBREngine(kernel, compile_blocks=compile_blocks)
         tool = RecordingTool()
         engine.attach_tool(tool)
         kernel.run()
@@ -124,7 +139,9 @@ class TestEngineExecution:
         assert engine.stats.instrumented_execs == 14
         assert engine.stats.memory_refs == 14
 
-    def test_hook_can_redirect_effective_address(self):
+    @pytest.mark.parametrize("compile_blocks", [True, False],
+                             ids=["compiled", "interp"])
+    def test_hook_can_redirect_effective_address(self, compile_blocks):
         b = ProgramBuilder()
         data = b.segment("data", 64)
         b.label("main")
@@ -135,7 +152,7 @@ class TestEngineExecution:
         program = b.build()
         kernel = Kernel(jitter=0.0)
         kernel.create_process(program)
-        engine = DBREngine(kernel)
+        engine = DBREngine(kernel, compile_blocks=compile_blocks)
 
         class Redirector(Tool):
             def instrument_block(self, cached):
@@ -179,6 +196,114 @@ class TestEngineExecution:
         DBREngine(kernel_dbr)
         kernel_dbr.run()
         assert kernel_dbr.counter.total > kernel_native.counter.total
+
+
+class TestHookedSteps:
+    """Hooked memory accesses keep one contract on every tier."""
+
+    def test_hook_on_non_memory_instruction_refused(self):
+        program, _ = counting_program()
+        cached = CodeCache(program).get(0)
+        pos = next(i for i, instr in enumerate(cached.instrs)
+                   if instr.mem is None)
+        with pytest.raises(ToolError, match="non-memory"):
+            cached.set_hook(pos, lambda t, i, ea: None)
+        assert cached.hooks[pos] is None
+
+    @staticmethod
+    def _lazy_paging_run(compile_blocks, superblocks):
+        """Hooked accesses on a lazily shadowed VM: the first touch of
+        each data page takes a hidden fault and retries."""
+        b = ProgramBuilder()
+        data = b.segment("data", 2 * PAGE_SIZE)
+        b.label("main")
+        b.li(4, data)
+        with b.loop(counter=2, count=3):
+            b.load(5, base=4, disp=PAGE_SIZE)
+            b.add(5, 5, imm=1)
+            b.store(5, base=4, disp=0)
+        b.halt()
+        vm = AikidoVM(eager_shadow=False)
+        kernel = Kernel(platform=vm, jitter=0.0)
+        kernel.create_process(b.build())
+        engine = DBREngine(kernel, compile_blocks=compile_blocks,
+                           superblocks=superblocks)
+        tool = RecordingTool()
+        engine.attach_tool(tool)
+        kernel.run()
+        return {
+            "cycles": kernel.counter.total,
+            "breakdown": kernel.counter.snapshot(),
+            "run_stats": engine.stats.as_dict(),
+            "hypervisor_stats": vars(vm.stats),
+            "faults": kernel.faults_seen,
+            "accesses": tool.accesses,
+            "data": kernel.process.vm.read_word(data),
+        }
+
+    def test_faulting_hooked_access_hooks_every_attempt(self):
+        surfaces = [self._lazy_paging_run(*tier) for tier in TIERS]
+        assert surfaces[0] == surfaces[1] == surfaces[2]
+        run = surfaces[0]
+        # Every memory access is hooked, so every fault is a hooked
+        # attempt that did not retire: one hook call per attempt, and
+        # only the retires count as instrumented executions.
+        assert run["hypervisor_stats"]["hidden_faults"] >= 1
+        assert run["faults"] >= 1
+        assert run["run_stats"]["instrumented_execs"] == 6
+        assert run["run_stats"]["memory_refs"] == 6
+        assert len(run["accesses"]) == 6 + run["faults"]
+        assert run["data"] == 1
+
+    def test_hooked_access_never_fused_into_elided_run(self):
+        program, data = counting_program(7)
+        kernel = Kernel(jitter=0.0)
+        kernel.create_process(program)
+        engine = DBREngine(kernel)
+        tool = RecordingTool()
+        engine.attach_tool(tool)
+        # A hand-built plan that names every memory access: only the
+        # hooks keep them out of the fused fast path.
+        uids = [i.uid for i in program.iter_instructions()
+                if i.is_memory_op]
+        engine.set_elision_plan(ElisionPlan(
+            "counting", tiers={uid: TIER_LOCKED for uid in uids}))
+        kernel.run()
+        assert len(tool.accesses) == 14
+        assert engine.stats.instrumented_execs == 14
+        assert kernel.process.vm.read_word(data) == 7
+        loop_block, _ = program.instruction_locations[uids[0]]
+        compiled = engine.codecache.get(loop_block).compiled
+        assert compiled is not None
+        assert all(step[0] != ELI for step in compiled.steps)
+        assert not compiled.elided_uids
+        assert engine.elision_snapshot()["checks_elided"] == 0
+
+
+    def test_paper_config_never_executes_memory_ops_generically(self):
+        """On the paper's stack every memory access, hooked or not, runs
+        as a compiled MEM step: the compiled tier never hands one to
+        ``CPU.execute``."""
+        system = build_aikido_system(
+            build_benchmark("streamcluster", threads=2, scale=0.5),
+            seed=1, quantum=100)
+        cpu = system.engine.cpu
+        original = cpu.execute
+        run_compiled = DBREngine._run_compiled.__code__
+        calls = {"memory": 0, "other": 0}
+
+        def execute(instr, thread, ea_override=None):
+            if sys._getframe(1).f_code is run_compiled:
+                kind = "memory" if instr.op in MEMORY_OPCODES else "other"
+                calls[kind] += 1
+            return original(instr, thread, ea_override)
+
+        cpu.execute = execute
+        system.run()
+        assert system.run_stats.instrumented_execs > 500
+        assert system.stats.shared_accesses > 0
+        assert calls["other"] > 0  # the wrapper did see the tier's calls
+        assert calls["memory"] == 0
 
 
 class TestMasterSignalHandler:

@@ -72,6 +72,16 @@ def test_trace_covers_every_layer(traced_system):
             "shared_access", "sd_counters"} <= names
 
 
+def test_every_shared_access_is_traced(traced_system):
+    """The sharing detector binds the tracer into its hooks when they
+    are built; every shared access still emits its instant."""
+    instants = sum(1 for e in traced_system.tracer.events
+                   if e.name == "shared_access")
+    shared = system_result(traced_system).aikido_stats["shared_accesses"]
+    assert shared > 0
+    assert instants == shared
+
+
 def test_chrome_trace_validates_after_roundtrip(traced_system, tmp_path):
     sink = TraceSink(traced_system.tracer)
     path = sink.write_chrome(tmp_path / "freqmine-trace.json")
