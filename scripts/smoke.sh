@@ -261,6 +261,8 @@ EOF
 # Record/replay smoke: record one workload once, replay the log through
 # all four analyses in parallel, and diff every replayed verdict against
 # a fresh live run — bit-identical, with zero re-simulation on replay.
+# The same log replayed inline (--jobs 1) must write the identical
+# merged document.
 REPLAY_DIR="$(mktemp -d)"
 REPLAY_LOG_PATH="$REPLAY_DIR/canneal.aiklog"
 python -m repro.harness.cli record --benchmark canneal --threads 2 \
@@ -268,7 +270,14 @@ python -m repro.harness.cli record --benchmark canneal --threads 2 \
 REPLAY_STATS=$(python -m repro.harness.cli replay --log "$REPLAY_LOG_PATH" \
     --analyses fasttrack,djit,eraser,memtag --jobs 2 --diff-live \
     --benchmark canneal --threads 2 --scale 0.05 --seed 2 --quantum 100 \
-    2>&1 > /dev/null | tail -1)
+    --json "$REPLAY_DIR/jobs2.json" 2>&1 > /dev/null | tail -1)
+python -m repro.harness.cli replay --log "$REPLAY_LOG_PATH" \
+    --analyses fasttrack,djit,eraser,memtag --jobs 1 \
+    --json "$REPLAY_DIR/jobs1.json" > /dev/null
+if ! cmp -s "$REPLAY_DIR/jobs1.json" "$REPLAY_DIR/jobs2.json"; then
+    echo "replay smoke: --jobs 1 and --jobs 2 wrote different documents"
+    exit 1
+fi
 rm -rf "$REPLAY_DIR"
 echo "record/replay smoke: $REPLAY_STATS"
 case "$REPLAY_STATS" in
@@ -276,4 +285,4 @@ case "$REPLAY_STATS" in
     *) echo "replay smoke re-simulated instead of replaying"; exit 1 ;;
 esac
 echo "record/replay smoke ok: 4 analyses bit-identical to live," \
-    "zero re-simulation"
+    "zero re-simulation, --jobs 1 == --jobs 2"

@@ -129,11 +129,12 @@ def replay(trace: List[TraceEntry], detector) -> None:
     skipped. Barrier entries dispatch with their recorded barrier id, so
     a replay→re-record round trip is identity.
     """
+    on_access = detector.on_access
     for entry in trace:
         kind = entry[0]
         if kind == "access":
             _, tid, addr, is_write, uid = entry
-            detector.on_access(tid, addr, is_write, uid)
+            on_access(tid, addr, is_write, uid)
             continue
         name = _ENTRY_HANDLERS.get(kind)
         if name is None:

@@ -47,8 +47,10 @@ def _zigzag(n: int) -> int:
     return n * 2 if n >= 0 else -n * 2 - 1
 
 
-def _unzigzag(z: int) -> int:
-    return z // 2 if z % 2 == 0 else -(z // 2) - 1
+#: Bytes an access entry's three varints can span: _get_varint reads at
+#: most 10 per field. An access whose fields start at least this far
+#: from the end of the buffer decodes its fields without bounds checks.
+_ACCESS_MAX = 30
 
 
 def _put_varint(out: bytearray, value: int) -> None:
@@ -125,35 +127,73 @@ def decode_entries(buf: bytes) -> List[TraceEntry]:
 
     Raises :class:`EventLogError` on an unknown tag, a truncated or
     non-minimal varint, or trailing garbage — never returns a prefix.
+
+    Access fields decode one- and two-byte varints inline, with zigzag
+    as ``(z >> 1) ^ -(z & 1)``. A two-byte varint qualifies only when its
+    second byte is 0x01..0x7F, which makes it minimal; anything else,
+    and every access that starts within :data:`_ACCESS_MAX` bytes of the
+    end, goes through :func:`_get_varint`, so a malformed buffer fails
+    with the same error either way.
     """
     entries: List[TraceEntry] = []
+    append = entries.append
+    get_varint = _get_varint
     pos = 0
-    prev_tid = prev_addr = prev_uid = 0
+    tid = addr = uid = 0
     size = len(buf)
+    fast_end = size - _ACCESS_MAX
     while pos < size:
         tag = buf[pos]
         pos += 1
-        if tag in (_ACCESS_READ, _ACCESS_WRITE):
-            dtid, pos = _get_varint(buf, pos)
-            daddr, pos = _get_varint(buf, pos)
-            duid, pos = _get_varint(buf, pos)
-            prev_tid += _unzigzag(dtid)
-            prev_addr += _unzigzag(daddr)
-            prev_uid += _unzigzag(duid)
-            entries.append(("access", prev_tid, prev_addr,
-                            tag == _ACCESS_WRITE, prev_uid))
+        if tag <= _ACCESS_WRITE:
+            if pos <= fast_end:
+                z = buf[pos]
+                if z < 0x80:
+                    pos += 1
+                elif 0 < buf[pos + 1] < 0x80:
+                    z = z & 0x7F | buf[pos + 1] << 7
+                    pos += 2
+                else:
+                    z, pos = get_varint(buf, pos)
+                tid += (z >> 1) ^ -(z & 1)
+                z = buf[pos]
+                if z < 0x80:
+                    pos += 1
+                elif 0 < buf[pos + 1] < 0x80:
+                    z = z & 0x7F | buf[pos + 1] << 7
+                    pos += 2
+                else:
+                    z, pos = get_varint(buf, pos)
+                addr += (z >> 1) ^ -(z & 1)
+                z = buf[pos]
+                if z < 0x80:
+                    pos += 1
+                elif 0 < buf[pos + 1] < 0x80:
+                    z = z & 0x7F | buf[pos + 1] << 7
+                    pos += 2
+                else:
+                    z, pos = get_varint(buf, pos)
+                uid += (z >> 1) ^ -(z & 1)
+            else:
+                z, pos = get_varint(buf, pos)
+                tid += (z >> 1) ^ -(z & 1)
+                z, pos = get_varint(buf, pos)
+                addr += (z >> 1) ^ -(z & 1)
+                z, pos = get_varint(buf, pos)
+                uid += (z >> 1) ^ -(z & 1)
+            append(("access", tid, addr, tag == _ACCESS_WRITE, uid))
         elif tag in _SYNC_NAMES:
-            first, pos = _get_varint(buf, pos)
-            second, pos = _get_varint(buf, pos)
-            entries.append((_SYNC_NAMES[tag], first, second))
+            first, pos = get_varint(buf, pos)
+            second, pos = get_varint(buf, pos)
+            append((_SYNC_NAMES[tag], first, second))
         elif tag == _BARRIER:
-            barrier_id, pos = _get_varint(buf, pos)
-            count, pos = _get_varint(buf, pos)
+            barrier_id, pos = get_varint(buf, pos)
+            count, pos = get_varint(buf, pos)
             tids = []
             for _ in range(count):
-                tid, pos = _get_varint(buf, pos)
-                tids.append(tid)
-            entries.append(("barrier", barrier_id, tuple(tids)))
+                member, pos = get_varint(buf, pos)
+                tids.append(member)
+            append(("barrier", barrier_id, tuple(tids)))
         else:
             raise EventLogError(
                 f"eventlog: unknown entry tag {tag} at byte {pos - 1}")

@@ -27,7 +27,7 @@ import os
 import struct
 import tempfile
 import zlib
-from typing import Iterator, List, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import EventLogError
 from repro.eventlog.encoding import TraceEntry, decode_entries, encode_entries
@@ -235,11 +235,19 @@ class EventLogReader:
         """Decode the whole log into one list (tests, small logs)."""
         return list(self)
 
-    def stat(self) -> dict:
-        """Summary from a full validating pass (events, chunks, bytes)."""
+    def stat(self, sink: Optional[Callable[[List[TraceEntry]], None]] = None
+             ) -> dict:
+        """Summary from a full validating pass (events, chunks, bytes).
+
+        ``sink``, if given, receives each chunk's entries as the pass
+        decodes them, so a consumer validates and reads the log in one
+        pass. The summary is returned only once the trailer checks out.
+        """
         events = 0
         chunks = 0
         for _, entries in self.iter_chunks():
+            if sink is not None:
+                sink(entries)
             events += len(entries)
             chunks += 1
         return {"path": self.path, "events": events, "chunks": chunks,

@@ -10,6 +10,11 @@ re-simulation — in parallel (one worker process per analysis, each
 iterating the log chunk by chunk) or inline, with bit-identical merged
 output either way.
 
+There is no separate validation pass: each analysis's replay pass
+checks the chunk CRCs and the trailer as it reads, and the first pass
+also yields the log's stat block, so N analyses decode the log N times.
+A fan-out names each analysis at most once; a duplicate name is refused.
+
 Verdicts are canonical JSON-safe dicts (:func:`detector_verdict`), so
 "replay equals live" is a plain ``==`` between a replayed verdict and
 the verdict of a fresh full-instrumentation run
@@ -20,7 +25,7 @@ replay-equivalence tests assert on every bundled workload.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Tuple
 
 from repro.analyses.djit import DjitDetector
 from repro.analyses.eraser import EraserDetector
@@ -142,26 +147,29 @@ def live_run_verdict(program, name: str, *, seed: int = 0,
     return detector_verdict(name, detector)
 
 
-def replay_log(path: str, name: str, counters=None) -> Dict:
-    """Replay one log through one analysis, chunk by chunk."""
+def replay_log(path: str, name: str) -> Tuple[Dict, Dict]:
+    """Replay one log through one fresh analysis in a single pass.
+
+    The pass checks every chunk CRC and the trailer as it goes, so it
+    is also the log's validation. Returns ``(verdict, stat)``, where
+    ``stat`` is what :meth:`EventLogReader.stat` reports for the log.
+    """
     detector = build_detector(name)
-    for _, entries in EventLogReader(path).iter_chunks():
-        replay(entries, detector)
-        if counters is not None:
-            counters.bump("events_replayed", len(entries))
-            counters.bump("chunks_replayed")
-    if counters is not None:
-        counters.bump("analyses_run")
-    return detector_verdict(name, detector)
-
-
-def _fanout_worker(path: str, name: str) -> Dict:
-    """Top-level worker body (must be picklable for the process pool)."""
-    return replay_log(path, name)
+    stat = EventLogReader(path).stat(
+        lambda entries: replay(entries, detector))
+    return detector_verdict(name, detector), stat
 
 
 class ReplayFanout:
     """Replay one recorded log into N analyses, merged deterministically.
+
+    Each analysis makes one pass over the log, and that pass is also the
+    validation: every chunk CRC and the trailer are checked as the
+    analysis reads them, so a fan-out over N analyses decodes the log N
+    times and a torn or corrupt log raises
+    :class:`~repro.errors.EventLogError` with no document returned and
+    no counter bumped. The merged ``log`` block comes from the first
+    pass and equals :meth:`EventLogReader.stat`.
 
     ``jobs > 1`` runs one worker process per analysis (each streams the
     log's chunks independently — the per-chunk framing means no worker
@@ -171,7 +179,8 @@ class ReplayFanout:
     cross-analysis disagreement list. With ``check=True`` a non-empty
     disagreement list raises
     :class:`~repro.errors.InvariantViolationError` (the
-    ``analysis_agreement`` replay invariant).
+    ``analysis_agreement`` replay invariant). Unknown or duplicate
+    analysis names raise :class:`~repro.errors.HarnessError`.
     """
 
     def __init__(self, analyses, *, jobs: int = 1, counters=None):
@@ -183,42 +192,39 @@ class ReplayFanout:
                 raise HarnessError(
                     f"unknown analysis {name!r}; registered: "
                     f"{', '.join(sorted(ANALYSES))}")
+        duplicates = sorted({name for name in self.analyses
+                             if self.analyses.count(name) > 1})
+        if duplicates:
+            raise HarnessError(
+                f"duplicate analysis name(s) {', '.join(duplicates)}; "
+                f"each analysis replays once")
         if jobs < 1:
             raise HarnessError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.counters = counters
 
     def run(self, path: str, *, check: bool = True) -> Dict:
-        # Validate the whole log once up front (CRCs, trailer totals):
-        # cheaper than failing identically in N workers, and it yields
-        # the stat block for the merged document.
-        stat = EventLogReader(path).stat()
-        verdicts: Dict[str, Dict] = {}
         if self.jobs == 1 or len(self.analyses) == 1:
-            for name in self.analyses:
-                verdicts[name] = replay_log(path, name, self.counters)
+            passes = [replay_log(path, name) for name in self.analyses]
         else:
             workers = min(self.jobs, len(self.analyses))
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {name: pool.submit(_fanout_worker, path, name)
-                           for name in self.analyses}
-                for name in self.analyses:
-                    verdicts[name] = futures[name].result()
-            if self.counters is not None:
-                # Workers cannot share the parent's counters; account
-                # for their traffic here (each replayed the full log).
-                per_analysis_events = stat["events"]
-                per_analysis_chunks = stat["chunks"]
-                for _ in self.analyses:
-                    self.counters.bump("events_replayed",
-                                       per_analysis_events)
-                    self.counters.bump("chunks_replayed",
-                                       per_analysis_chunks)
-                    self.counters.bump("analyses_run")
+                passes = list(pool.map(replay_log,
+                                       [path] * len(self.analyses),
+                                       self.analyses))
+        verdicts = {name: verdict
+                    for name, (verdict, _) in zip(self.analyses, passes)}
+        stat = passes[0][1]
         block_sets = {name: set(verdict["blocks"])
                       for name, verdict in verdicts.items()}
         disagreements = cross_analysis_disagreements(block_sets)
         if self.counters is not None:
+            # Booked only now that every pass has completed, so a
+            # damaged log leaves the counters untouched.
+            runs = len(passes)
+            self.counters.bump("events_replayed", runs * stat["events"])
+            self.counters.bump("chunks_replayed", runs * stat["chunks"])
+            self.counters.bump("analyses_run", runs)
             self.counters.bump("replays_completed")
             self.counters.bump("disagreements", len(disagreements))
         # Deliberately excludes ``jobs``: the merged document describes
@@ -227,7 +233,7 @@ class ReplayFanout:
         merged = {
             "log": stat,
             "analyses": list(self.analyses),
-            "verdicts": {name: verdicts[name] for name in self.analyses},
+            "verdicts": verdicts,
             "disagreements": disagreements,
         }
         if check and disagreements:

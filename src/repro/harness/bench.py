@@ -310,7 +310,7 @@ def _replay_row(name: str, factory: Callable, *, seed: int, quantum: int,
         replay_seconds = None
         for _ in range(max(1, repeats)):
             start = time.perf_counter()
-            replayed = {analysis: replay_log(path, analysis)
+            replayed = {analysis: replay_log(path, analysis)[0]
                         for analysis in REPLAY_ANALYSES}
             seconds = time.perf_counter() - start
             if replay_seconds is None or seconds < replay_seconds:

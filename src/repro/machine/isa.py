@@ -168,7 +168,8 @@ class Instruction:
     program copy is never modified after finalize.
     """
 
-    __slots__ = ("op", "rd", "rs1", "rs2", "imm", "label", "mem", "uid")
+    __slots__ = ("op", "rd", "rs1", "rs2", "imm", "label", "mem", "uid",
+                 "is_write")
 
     def __init__(
         self,
@@ -181,6 +182,9 @@ class Instruction:
         mem: Optional[MemOperand] = None,
     ):
         self.op = op
+        #: True when this instruction writes data memory. Fixed here
+        #: because ``op`` is assigned only here (``copy`` re-runs it).
+        self.is_write = op in (Opcode.STORE, Opcode.ATOMIC_ADD)
         self.rd = rd
         self.rs1 = rs1
         self.rs2 = rs2
@@ -194,11 +198,6 @@ class Instruction:
     def is_memory_op(self) -> bool:
         """True when this instruction reads or writes data memory."""
         return self.op in MEMORY_OPCODES
-
-    @property
-    def is_write(self) -> bool:
-        """True when this instruction writes data memory."""
-        return self.op in (Opcode.STORE, Opcode.ATOMIC_ADD)
 
     @property
     def is_sync_op(self) -> bool:

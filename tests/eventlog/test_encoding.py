@@ -6,6 +6,8 @@ the scengen generator, so every example is also a trace a real recorded
 simulation could produce.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +17,8 @@ from repro.errors import EventLogError
 from repro.eventlog.encoding import decode_entries, encode_entries
 
 TIDS = st.integers(min_value=0, max_value=64)
-ADDRS = st.integers(min_value=0, max_value=2 ** 40)
-UIDS = st.integers(min_value=-1, max_value=2 ** 20)
+ADDRS = st.integers(min_value=0, max_value=2 ** 64 - 1)
+UIDS = st.integers(min_value=-1, max_value=2 ** 64 - 1)
 LOCKS = st.integers(min_value=0, max_value=500)
 
 access_entries = st.tuples(st.just("access"), TIDS, ADDRS, st.booleans(),
@@ -56,6 +58,98 @@ class TestRoundTrip:
                    for i in range(100)]
         buf = encode_entries(entries)
         assert len(buf) < 100 * 6
+
+
+#: Zigzag values on each side of the one-/two-/three-byte varint limits.
+BOUNDARY_ZIGZAGS = (0x7F, 0x80, 0x3FFF, 0x4000)
+ACCESS_FIELDS = (1, 2, 4)  # tid, addr, instr_uid in an access entry
+
+
+def _unzigzag(z):
+    return z >> 1 if z % 2 == 0 else -(z >> 1) - 1
+
+
+def _varint(value):
+    out = bytearray()
+    while True:
+        out.append(value & 0x7F | (0x80 if value > 0x7F else 0))
+        value >>= 7
+        if not value:
+            return bytes(out)
+
+
+class TestAccessFieldBoundaries:
+    @pytest.mark.parametrize("field", ACCESS_FIELDS)
+    @pytest.mark.parametrize("z", BOUNDARY_ZIGZAGS)
+    def test_boundary_zigzag_round_trips(self, field, z):
+        """Each access field, delta-coded against a base entry, at the
+        varint length boundaries — far from the buffer end (inline fast
+        path) and as the final entry (generic varint path)."""
+        base = ["access", 5, 1 << 20, False, 1000]
+        entry = list(base)
+        entry[field] += _unzigzag(z)
+        filler = [("access", 5, 1 << 20, False, 1000)] * 20
+        for entries in ([tuple(base), tuple(entry)] + filler,
+                        filler + [tuple(base), tuple(entry)]):
+            buf = encode_entries(entries)
+            assert decode_entries(buf) == entries
+            assert encode_entries(decode_entries(buf)) == buf
+        deltas = [0, 0, 0]
+        deltas[ACCESS_FIELDS.index(field)] = z
+        second = bytes([0]) + b"".join(_varint(d) for d in deltas)
+        assert encode_entries([tuple(base), tuple(entry)]).endswith(second)
+
+    @pytest.mark.parametrize("field", range(3))
+    @pytest.mark.parametrize("padding", [0, 40])
+    def test_non_minimal_access_varint_rejected(self, field, padding):
+        """0x80 0x00 in any access field is rejected, whether the entry
+        is decoded inline (``padding`` entries follow) or at the end."""
+        fields = [b"\x00", b"\x00", b"\x00"]
+        fields[field] = b"\x80\x00"
+        buf = bytes([1]) + b"".join(fields) + bytes(4 * padding)
+        with pytest.raises(EventLogError, match="non-minimal varint"):
+            decode_entries(buf)
+
+    def test_every_prefix_of_long_delta_accesses_is_rejected(self):
+        """Cutting a buffer of long-delta accesses anywhere but an entry
+        boundary raises EventLogError (never IndexError, never a prefix);
+        cutting at a boundary decodes exactly the entries before it."""
+        entries = []
+        for i in range(12):
+            entries.append(("access", i % 3, (i * 0x9E3779B97F4A7C15)
+                            % 2 ** 64, i % 2 == 1,
+                            -1 if i % 4 == 0 else i << 40))
+            entries.append(("access", i % 3, 4096 + i, False, 7))
+        boundaries = {0: 0}
+        for count in range(1, len(entries) + 1):
+            boundaries[len(encode_entries(entries[:count]))] = count
+        buf = encode_entries(entries)
+        assert len(buf) in boundaries and len(buf) > 200
+        for cut in range(len(buf)):
+            if cut in boundaries:
+                assert decode_entries(buf[:cut]) == \
+                    entries[:boundaries[cut]]
+            else:
+                with pytest.raises(EventLogError):
+                    decode_entries(buf[:cut])
+
+
+class TestPinnedLog:
+    #: sha256 of the AIKLOG file for canneal, 2 threads, scale 0.05,
+    #: seed 2 (record_run defaults otherwise). Any codec or framing
+    #: change that moves a byte of a recorded log breaks this pin.
+    CANNEAL_SHA256 = ("c90c31de66da37820fc76c39a63b1412"
+                      "9ff7496a5892fd13473d109587faf194")
+
+    def test_recorded_log_bytes_are_pinned(self, tmp_path):
+        from repro.eventlog.replay import record_run
+        from repro.workloads.parsec import build_benchmark
+
+        path = tmp_path / "canneal.aiklog"
+        record_run(build_benchmark("canneal", threads=2, scale=0.05),
+                   str(path), seed=2)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            self.CANNEAL_SHA256
 
 
 class TestScengenTraces:

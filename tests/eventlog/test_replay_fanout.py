@@ -9,9 +9,11 @@ do the replaying.
 
 import pytest
 
+import repro.eventlog.log as eventlog_log
 from repro.chaos.invariants import cross_analysis_disagreements
-from repro.errors import HarnessError, InvariantViolationError
-from repro.eventlog.log import EventLogWriter
+from repro.errors import EventLogError, HarnessError, InvariantViolationError
+from repro.eventlog.cli import main as eventlog_main
+from repro.eventlog.log import EventLogReader, EventLogWriter
 from repro.eventlog.replay import (
     ANALYSES,
     ReplayFanout,
@@ -20,6 +22,7 @@ from repro.eventlog.replay import (
     record_run,
     replay_log,
 )
+from repro.observability.eventlog import EventLogCounters
 from repro.workloads.parsec import benchmark_names, build_benchmark
 
 THREADS = 2
@@ -51,14 +54,14 @@ class TestReplayEquivalence:
                 analysis, seed=RUN["seed"], quantum=RUN["quantum"],
                 jitter=RUN["jitter"],
                 compile_blocks=RUN["compile_blocks"])
-            replayed = replay_log(path, analysis)
+            replayed, _ = replay_log(path, analysis)
             assert replayed == live, (workload, analysis)
 
     def test_memtag_blocks_subset_of_eraser_on_benchmarks(self, tmp_path):
         for workload in ("canneal", "streamcluster", "x264"):
             path, _ = record_benchmark(tmp_path, workload)
-            eraser = replay_log(path, "eraser")
-            memtag = replay_log(path, "memtag")
+            eraser, _ = replay_log(path, "eraser")
+            memtag, _ = replay_log(path, "memtag")
             assert set(memtag["blocks"]) <= set(eraser["blocks"]), workload
 
 
@@ -94,6 +97,74 @@ class TestFanout:
     def test_nonpositive_jobs_rejected(self):
         with pytest.raises(HarnessError, match="jobs"):
             ReplayFanout(["fasttrack"], jobs=0)
+
+    def test_duplicate_analysis_rejected(self):
+        with pytest.raises(HarnessError, match="duplicate analysis"):
+            ReplayFanout(["fasttrack", "djit", "fasttrack"])
+
+    def test_cli_reports_duplicate_analysis_as_exit_2(self, tmp_path,
+                                                      capsys):
+        path, _ = record_benchmark(tmp_path, "blackscholes")
+        status = eventlog_main(["replay", "--log", path,
+                                "--analyses", "fasttrack,fasttrack"])
+        assert status == 2
+        assert "duplicate analysis" in capsys.readouterr().err
+
+
+def _damage(path, how):
+    data = bytearray(open(path, "rb").read())
+    if how == "torn":
+        del data[-30:]  # the trailer and the end of the last chunk
+    else:
+        data[len(data) // 2] ^= 0x10  # one bit inside a chunk payload
+    with open(path, "wb") as handle:
+        handle.write(bytes(data))
+
+
+class TestFanoutValidation:
+    """The replay passes are the log's only validation."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("how", ["torn", "bitflip"])
+    def test_damaged_log_raises_and_counts_nothing(self, tmp_path, jobs,
+                                                   how):
+        path, _ = record_benchmark(tmp_path, "canneal")
+        _damage(path, how)
+        counters = EventLogCounters()
+        before = counters.as_dict()
+        merged = None
+        with pytest.raises(EventLogError):
+            merged = ReplayFanout(ANALYSES, jobs=jobs,
+                                  counters=counters).run(path)
+        assert merged is None
+        assert counters.as_dict() == before
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_log_block_equals_reader_stat(self, tmp_path, jobs):
+        path, stats = record_benchmark(tmp_path, "canneal")
+        merged = ReplayFanout(ANALYSES, jobs=jobs).run(path)
+        assert merged["log"] == EventLogReader(path).stat()
+        assert merged["log"]["chunks"] == stats["chunks"] > 1
+
+    def test_fanout_decodes_each_chunk_once_per_analysis(self, tmp_path,
+                                                          monkeypatch):
+        path, stats = record_benchmark(tmp_path, "canneal")
+        calls = []
+        decode = eventlog_log.decode_entries
+
+        def counting_decode(buf):
+            calls.append(len(buf))
+            return decode(buf)
+
+        monkeypatch.setattr(eventlog_log, "decode_entries", counting_decode)
+        counters = EventLogCounters()
+        ReplayFanout(ANALYSES, jobs=1, counters=counters).run(path)
+        assert len(calls) == len(ANALYSES) * stats["chunks"]
+        totals = counters.as_dict()
+        assert totals["chunks_replayed"] == len(calls)
+        assert totals["events_replayed"] == \
+            len(ANALYSES) * stats["events"]
+        assert totals["analyses_run"] == len(ANALYSES)
 
 
 class TestDisagreementCheck:
@@ -143,7 +214,7 @@ class TestVerdictShape:
         import json
 
         path, _ = record_benchmark(tmp_path, "canneal")
-        verdict = replay_log(path, "fasttrack")
+        verdict, _ = replay_log(path, "fasttrack")
         json.dumps(verdict)  # no sets, no objects
         assert verdict["reports"] == sorted(verdict["reports"])
         assert verdict["blocks"] == sorted(verdict["blocks"])

@@ -33,6 +33,8 @@ class TestOpcodeClassification:
         assert load.is_memory_op and not load.is_write
         assert store.is_memory_op and store.is_write
         assert atomic.is_memory_op and atomic.is_write
+        # is_write is fixed at construction; code-cache copies keep it.
+        assert store.copy().is_write and not load.copy().is_write
 
     def test_is_sync_op(self):
         assert Instruction(Opcode.LOCK, imm=1).is_sync_op
