@@ -8,11 +8,9 @@ simulator watches.
 
     pytest benchmarks/bench_simulator.py --benchmark-only
 
-These pytest-benchmark rounds complement the standalone wall-clock
-suite (``aikido-repro bench`` -> ``BENCH_simulator.json``, gated by
-``scripts/bench_gate.py``): the suite owns the committed trajectory;
-this file gives statistically solid per-round numbers when iterating on
-one spot.
+These pytest-benchmark rounds complement perfbench (``perfbench/run.py``),
+which times the full stack end to end and per layer: this file gives
+statistically solid per-round numbers when iterating on one spot.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import pytest
 
 from repro.dbr.engine import DBREngine
 from repro.guestos.kernel import Kernel
-from repro.harness.bench import bench_suite, validate_bench
 from repro.harness.runner import run_aikido_fasttrack, run_native
 from repro.hypervisor.aikidovm import AikidoVM
 from repro.hypervisor.hypercalls import HC_SET_PROT, PROT_CLEAR
@@ -95,14 +92,6 @@ class TestExecutionTiers:
                         "instructions"]
 
         benchmark(run)
-
-    def test_quick_suite_document_is_valid(self):
-        """The bench suite's --quick document satisfies its own schema
-        (the same check scripts/smoke.sh runs through the CLI)."""
-        doc = bench_suite(quick=True, benchmarks=["blackscholes"],
-                          threads=2, seed=3)
-        validate_bench(doc)
-        assert doc["summary"]["workload_count"] == 1
 
 
 class TestFaultRoundTrip:

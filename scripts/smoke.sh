@@ -108,31 +108,11 @@ print(f"chaos smoke ok: {sweep.delivered} injected, "
       f"{sweep.recovered} recovered")
 EOF
 
-# Bench smoke: the wall-clock tier bench must produce a schema-valid
-# document through the CLI, and the regression gate must accept a
-# document compared against itself (its trivial fixed point).
-BENCH_OUT="$AIKIDO_CACHE_DIR/smoke-bench.json"
-python -m repro.harness.cli bench --quick --benchmark blackscholes \
-    --threads 2 --bench-out "$BENCH_OUT"
-python - "$BENCH_OUT" <<'EOF'
-import sys
-
-from repro.harness.bench import load_bench
-
-doc = load_bench(sys.argv[1])     # raises HarnessError on any violation
-assert doc["params"]["quick"], "bench smoke was not a --quick run"
-assert doc["workloads"], "bench smoke produced no workload rows"
-print(f"bench smoke ok: {doc['summary']['workload_count']} workload(s), "
-      f"geomean {doc['summary']['geomean_speedup']:.2f}x")
-EOF
-python scripts/bench_gate.py --baseline "$BENCH_OUT" \
-    --current "$BENCH_OUT" > /dev/null
-
 # Superblock smoke: all three execution tiers (interpreter, compiled,
-# superblock) must agree bit-for-bit on every simulated statistic —
-# the parity contract the bench suite enforces at full scale,
-# exercised here at smoke scale, with at least one superblock actually
-# built so the tier is known to have engaged.
+# superblock) must agree bit-for-bit on every simulated statistic on
+# bare DBR — the parity contract tests/dbr/test_compiled_parity.py and
+# the fuzz oracle's tier_parity_* checks pin — with at least one
+# superblock actually built so the tier is known to have engaged.
 python - <<'EOF'
 from repro.dbr.engine import DBREngine
 from repro.guestos.kernel import Kernel

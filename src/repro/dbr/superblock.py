@@ -49,9 +49,9 @@ DynamoRIO trace:
 The parity contract is the same as the compiled tier's: bit-identical
 simulated statistics, race reports, chaos replay logs and cycle
 attribution versus the interpreter, enforced by
-``tests/dbr/test_compiled_parity.py``, the bench's three-way
-instruction/cycle cross-check and the scengen oracle's
-``tier_parity_*_superblock`` checks.
+``tests/dbr/test_compiled_parity.py``, the scengen oracle's
+``tier_parity_*_superblock`` checks and the three-tier parity stanza of
+``scripts/smoke.sh``.
 """
 
 from __future__ import annotations

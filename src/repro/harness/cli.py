@@ -14,8 +14,6 @@ Usage (installed as ``aikido-repro`` or ``python -m repro.harness.cli``)::
     aikido-repro instr            # instrumentation-machinery counters
     aikido-repro chaos            # fault-injection survivability sweep
     aikido-repro trace --benchmark vips     # Chrome trace + attribution
-    aikido-repro bench            # wall-clock tier bench (BENCH_simulator.json)
-    aikido-repro bench --quick    # small/fast bench (schema smoke)
     aikido-repro fuzz --seed 1 --count 200 --quick  # differential fuzz
     aikido-repro fuzz --seed 1 --count 500 --journal f.jsonl --resume
     aikido-repro fleet run --workers 2 --seeds 1,2,3 --journal g.jsonl
@@ -78,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("fig5", "fig6", "table1", "table2",
                                  "races", "races-static", "profile",
                                  "breakdown", "instr", "elide",
-                                 "chaos", "trace", "bench", "fuzz", "lint",
+                                 "chaos", "trace", "fuzz", "lint",
                                  "all"))
     parser.add_argument("--benchmark", default=None,
                         help="restrict 'profile'/'lint'/'trace' to one "
@@ -91,15 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-jsonl", metavar="PATH", default=None,
                         help="also write the trace as one JSON object "
                              "per line")
-    parser.add_argument("--bench-out", metavar="PATH",
-                        default="BENCH_simulator.json",
-                        help="JSON output of the 'bench' artifact")
     parser.add_argument("--quick", action="store_true",
-                        help="shrink the 'bench' artifact to a fast "
-                             "schema-smoke run (small scale, one repeat, "
-                             "workload subset)")
-    parser.add_argument("--repeats", type=int, default=3, metavar="N",
-                        help="best-of-N repeats per bench measurement")
+                        help="run the 'fuzz' campaign on smaller "
+                             "generated programs with a lower per-run "
+                             "instruction budget")
     parser.add_argument("--static-elide", action="store_true",
                         help="fuse statically race-free shared-checks "
                              "into compiled fast paths in "
@@ -256,19 +249,6 @@ def _trace_artifact(args) -> list:
     return pieces
 
 
-def _bench_artifact(args) -> list:
-    """Run the wall-clock tier bench and write BENCH_simulator.json."""
-    from repro.harness.bench import bench_suite, render_bench, write_bench
-
-    doc = bench_suite(
-        threads=args.threads, scale=args.scale, seed=args.seed,
-        quantum=args.quantum, repeats=args.repeats, quick=args.quick,
-        benchmarks=[args.benchmark] if args.benchmark else None,
-        progress=lambda message: print(message, file=sys.stderr))
-    path = write_bench(doc, args.bench_out)
-    return [render_bench(doc), f"(bench json written to {path})"]
-
-
 def _fuzz_artifact(args, started: float) -> int:
     """Seeded differential fuzz campaign over generated scenarios."""
     from repro.scengen import campaign_to_dict, render_campaign, run_campaign
@@ -350,8 +330,6 @@ def _run(args) -> int:
         pieces.append(render_attribution(suite))
     if args.artifact == "trace":
         pieces.extend(_trace_artifact(args))
-    if args.artifact == "bench":
-        pieces.extend(_bench_artifact(args))
     if args.artifact == "chaos":
         sweep = experiments.chaos_sweep(
             threads=args.threads, scale=args.scale, seed=args.seed,

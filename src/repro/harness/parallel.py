@@ -43,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import signal
 import threading
@@ -285,15 +286,13 @@ class JobFailure:
 def _deadline(seconds: Optional[float]):
     """Enforce a wall-clock budget on the enclosed block via SIGALRM.
 
-    No-op when ``seconds`` is falsy or we are not on the main thread
+    No-op when ``seconds`` is None or we are not on the main thread
     (SIGALRM can only be handled there). Nests: an enclosing deadline's
     remaining time is re-armed on exit, so the per-job guard composes
     with e.g. the test suite's global runaway guard.
     """
-    if not seconds or seconds <= 0:
-        yield
-        return
-    if threading.current_thread() is not threading.main_thread():
+    if (seconds is None
+            or threading.current_thread() is not threading.main_thread()):
         yield
         return
 
@@ -405,8 +404,9 @@ class ParallelRunner:
     Hardening knobs (all keyword-only, all off by default):
 
     ``timeout``
-        Per-unit wall-clock budget in seconds; an overrunning unit
-        becomes a ``timeout`` failure record instead of hanging the suite.
+        Per-unit wall-clock budget in seconds (positive and finite; None
+        means no budget); an overrunning unit becomes a ``timeout``
+        failure record instead of hanging the suite.
     ``retries``
         Extra attempts granted to *transient* failures (timeout, host
         exception, killed worker). Simulated errors never retry — the
@@ -437,6 +437,10 @@ class ParallelRunner:
                  journal: Optional[RunJournal] = None):
         if retries < 0:
             raise HarnessError(f"retries must be >= 0, got {retries}")
+        if timeout is not None and not 0 < timeout < math.inf:
+            raise HarnessError(
+                f"timeout must be a positive finite number of seconds, "
+                f"got {timeout}")
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
         self.timeout = timeout

@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import (
     DeadlockError,
+    HarnessError,
     SegmentationFaultError,
     SuiteFailureError,
 )
@@ -94,6 +95,16 @@ class TestFailureIsolation:
         assert len(err.failures) == 2
         assert len(err.results) == 4
         self._check(err.results)
+
+
+@pytest.mark.parametrize("knobs", [
+    {"timeout": 0}, {"timeout": -1}, {"timeout": float("nan")},
+    {"timeout": float("inf")}, {"retries": -1}],
+    ids=["timeout=0", "timeout=-1", "timeout=nan", "timeout=inf",
+         "retries=-1"])
+def test_runner_rejects_out_of_range_knobs(knobs):
+    with pytest.raises(HarnessError):
+        ParallelRunner(jobs=1, **knobs)
 
 
 class TestTimeouts:
@@ -238,14 +249,17 @@ class TestCliExitCodes:
         assert "segfault/native" in err and "addr=0x18" in err
 
     def test_harness_error_exits_2(self, monkeypatch, capsys):
-        from repro.errors import HarnessError
-
         def boom(**kwargs):
             raise HarnessError("no such artifact input")
 
         monkeypatch.setattr(experiments, "run_suite", boom)
         assert cli.main(["fig5"]) == 2
         assert "no such artifact input" in capsys.readouterr().err
+
+    def test_fuzz_zero_timeout_exits_2(self, capsys):
+        assert cli.main(["fuzz", "--count", "1", "--quick", "--jobs", "1",
+                         "--no-cache", "--timeout", "0"]) == 2
+        assert "timeout must be a positive" in capsys.readouterr().err
 
     def test_resume_requires_journal(self):
         with pytest.raises(SystemExit) as excinfo:
