@@ -11,14 +11,12 @@ so recalibration never reads stale results.
 """
 
 import argparse
-import math
 import sys
 import time
 
-from repro.harness.parallel import Job, ParallelRunner
+from repro.harness import experiments
+from repro.harness.parallel import ParallelRunner
 from repro.harness.resultcache import ResultCache
-from repro.harness.runner import MODES
-from repro.workloads.parsec import PARSEC_BENCHMARKS
 
 
 def main() -> None:
@@ -37,41 +35,31 @@ def main() -> None:
     t0 = time.monotonic()
     runner = ParallelRunner(
         jobs=args.jobs, cache=None if args.no_cache else ResultCache())
-    batch = [Job(spec.name, mode, threads=args.threads, scale=args.scale,
-                 seed=args.seed, quantum=args.quantum)
-             for spec in PARSEC_BENCHMARKS for mode in MODES]
-    results = runner.run(batch)
+    suite = experiments.run_suite(threads=args.threads, scale=args.scale,
+                                  seed=args.seed, quantum=args.quantum,
+                                  runner=runner)
 
     print(f"{'bench':14s} {'shared%':>8s} {'paper%':>7s} {'FT':>7s} "
           f"{'Aik':>7s} {'ratio':>6s} {'pFT':>6s} {'pAik':>6s} {'pRatio':>7s}")
-    ratios = []
-    for index, spec in enumerate(PARSEC_BENCHMARKS):
-        nat, ft, aik = results[3 * index:3 * index + 3]
-        frac = aik.shared_accesses / max(1, aik.memory_refs)
-        fts, aks = ft.slowdown_vs(nat), aik.slowdown_vs(nat)
-        ratios.append(fts / aks)
-        paper = spec.paper
+    for name, runs in suite.runs.items():
+        frac = runs.shared_fraction
+        fts, aks = runs.ft_slowdown, runs.aikido_slowdown
+        paper = runs.spec.paper
         pr = paper.ft_slowdown_8t / paper.aikido_slowdown_8t
-        print(f"{spec.name:14s} {frac*100:8.2f} "
+        print(f"{name:14s} {frac*100:8.2f} "
               f"{paper.shared_fraction*100:7.2f} {fts:7.1f} {aks:7.1f} "
               f"{fts/aks:6.2f} {paper.ft_slowdown_8t:6.0f} "
               f"{paper.aikido_slowdown_8t:6.0f} {pr:7.2f}")
-    geo = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-    print(f"geomean ratio {geo:.2f} (paper 1.76); "
+    print(f"geomean ratio {suite.geomean_speedup():.2f} (paper 1.76); "
           f"elapsed {time.monotonic()-t0:.1f}s")
 
     if args.table1:
         print("\nTable 1 (fluidanimate / vips at 2, 4, 8 threads):")
-        cells = [(name, t) for name in ("fluidanimate", "vips")
-                 for t in (2, 4, 8)]
-        batch = [Job(name, mode, threads=t, scale=args.scale,
-                     seed=args.seed, quantum=args.quantum)
-                 for name, t in cells for mode in MODES]
-        results = runner.run(batch)
-        for index, (name, t) in enumerate(cells):
-            nat, ft, aik = results[3 * index:3 * index + 3]
-            print(f"  {name:13s} T={t}: FT={ft.slowdown_vs(nat):6.1f}"
-                  f"  Aik={aik.slowdown_vs(nat):6.1f}")
+        table1 = experiments.table1(scale=args.scale, seed=args.seed,
+                                    quantum=args.quantum, runner=runner)
+        for name, by_threads in table1.items():
+            for t, (fts, aks) in by_threads.items():
+                print(f"  {name:13s} T={t}: FT={fts:6.1f}  Aik={aks:6.1f}")
     print(f"[{runner.stats_line()}]", file=sys.stderr)
 
 

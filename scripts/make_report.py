@@ -46,8 +46,8 @@ def main() -> None:
     ap.add_argument("--no-cache", action="store_true",
                     help="always re-simulate instead of reusing cached runs")
     ap.add_argument("--chaos-json", metavar="PATH", default=None,
-                    help="survivability JSON from scripts/chaos_sweep.py "
-                         "to fold into the report")
+                    help="survivability JSON from 'aikido-repro chaos "
+                         "--chaos --json PATH' to fold into the report")
     args = ap.parse_args()
 
     started = time.monotonic()
@@ -108,7 +108,7 @@ def main() -> None:
         parts += [
             "## Chaos sweep (fault-injection survivability)",
             "",
-            "Deterministic fault injection (`scripts/chaos_sweep.py`): "
+            "Deterministic fault injection (`aikido-repro chaos --chaos`): "
             "recovery plans must be absorbed with bit-identical race "
             "reports; hostile preemption perturbs the schedule but every "
             "cross-layer invariant must hold.",

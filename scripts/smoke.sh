@@ -175,32 +175,36 @@ print(f"fuzz smoke ok: resume replayed {replayed}, "
       f"simulated only the remaining {simulated}")
 EOF
 
-# Fleet smoke: a suite grid on two pool workers is SIGKILLed (its
-# process group, workers included) after its first journaled job. The
-# --resume rerun must replay every journaled job without re-simulating
-# it, and its report must be byte-identical to a --workers 1 run.
-FLEET_GRID=(--benchmarks blackscholes,canneal,swaptions --seeds 1,2,3,4
-            --scale 3 --no-cache)
-FLEET_JOURNAL="$AIKIDO_CACHE_DIR/fleet.jsonl"
-FLEET_SERIAL="$AIKIDO_CACHE_DIR/fleet-serial.json"
-FLEET_JSON="$AIKIDO_CACHE_DIR/fleet-report.json"
+# Chaos resume smoke: a chaos sweep on two pool workers is SIGKILLed
+# (its process group, workers included) after its first journaled job.
+# The --resume rerun must replay every journaled job without
+# re-simulating it, and its --json must be byte-identical to a --jobs 1
+# run.
+CHAOS_GRID=(--chaos --benchmark canneal --threads 2 --scale 5
+            --quantum 100 --no-cache)
+CHAOS_JOURNAL="$AIKIDO_CACHE_DIR/chaos.jsonl"
+CHAOS_SERIAL="$AIKIDO_CACHE_DIR/chaos-serial.json"
+CHAOS_JSON="$AIKIDO_CACHE_DIR/chaos-resumed.json"
 set -m
-python -m repro.harness.cli fleet run "${FLEET_GRID[@]}" --workers 2 \
-    --journal "$FLEET_JOURNAL" --json "$FLEET_JSON" > /dev/null 2>&1 &
-FLEET_PID=$!
+python -m repro.harness.cli chaos "${CHAOS_GRID[@]}" --jobs 2 \
+    --journal "$CHAOS_JOURNAL" --json "$CHAOS_JSON" > /dev/null 2>&1 &
+CHAOS_PID=$!
 set +m
-until [ -s "$FLEET_JOURNAL" ]; do sleep 0.05; done
-kill -9 -- -"$FLEET_PID" 2> /dev/null || true
-wait "$FLEET_PID" 2> /dev/null || true
-JOURNALED=$(wc -l < "$FLEET_JOURNAL")
-echo "fleet smoke: killed campaign after $JOURNALED journaled job(s)"
-RESUME_STATS=$(python -m repro.harness.cli fleet run "${FLEET_GRID[@]}" \
-    --workers 2 --journal "$FLEET_JOURNAL" --resume --json "$FLEET_JSON" \
+until [ -s "$CHAOS_JOURNAL" ]; do sleep 0.05; done
+kill -9 -- -"$CHAOS_PID" 2> /dev/null || true
+wait "$CHAOS_PID" 2> /dev/null || true
+JOURNALED=$(wc -l < "$CHAOS_JOURNAL")
+echo "chaos resume smoke: killed sweep after $JOURNALED journaled job(s)"
+RESUME_STATS=$(python -m repro.harness.cli chaos "${CHAOS_GRID[@]}" \
+    --jobs 2 --journal "$CHAOS_JOURNAL" --resume --json "$CHAOS_JSON" \
     2>&1 > /dev/null | tail -1)
-echo "fleet smoke: $RESUME_STATS"
-python -m repro.harness.cli fleet run "${FLEET_GRID[@]}" --workers 1 \
-    --json "$FLEET_SERIAL" > /dev/null
-python - "$JOURNALED" "$RESUME_STATS" "$FLEET_SERIAL" "$FLEET_JSON" <<'EOF'
+echo "chaos resume smoke: $RESUME_STATS"
+AGAIN_STATS=$(python -m repro.harness.cli chaos "${CHAOS_GRID[@]}" \
+    --jobs 2 --journal "$CHAOS_JOURNAL" --resume 2>&1 > /dev/null | tail -1)
+python -m repro.harness.cli chaos "${CHAOS_GRID[@]}" --jobs 1 \
+    --json "$CHAOS_SERIAL" > /dev/null
+python - "$JOURNALED" "$RESUME_STATS" "$AGAIN_STATS" "$CHAOS_SERIAL" \
+    "$CHAOS_JSON" <<'EOF'
 import re
 import sys
 
@@ -210,12 +214,14 @@ simulated = int(re.search(r"(\d+) simulated", stats).group(1))
 replayed = int(re.search(r"(\d+) replayed from journal", stats).group(1))
 assert replayed >= journaled, \
     f"resume replayed {replayed} < {journaled} journaled before the kill"
-assert simulated == 12 - replayed, \
+assert simulated == 5 - replayed, \
     f"resume re-simulated journaled jobs: {stats}"
-serial, resumed = (open(path, "rb").read() for path in sys.argv[3:5])
-assert serial == resumed, "resumed fleet report differs from --workers 1"
-print(f"fleet smoke ok: resume replayed {replayed}, simulated only the "
-      f"remaining {simulated}; report byte-identical to --workers 1")
+assert sys.argv[3].split("; ", 1)[1].startswith("0 simulated"), \
+    f"resuming a finished sweep re-simulated: {sys.argv[3]}"
+serial, resumed = (open(path, "rb").read() for path in sys.argv[4:6])
+assert serial == resumed, "resumed chaos report differs from --jobs 1"
+print(f"chaos resume smoke ok: resume replayed {replayed}, simulated only "
+      f"the remaining {simulated}; report byte-identical to --jobs 1")
 EOF
 
 # Tier-parity smoke: the block-compiled tier (the default) and the

@@ -37,9 +37,6 @@ class AikidoConfig:
             false-negative class (at the price of suppressing races
             between exactly those first accesses, which the deterministic
             substrate is assumed to order).
-        protect_new_threads: protect every mapped page for newly spawned
-            threads (required for correctness; exposed only to let tests
-            demonstrate what breaks without it).
         per_thread_protection: when False, emulate what a system limited
             to *process-wide* page protection (ordinary mprotect, as
             Grace/Dthreads-style designs would have without their
@@ -97,7 +94,6 @@ class AikidoConfig:
     ctx_switch_mode: str = "hypercall"
     mirror_pages: bool = True
     order_first_accesses: bool = False
-    protect_new_threads: bool = True
     per_thread_protection: bool = True
     chaos: Optional[ChaosPlan] = None
     check_invariants: bool = False

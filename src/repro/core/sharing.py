@@ -144,8 +144,7 @@ class SharingDetector(Tool):
         # (DynamoRIO only wraps the target's threads).
         if not self._event_in_process(event):
             return
-        if (event.__class__ is ForkEvent
-                and self.config.protect_new_threads):
+        if event.__class__ is ForkEvent:
             self._protect_all_for_thread(event.child_tid)
         self.analysis.on_sync_event(event)
 

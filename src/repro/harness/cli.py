@@ -13,11 +13,11 @@ Usage (installed as ``aikido-repro`` or ``python -m repro.harness.cli``)::
     aikido-repro elide            # --static-elide on/off ablation
     aikido-repro instr            # instrumentation-machinery counters
     aikido-repro chaos            # fault-injection survivability sweep
+    aikido-repro chaos --benchmark canneal --jobs 2 --journal c.jsonl \
+        --json chaos.json         # checkpointed grid; rerun with --resume
     aikido-repro trace --benchmark vips     # Chrome trace + attribution
     aikido-repro fuzz --seed 1 --count 200 --quick  # differential fuzz
     aikido-repro fuzz --seed 1 --count 500 --journal f.jsonl --resume
-    aikido-repro fleet run --workers 2 --seeds 1,2,3 --journal g.jsonl
-    aikido-repro fleet run --workers 2 --seeds 1,2,3 --journal g.jsonl --resume
     aikido-repro record --benchmark canneal --out canneal.aiklog
     aikido-repro replay --log canneal.aiklog \
         --analyses fasttrack,djit,eraser,memtag --jobs 4
@@ -26,9 +26,9 @@ Usage (installed as ``aikido-repro`` or ``python -m repro.harness.cli``)::
     aikido-repro all --jobs 8     # fan runs out over 8 processes
     aikido-repro all --no-cache   # force fresh simulations
 
-Suite runs and fuzz campaigns fan out over a process pool (``--jobs``,
-default one worker per CPU) and are served from the on-disk result cache
-when an identical run was already simulated (disable with
+Suite runs, chaos sweeps and fuzz campaigns fan out over a process pool
+(``--jobs``, default one worker per CPU) and are served from the on-disk
+result cache when an identical run was already simulated (disable with
 ``--no-cache``).
 
 Robustness knobs: ``--timeout`` bounds each job's wall clock,
@@ -38,7 +38,9 @@ with zero re-simulation. Chaos runs: ``--chaos`` activates the recovery
 fault-injection plan in aikido-fasttrack runs (``--chaos-seed``,
 ``--chaos-intensity`` shape it) and ``--check-invariants`` turns on the
 cross-layer invariant monitor. Failed jobs never abort a batch — they
-are reported per job and the exit code is 3.
+are reported per job and the exit code is 3. The ``chaos`` sweep exits 3
+too when a schedule-neutral cell failed or its races differ from the
+chaos-free baseline.
 """
 
 from __future__ import annotations
@@ -107,15 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quantum", type=int,
                         default=experiments.DEFAULT_QUANTUM)
     parser.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="worker processes for suite runs and fuzz "
-                             "campaigns (0 = one per CPU, 1 = serial; "
-                             "default 0)")
+                        help="worker processes for suite runs, chaos "
+                             "sweeps and fuzz campaigns (0 = one per CPU, "
+                             "1 = serial; default 0)")
     parser.add_argument("--no-cache", action="store_true",
                         help="always re-simulate instead of reusing the "
                              "on-disk result cache")
     parser.add_argument("--json", metavar="PATH",
-                        help="also dump machine-readable suite (or fuzz "
-                             "campaign) results")
+                        help="also dump machine-readable suite, chaos "
+                             "sweep or fuzz campaign results")
     parser.add_argument("--latex", metavar="PATH",
                         help="also write booktabs LaTeX tables")
     parser.add_argument("--chaos", action="store_true",
@@ -151,13 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv[:1] == ["fleet"]:
-        # Suite-grid campaigns have their own verb tree and keep the
-        # exit-code contract: 0 ok, 2 usage or harness error, 3 failed
-        # jobs.
-        from repro.fleet.cli import main as fleet_main
-
-        return fleet_main(argv[1:])
     if argv[:1] in (["record"], ["replay"]):
         # Record/replay fan-out verbs; same exit-code contract (3 =
         # cross-analysis disagreement or a --diff-live mismatch).
@@ -283,6 +278,7 @@ def _run(args) -> int:
     if args.artifact == "fuzz":
         return _fuzz_artifact(args, started)
     pieces = []
+    status = 0
     cache = None if args.no_cache else ResultCache()
     journal = (RunJournal(args.journal, resume=args.resume)
                if args.journal else None)
@@ -345,6 +341,8 @@ def _run(args) -> int:
             with open(args.json, "w") as handle:
                 json.dump(sweep.to_dict(), handle, indent=2)
             pieces.append(f"(json written to {args.json})")
+        if not sweep.all_recovery_cells_clean():
+            status = 3
     if args.artifact == "elide":
         from repro.harness.report import render_elision
 
@@ -404,9 +402,12 @@ def _run(args) -> int:
             json.dump(suite_to_dict(suite), handle, indent=2)
         pieces.append(f"(json written to {args.json})")
     print("\n".join(pieces))
+    if status:
+        print("error: a schedule-neutral chaos cell failed or changed "
+              "its race reports", file=sys.stderr)
     print(f"[{time.monotonic() - started:.1f}s; {runner.stats_line()}]",
           file=sys.stderr)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

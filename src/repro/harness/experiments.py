@@ -19,7 +19,6 @@ from repro.chaos.plan import ChaosPlan
 from repro.core.config import AikidoConfig
 from repro.errors import HarnessError
 from repro.harness.parallel import BatchEntry, Job, JobFailure, ParallelRunner
-from repro.harness.resultcache import ResultCache
 from repro.harness.runner import (
     MODES,
     RunResult,
@@ -150,25 +149,23 @@ def run_benchmark(spec: WorkloadSpec, *, threads: int = DEFAULT_THREADS,
 
 def run_suite(*, threads: int = DEFAULT_THREADS, scale: float = DEFAULT_SCALE,
               seed: int = DEFAULT_SEED, quantum: int = DEFAULT_QUANTUM,
-              benchmarks: Optional[List[str]] = None, jobs: int = 1,
-              cache: Optional[ResultCache] = None,
+              benchmarks: Optional[List[str]] = None,
               config: Optional[AikidoConfig] = None,
               runner: Optional[ParallelRunner] = None) -> SuiteResult:
     """Run the full PARSEC suite (or a named subset) in all modes.
 
-    All ``3 × len(benchmarks)`` runs are submitted as one batch, so
-    ``jobs=N`` parallelizes across benchmarks and modes alike;
-    ``jobs=1`` with no cache reproduces the historical serial behavior
-    exactly. Pass ``cache`` to reuse archived runs, or a pre-built
-    ``runner`` (which overrides ``jobs``/``cache``) to share counters
-    across calls. ``config`` shapes the aikido-fasttrack runs only
-    (e.g. ``AikidoConfig(static_elide=True)`` for ``--static-elide``).
+    All ``3 × len(benchmarks)`` runs are submitted as one batch to
+    ``runner``, so its pool parallelizes across benchmarks and modes
+    alike and its cache and journal serve any archived run. The default,
+    ``ParallelRunner(1)`` (inline, uncached), is the historical serial
+    behavior. ``config`` shapes the aikido-fasttrack runs only (e.g.
+    ``AikidoConfig(static_elide=True)`` for ``--static-elide``).
     """
     suite = SuiteResult(threads=threads, scale=scale, seed=seed)
     specs = (PARSEC_BENCHMARKS if benchmarks is None
              else [get_benchmark(n) for n in benchmarks])
     if runner is None:
-        runner = ParallelRunner(jobs=jobs, cache=cache)
+        runner = ParallelRunner(1)
     batch: List[Job] = []
     for spec in specs:
         batch.extend(_mode_jobs(spec, threads=threads, scale=scale,
@@ -210,18 +207,17 @@ TABLE1_THREADS = (2, 4, 8)
 
 
 def table1(*, scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
-           quantum: int = DEFAULT_QUANTUM, jobs: int = 1,
-           cache: Optional[ResultCache] = None,
+           quantum: int = DEFAULT_QUANTUM,
            runner: Optional[ParallelRunner] = None
            ) -> Dict[str, Dict[int, Tuple[float, float]]]:
     """benchmark -> {threads: (ft_slowdown, aikido_slowdown)}.
 
     All ``2 benchmarks × 3 thread counts × 3 modes = 18`` runs are
-    submitted as one batch (see :func:`run_suite` for the
-    ``jobs``/``cache``/``runner`` semantics).
+    submitted as one batch to ``runner`` (default ``ParallelRunner(1)``,
+    as in :func:`run_suite`).
     """
     if runner is None:
-        runner = ParallelRunner(jobs=jobs, cache=cache)
+        runner = ParallelRunner(1)
     cells = [(name, threads) for name in TABLE1_BENCHMARKS
              for threads in TABLE1_THREADS]
     batch: List[Job] = []
@@ -308,8 +304,7 @@ class ElisionComparison:
 def elision_ablation(*, threads: int = DEFAULT_THREADS,
                      scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
                      quantum: int = DEFAULT_QUANTUM,
-                     benchmarks: Optional[List[str]] = None, jobs: int = 1,
-                     cache: Optional[ResultCache] = None,
+                     benchmarks: Optional[List[str]] = None,
                      runner: Optional[ParallelRunner] = None
                      ) -> List[ElisionComparison]:
     """Run every benchmark twice in aikido-fasttrack mode: with and
@@ -318,7 +313,7 @@ def elision_ablation(*, threads: int = DEFAULT_THREADS,
     specs = (PARSEC_BENCHMARKS if benchmarks is None
              else [get_benchmark(n) for n in benchmarks])
     if runner is None:
-        runner = ParallelRunner(jobs=jobs, cache=cache)
+        runner = ParallelRunner(1)
     eliding = AikidoConfig(static_elide=True)
     batch: List[Job] = []
     for spec in specs:
@@ -457,7 +452,6 @@ def chaos_sweep(*, threads: int = DEFAULT_THREADS,
                 benchmarks: Optional[List[str]] = None,
                 chaos_seeds: Sequence[int] = DEFAULT_CHAOS_SEEDS,
                 intensity: float = 0.05, include_hostile: bool = False,
-                jobs: int = 1, cache: Optional[ResultCache] = None,
                 runner: Optional[ParallelRunner] = None) -> ChaosSweep:
     """Survivability sweep: aikido-fasttrack under fault injection.
 
@@ -471,7 +465,7 @@ def chaos_sweep(*, threads: int = DEFAULT_THREADS,
     specs = (PARSEC_BENCHMARKS if benchmarks is None
              else [get_benchmark(n) for n in benchmarks])
     if runner is None:
-        runner = ParallelRunner(jobs=jobs, cache=cache)
+        runner = ParallelRunner(1)
     plans: List[Tuple[str, int, ChaosPlan]] = []
     for chaos_seed in chaos_seeds:
         plans.append(("recovery", chaos_seed,

@@ -29,11 +29,8 @@ class RunJournal:
     ``resume=True`` loads any existing journal content first (the
     ``replayed`` counter says how many entries survived); ``resume=False``
     truncates, so a fresh suite never replays stale results by accident.
-    Records are flushed per entry and, with ``fsync=True`` (the
-    default), fsync'd too — the journal's whole job is surviving the
-    death of the process writing it; ``fsync=False`` trades power-cut
-    durability for append throughput (crash-of-the-process safety is
-    retained either way, the OS owns the flushed bytes).
+    Records are flushed and fsync'd per entry — the journal's whole job
+    is surviving the death of the process (or host) writing it.
 
     Resume is damage-tolerant: a truncated or otherwise undecodable
     line (a crash mid-append, manual editing) is skipped with a
@@ -41,10 +38,8 @@ class RunJournal:
     would cost the campaign every *good* entry in the file.
     """
 
-    def __init__(self, path: os.PathLike, resume: bool = False, *,
-                 fsync: bool = True):
+    def __init__(self, path: os.PathLike, resume: bool = False):
         self.path = Path(path)
-        self.fsync = fsync
         self._entries: Dict[str, Dict] = {}
         self.replayed = 0
         self.dropped_lines = 0
@@ -92,8 +87,7 @@ class RunJournal:
             handle.write(json.dumps({"key": key, "payload": payload}))
             handle.write("\n")
             handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -390,7 +390,7 @@ class _Batch:
 class ParallelRunner:
     """Execute unit batches across processes, reusing finished results.
 
-    The one campaign executor: suite runs and fleet grids hand it
+    The one campaign executor: suite runs and chaos sweeps hand it
     :class:`Job` units, fuzz campaigns hand it
     :class:`~repro.scengen.campaign.FuzzUnit` units, and it treats both
     alike through the unit contract.

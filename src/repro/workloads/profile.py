@@ -1,10 +1,9 @@
 """Static and dynamic workload profiling.
 
-Used by the calibration workflow (and exposed as ``aikido-repro
-profile``-style tooling through ``scripts/profile_workload.py``) to
-answer "what does this benchmark actually look like?": instruction mix,
-memory fraction, synchronization density, footprint — the quantities the
-cost model's slowdowns are a function of.
+Used by the calibration workflow (and exposed as ``aikido-repro profile
+[--benchmark NAME]``) to answer "what does this benchmark actually look
+like?": instruction mix, memory fraction, synchronization density,
+footprint — the quantities the cost model's slowdowns are a function of.
 """
 
 from __future__ import annotations

@@ -63,3 +63,26 @@ def test_unknown_benchmark_rejected():
         experiments.chaos_sweep(
             threads=2, scale=0.25, benchmarks=["no-such-benchmark"],
             chaos_seeds=(11,), runner=ParallelRunner(jobs=1))
+
+
+def test_unknown_benchmark_rejected_before_any_job():
+    from repro.errors import WorkloadError
+    runner = ParallelRunner(jobs=1)
+    with pytest.raises(WorkloadError, match="unknown benchmark"):
+        experiments.chaos_sweep(
+            threads=2, scale=0.05, benchmarks=["canneal", "blackscholez"],
+            chaos_seeds=(11,), runner=runner)
+    assert runner.simulations == 0
+
+
+def test_report_is_independent_of_pool_width():
+    def report(jobs):
+        return experiments.chaos_sweep(
+            threads=2, scale=0.05, seed=3, quantum=100,
+            benchmarks=["canneal", "blackscholes"], chaos_seeds=(11,),
+            runner=ParallelRunner(jobs=jobs))
+
+    serial, pooled = report(1), report(2)
+    assert serial.to_dict() == pooled.to_dict()
+    assert len(serial.cells) == 2
+    assert serial.all_recovery_cells_clean()

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.analysis import SharedDataAnalysis
-from repro.core.config import AikidoConfig
 from repro.core.system import AikidoSystem
 from repro.errors import SegmentationFaultError, ToolError
 from repro.harness.runner import run_aikido_fasttrack
@@ -69,20 +68,6 @@ class TestGuestCrashes:
 
 
 class TestMisconfiguration:
-    def test_unprotected_new_threads_miss_sharing(self):
-        """protect_new_threads=False exists only to demonstrate the
-        failure mode: the child never faults, so sharing goes undetected
-        and the analysis sees nothing."""
-        program, info = micro.racy_counter(2, 15)
-        config = AikidoConfig(protect_new_threads=False)
-        broken = run_aikido_fasttrack(program, seed=3, quantum=20,
-                                      config=config)
-        program2, _ = micro.racy_counter(2, 15)
-        working = run_aikido_fasttrack(program2, seed=3, quantum=20)
-        assert working.races
-        assert broken.aikido_stats["shared_transitions"] \
-            <= working.aikido_stats["shared_transitions"]
-
     def test_double_install_rejected(self):
         from repro.core.sharing import SharingDetector
         program, _ = micro.private_work(1, 5)

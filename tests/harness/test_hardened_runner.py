@@ -20,7 +20,8 @@ from repro.errors import (
 )
 from repro.harness import cli, experiments
 from repro.harness.journal import RunJournal
-from repro.harness.parallel import Job, JobFailure, ParallelRunner
+from repro.harness.parallel import (Job, JobFailure, ParallelRunner,
+                                    result_to_dict)
 from repro.harness.resultcache import ResultCache
 from repro.harness.runner import RunResult, run_mode
 from repro.workloads.faulty import build_deadlock, build_segfault
@@ -143,6 +144,19 @@ class TestWorkerDeathRecovery:
         assert all(isinstance(r, RunResult) for r in results)
         assert runner.pool_recoveries >= 1
         assert (tmp_path / "kill.flag").exists()  # it really died once
+
+    def test_pooled_results_match_inline_after_worker_kill(self, tmp_path,
+                                                           monkeypatch):
+        """Surviving a worker death leaves no trace in the results: each
+        pooled run matches its inline run payload for payload."""
+        flag = tmp_path / "kill.flag"
+        monkeypatch.setenv("AIKIDO_CHAOS_KILL_FILE", str(flag))
+        batch = [KILLER, GOOD, GOOD2]
+        results = ParallelRunner(jobs=2, retries=1).run(batch)
+        assert flag.exists()  # a worker really died
+        inline = ParallelRunner(jobs=1).run(batch)
+        assert ([result_to_dict(r) for r in results]
+                == [result_to_dict(r) for r in inline])
 
     def test_no_retry_budget_falls_back_inline(self, tmp_path,
                                                monkeypatch):

@@ -1,9 +1,8 @@
-"""Multi-writer cache safety and journal durability flags.
+"""Multi-writer cache safety and run-journal durability.
 
-Fleet workers on one host share the result cache directory, and the
-coordinator WAL builds on the run journal's append discipline — these
-tests pin the concurrency and durability contracts those layers rely
-on.
+Pool workers and concurrent invocations on one host share the result
+cache directory, and every ``--resume`` relies on the run journal's
+append discipline — these tests pin both contracts.
 """
 
 import json
@@ -88,9 +87,9 @@ class TestConcurrentPuts:
 
 
 class TestJournalFlags:
-    def test_fsync_opt_out_still_records(self, tmp_path):
+    def test_recorded_entry_survives_resume(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        journal = RunJournal(path, fsync=False)
+        journal = RunJournal(path)
         journal.record("job-1", {"status": "ok"})
         resumed = RunJournal(path, resume=True)
         assert resumed.get("job-1") == {"status": "ok"}
@@ -120,7 +119,7 @@ class TestJournalFlags:
 
     def test_journal_lines_are_valid_jsonl(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        journal = RunJournal(path, fsync=False)
+        journal = RunJournal(path)
         for i in range(5):
             journal.record(f"job-{i}", {"i": i})
         lines = path.read_text().strip().splitlines()

@@ -79,8 +79,8 @@ class TestResultRoundTrip:
 
 class TestDeterminism:
     def test_parallel_suite_matches_serial_metric_for_metric(self):
-        serial = experiments.run_suite(**SUITE)  # jobs=1 default
-        parallel = experiments.run_suite(jobs=2, **SUITE)
+        serial = experiments.run_suite(**SUITE)  # ParallelRunner(1)
+        parallel = experiments.run_suite(runner=ParallelRunner(2), **SUITE)
         assert suite_to_dict(serial) == suite_to_dict(parallel)
 
     def test_jobs_zero_means_auto(self):
