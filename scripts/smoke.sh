@@ -110,12 +110,16 @@ EOF
 
 # Superblock smoke: all three execution tiers (interpreter, compiled,
 # superblock) must agree bit-for-bit on every simulated statistic on
-# bare DBR — the parity contract tests/dbr/test_compiled_parity.py and
-# the fuzz oracle's tier_parity_* checks pin — with at least one
-# superblock actually built so the tier is known to have engaged.
+# bare DBR and on the paper stack — the parity contract
+# tests/dbr/test_compiled_parity.py and the fuzz oracle's tier_parity_*
+# checks pin — with at least one superblock actually built so the tier
+# is known to have engaged, and on the paper stack at least one whose
+# members carry the sharing detector's hooks.
 python - <<'EOF'
+from repro.core.config import AikidoConfig
 from repro.dbr.engine import DBREngine
 from repro.guestos.kernel import Kernel
+from repro.harness.runner import build_aikido_system, system_result
 from repro.workloads.parsec import build_benchmark
 
 built = 0
@@ -134,8 +138,29 @@ for name in ("blackscholes", "canneal"):
     assert surfaces[0] == surfaces[1] == surfaces[2], \
         f"{name}: execution-tier surfaces diverge"
 assert built > 0, "superblock smoke never built a superblock"
+
+surfaces = []
+for cb, sb in ((False, False), (True, False), (True, True)):
+    system = build_aikido_system(
+        build_benchmark("streamcluster", threads=2, scale=1.0),
+        seed=3, quantum=100,
+        config=AikidoConfig(compile_blocks=cb, superblocks=sb))
+    system.run()
+    result = system_result(system)
+    surfaces.append({field: getattr(result, field) for field in (
+        "cycles", "run_stats", "cycle_breakdown", "aikido_stats",
+        "hypervisor_stats", "detector_profile", "cycle_attribution",
+        "timeline")} | {"races": [r.describe() for r in result.races]})
+assert surfaces[0] == surfaces[1] == surfaces[2], \
+    "streamcluster (paper stack): execution-tier surfaces diverge"
+sb_cache = system.engine.superblock_cache
+hooked = sum(1 for sb in sb_cache.by_head.values()
+             if any(h is not None for m in sb.members for h in m.hooks))
+assert hooked > 0, "no paper-stack superblock holds a hooked access"
 print(f"superblock smoke ok: 3-tier surfaces bit-identical, "
-      f"{built} superblock(s) built")
+      f"{built} bare superblock(s) built; paper stack "
+      f"{sb_cache.built} built, {hooked} live with hooked members, "
+      f"{sb_cache.entries} entries")
 EOF
 
 # Fuzz smoke: a fixed-seed differential campaign over generated

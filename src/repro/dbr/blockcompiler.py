@@ -26,9 +26,9 @@ four step kinds —
     ``translate`` — counting TLB hits/misses exactly as the interpreter
     path would — and routes page faults through ``kernel.repair_fault``
     with the not-retired/refetch contract intact. A hooked access gets
-    its own closure with the tool's hook bound in front of the access
-    (AikidoSD's Fig. 4 sequence runs from here); unhooked accesses never
-    test for a hook.
+    its own closure, the tool's hook bound in front of
+    :func:`hooked_tail` (AikidoSD's Fig. 4 sequence runs from here);
+    unhooked accesses never test for a hook.
 
 ``CTL``
     a control transfer (JMP/BZ/BNZ/BLT/BGE/CALL/RET) or MOD,
@@ -107,8 +107,8 @@ CTL_OPCODES = frozenset((
 ))
 
 #: Opcodes a superblock (see :mod:`repro.dbr.superblock`) can inline at
-#: any position of a chain member: pure ALU, unhooked memory accesses
-#: (guarded on the TLB micro-cache) and MOD (guarded on its divisor).
+#: any position of a chain member: pure ALU, memory accesses, hooked or
+#: not (guarded on the TLB micro-cache) and MOD (guarded on its divisor).
 STITCH_BODY_OPCODES = SEG_OPCODES | MEMORY_OPCODES | frozenset(
     (Opcode.MOD,))
 
@@ -125,27 +125,24 @@ STITCH_TAIL_OPCODES = frozenset((
 def chain_stitchable(cached) -> bool:
     """Can this cached block serve as a superblock chain member?
 
-    Every position must be unhooked (a hook is an observation point the
-    straight-line body cannot host) and every opcode must be one the
-    superblock compiler can inline: ALU/memory/MOD anywhere, a control
-    transfer only at the final position. Kernel ops, HALT, hooked
-    positions and mid-block CALLs all disqualify the block — they run
-    through the ordinary step list instead. A MOD with a literal zero
-    divisor also disqualifies (it unconditionally raises, so the block
-    can never retire past it anyway), as does a memory access with a
-    literal misaligned address (same argument — and the superblock
-    compiler inlines word-store accesses on the premise that literal
-    addresses it sees are aligned).
+    Every opcode must be one the superblock compiler can inline:
+    ALU/memory/MOD anywhere, a control transfer only at the final
+    position. Hooked memory positions qualify: the body books the
+    retired prefix, calls the hook and carries on (see
+    :mod:`repro.dbr.superblock`). Kernel ops, HALT and mid-block CALLs
+    disqualify the block — it runs through the ordinary step list
+    instead. A MOD with a literal zero divisor also disqualifies (it
+    unconditionally raises, so the block can never retire past it
+    anyway), as does a memory access with a literal misaligned address
+    (same argument — and the superblock compiler inlines word-store
+    accesses on the premise that literal addresses it sees are aligned).
 
-    The verdict is stable for the life of the CachedBlock for the same
-    reason step classification is: hooks are set only while the block
-    is built, so a hook can appear only through a flush-and-rebuild.
+    The verdict depends only on the block's instructions, so it is
+    stable for the life of the CachedBlock.
     """
     instrs = cached.instrs
     last = len(instrs) - 1
     for i, instr in enumerate(instrs):
-        if cached.hooks[i] is not None:
-            return False
         op = instr.op
         if op in STITCH_BODY_OPCODES:
             if (op is Opcode.MOD and instr.rs2 is None
@@ -588,24 +585,23 @@ def _mem_closure(instr, engine, charge: int, next_ii: int) -> Callable:
     return fn
 
 
-def _hooked_mem_closure(instr, hook, engine, charge: int,
-                        next_ii: int) -> Callable:
-    """Bind one hooked memory instruction into ``fn(thread) -> bool``.
+def hooked_tail(instr, engine, charge: int, next_ii: int) -> Callable:
+    """Everything a hooked memory step does after its hook.
 
-    The :func:`_mem_closure` contract with the tool's hook in front:
-    every attempt calls ``hook(thread, instr, ea)`` on the computed
-    effective address and accesses the address it returns instead, when
-    it returns one — exactly the interpreter's ``ea_override`` path. A
-    faulting attempt retries through the hook again; only the retire
-    counts toward ``stats.instrumented_execs``. The hook is bound once:
-    tools set hooks only while a block is built. One body serves all
-    three opcodes: next to the hook call, its opcode tests are noise.
+    Returns ``tail(thread, ea) -> bool``: probe the TLB micro-cache for
+    ``ea`` (the hook's override, when it returned one), fall back to the
+    platform's ``translate`` on a miss, route a page fault through
+    ``kernel.repair_fault`` (False: nothing retired, the caller retries
+    through the hook again), else access the word and book the retire
+    — charge, counts, ``stats.instrumented_execs`` and ``pc[1]``. The
+    compiled hooked step is its hook plus this tail; a superblock body
+    inlines the fast probe and calls it only when the probe misses or
+    the address is misaligned, so it never calls the hook twice. One
+    body serves all three opcodes: next to the hook call, its opcode
+    tests are noise.
     """
     is_load = instr.op is Opcode.LOAD
     is_atomic = instr.op is Opcode.ATOMIC_ADD
-    mem = instr.mem
-    base = mem.base
-    disp = mem.disp
     rd = instr.rd
     rs1 = instr.rs1
     memory = engine.cpu.memory
@@ -616,12 +612,7 @@ def _hooked_mem_closure(instr, hook, engine, charge: int,
     read_word = memory.read_word
     write_word = memory.write_word
 
-    def fn(thread):
-        regs = thread.regs
-        ea = disp if base is None else (regs[base] + disp) & _MASK64
-        override = hook(thread, instr, ea)
-        if override is not None:
-            ea = override
+    def tail(thread, ea):
         tlb = thread.tlb
         pb = (tlb.fast_ro if is_load else tlb.fast_rw).get(ea >> PAGE_SHIFT)
         if pb is not None:
@@ -635,6 +626,7 @@ def _hooked_mem_closure(instr, hook, engine, charge: int,
             except PageFault as fault:
                 kernel.repair_fault(thread, fault)
                 return False
+        regs = thread.regs
         if is_load:
             regs[rd] = read_word(paddr)
         elif is_atomic:
@@ -650,6 +642,31 @@ def _hooked_mem_closure(instr, hook, engine, charge: int,
         stats.instrumented_execs += 1
         thread.pc[1] = next_ii
         return True
+    return tail
+
+
+def _hooked_mem_closure(instr, hook, engine, charge: int,
+                        next_ii: int) -> Callable:
+    """Bind one hooked memory instruction into ``fn(thread) -> bool``.
+
+    The :func:`_mem_closure` contract with the tool's hook in front:
+    every attempt calls ``hook(thread, instr, ea)`` on the computed
+    effective address and accesses the address it returns instead, when
+    it returns one — exactly the interpreter's ``ea_override`` path —
+    through :func:`hooked_tail`. A faulting attempt retries through the
+    hook again; only the retire counts toward
+    ``stats.instrumented_execs``. The hook is bound once: tools set
+    hooks only while a block is built.
+    """
+    mem = instr.mem
+    base = mem.base
+    disp = mem.disp
+    tail = hooked_tail(instr, engine, charge, next_ii)
+
+    def fn(thread):
+        ea = disp if base is None else (thread.regs[base] + disp) & _MASK64
+        override = hook(thread, instr, ea)
+        return tail(thread, ea if override is None else override)
     return fn
 
 
@@ -767,6 +784,20 @@ def _eli_fast_fn(instrs, start: int, engine, overhead: int) -> Callable:
     return namespace["_eli"]
 
 
+def elidable(instr, hook, plan, retired) -> bool:
+    """Does ``--static-elide`` elide this position's check?
+
+    Only an unhooked memory access the plan approved and no tripwire
+    has retired: a hooked access is a memory step too, but an elided
+    body never calls hooks, so it keeps its own step (and a superblock
+    never counts it as elided).
+    """
+    if hook is not None or instr.op not in MEMORY_OPCODES:
+        return False
+    uid = instr.uid
+    return uid in plan and uid not in retired
+
+
 def compile_block(cached, engine) -> CompiledBlock:
     """Compile a cached block against ``engine``'s current overhead.
 
@@ -835,12 +866,7 @@ def compile_block(cached, engine) -> CompiledBlock:
     elided_private = set()
 
     def _elidable(pos: int) -> bool:
-        # A hooked access is a MEM step too, but the fused body never
-        # calls hooks: it must keep its own step.
-        if steps[pos][0] != MEM or hooks[pos] is not None:
-            return False
-        uid = instrs[pos].uid
-        return uid in plan and uid not in retired
+        return elidable(instrs[pos], hooks[pos], plan, retired)
 
     i = 0
     while i < n:

@@ -18,8 +18,9 @@ from typing import Callable, Optional
 from repro import costs
 from repro.dbr.blockcompiler import CTL, ELI, GEN, MEM, SEG, compile_block
 from repro.dbr.codecache import CodeCache
-from repro.dbr.superblock import (EXIT_COMPLETE, EXIT_RESUME, EXIT_STALE,
-                                  MIN_INSTRUCTIONS, RETRY_EXECUTIONS,
+from repro.dbr.superblock import (EXIT_COMPLETE, EXIT_FAULT, EXIT_RESUME,
+                                  EXIT_STALE, MIN_INSTRUCTIONS,
+                                  RETRY_EXECUTIONS,
                                   THRASH_MIN_ENTRIES, SuperBlockCache,
                                   compile_superblock, plan_chain)
 from repro.dbr.tool import Tool
@@ -167,18 +168,23 @@ class DBREngine(ExecutionDriver):
     # ------------------------------------------------------------------
     # superblock tier
     # ------------------------------------------------------------------
+    def _drop_superblocks(self, sbs, block: int, reason: str) -> None:
+        """Drop superblocks; the one path every drop takes, so the
+        trace's ``superblock_drop`` instant names each reason."""
+        dropped = sum(self.superblock_cache.drop(sb) for sb in sbs)
+        if dropped and self.tracer is not None:
+            self.tracer.instant("superblock_drop", "dbr", block=block,
+                                reason=reason, dropped=dropped)
+
     def _superblock_invalidate(self, block_index: int,
                                reason: str) -> None:
         """Code-cache invalidation listener: a member died, its
         superblocks die with it; a rebuilt block may also have become
         stitchable, so its build ban/backoff resets."""
         sb_cache = self.superblock_cache
-        dropped = sb_cache.drop_blocks_of(block_index, reason)
+        self._drop_superblocks(sb_cache.containing(block_index),
+                               block_index, reason)
         sb_cache.unban(block_index)
-        if dropped and self.tracer is not None:
-            self.tracer.instant("superblock_drop", "dbr",
-                                block=block_index, reason=reason,
-                                dropped=dropped)
 
     def _try_superblock(self, cached) -> None:
         """Attempt to grow and compile a superblock headed at ``cached``.
@@ -196,7 +202,7 @@ class DBREngine(ExecutionDriver):
             return
         members = plan_chain(head, self)
         if not members:
-            # The head block itself is unstitchable (hooked, HALT,
+            # The head block itself is unstitchable (kernel op, HALT,
             # literal-zero MOD, ...): no chain can ever start here until
             # an invalidation rebuilds the block differently.
             sb_cache.banned.add(head)
@@ -398,12 +404,14 @@ class DBREngine(ExecutionDriver):
                     sb = sb_get(bi)
                     if sb is not None:
                         if sb.overhead != overhead:
-                            sb_cache.drop(sb, "stale_overhead")
+                            self._drop_superblocks((sb,), bi,
+                                                   "stale_overhead")
                         elif sb.count <= budget - executed:
                             # The whole chain fits in the remaining
-                            # budget and nothing can observe state
-                            # mid-body — run it. All accounting is
-                            # booked by the body at its exit site.
+                            # budget — run it. The body books the
+                            # accounting at its exit site, and in
+                            # front of every hook call so the hook
+                            # sees the reference tier's state.
                             # The entry still records its profiler
                             # edge (the body replaces the fetch that
                             # would have) so chains through and past
@@ -461,10 +469,19 @@ class DBREngine(ExecutionDriver):
                                     cur_bi = -1
                                     prev_bi = (
                                         sb.members[-1].block_index)
-                                else:  # REFETCH after a deviation
+                                else:
+                                    # REFETCH after a deviation, or a
+                                    # hooked access that faulted: the
+                                    # engine re-fetches; a fault also
+                                    # makes the retry check the yield
+                                    # flag and runnability, exactly as
+                                    # after a MEM step's fault.
                                     cur_bi = -1
                                     prev_bi = (sb.members[sb.exit[0]]
                                                .block_index)
+                                    if code == EXIT_FAULT:
+                                        pending_yield = True
+                                        check_runnable = True
                                 if (sb.entries >= THRASH_MIN_ENTRIES
                                         and sb.side_exits * 2
                                             >= sb.entries):
@@ -472,13 +489,14 @@ class DBREngine(ExecutionDriver):
                                     # completes: evict and stop
                                     # rebuilding until the head block
                                     # is itself invalidated.
-                                    sb_cache.drop(sb, "thrash")
+                                    self._drop_superblocks(
+                                        (sb,), bi, "thrash")
                                     sb_cache.banned.add(sb.head)
                                 continue
                             # EXIT_STALE: a member's closure changed
                             # under us; nothing was booked. Drop the
                             # superblock and dispatch normally.
-                            sb_cache.drop(sb, "stale")
+                            self._drop_superblocks((sb,), bi, "stale")
                 self._cache_dirty = False
                 cached = codecache.get(bi)
                 cur_bi = bi

@@ -11,7 +11,7 @@ DynamoRIO trace:
 
 * **Straight-line body.** Every ALU instruction becomes one Python
   statement (same rendering as the block compiler's fused segments),
-  every unhooked memory access an inline guarded load/store, every
+  every memory access an inline guarded load/store, every
   chain-internal control transfer disappears into fallthrough.
 * **Guard-protected side exits.** The body is only valid while its
   assumptions hold, and each assumption is a guard: a *branch-direction
@@ -29,22 +29,35 @@ DynamoRIO trace:
 * **Hoisted checks.** TLB fast-map probes are deduplicated across the
   body: a page probed once (a literal-address page, or the same
   base-register+displacement while the base register is unmodified) is
-  reused by every later access to it, and a writable-map hit stands in
-  for later read probes — so translation checks run once per superblock
-  entry instead of once per instruction. ``--static-elide``-approved
-  accesses keep their elision exactly as the block compiler granted it
-  (the plan's uids, minus retirements, frozen at build time; a later
-  retirement invalidates the superblock through the code cache's
-  invalidation listeners).
-* **Deferred exact accounting.** Nothing inside the body can observe
-  simulated state mid-flight — members are hook-free and kernel-free,
-  so there is no fault repair, no tick, no yield point between the
-  entry and the exit. Every counter the reference tier bumps
-  per-instruction (dispatch charges, instruction cycles, instruction
-  and memory-ref counts, TLB hit bookkeeping) is therefore pre-summed
-  at compile time and applied as constants at each exit site,
-  bit-identical to the interpreter by the same argument that justifies
-  the block compiler's fused segments.
+  reused by every later access to it up to the next hook call, and a
+  writable-map hit stands in for later read probes — so translation
+  checks run once per stretch of body instead of once per instruction.
+  ``--static-elide``-approved accesses keep their elision exactly as
+  the block compiler granted it (the plan's uids, minus retirements,
+  frozen at build time; a later retirement invalidates the superblock
+  through the code cache's invalidation listeners).
+* **Deferred exact accounting.** Between two hook calls nothing can
+  observe simulated state: there is no fault repair, no tick, no yield
+  point. Every counter the reference tier bumps per instruction
+  (dispatch charges, instruction cycles, instruction and memory-ref
+  counts, TLB hit bookkeeping, instrumented executions) is therefore
+  pre-summed at compile time and applied as constants at each exit
+  site, bit-identical to the interpreter by the same argument that
+  justifies the block compiler's fused segments.
+* **Hooked accesses inline.** A tool's hook is an observation point,
+  so in front of each hooked LOAD/STORE/ATOMIC_ADD the body books the
+  retired prefix (the constants a side exit there would book) and
+  parks pc on the instruction: the hook sees exactly the reference
+  tier's counters and pc. The body then calls the hook, forgets every
+  hoisted probe, and accesses the address the hook returned through
+  the same fast-map probe. A miss or a misaligned address runs the
+  compiled hooked step's own tail (:func:`hooked_tail`: translate,
+  fault repair, word access, charges) without calling the hook again;
+  a fault there leaves through ``EXIT_FAULT`` with pc on the
+  instruction, so the engine retries it through the hook like its MEM
+  arm does. A hook that flushed code (``engine._cache_dirty``) ends the
+  body right after the access (``EXIT_REFETCH``). Kernel operations
+  and HALT stay out of chains (:func:`chain_stitchable`).
 
 The parity contract is the same as the compiled tier's: bit-identical
 simulated statistics, race reports, chaos replay logs and cycle
@@ -65,7 +78,9 @@ from repro.dbr.blockcompiler import (
     _seg_statement,
     SEG_OPCODES,
     STITCH_TAIL_OPCODES,
+    elidable,
     generated_code,
+    hooked_tail,
 )
 from repro.machine.cpu import BASE_COST
 from repro.machine.isa import MEMORY_OPCODES, Opcode
@@ -78,9 +93,13 @@ EXIT_RESUME = 1     #: guard miss: pc parked on the failing position,
 #: exit[0] = member index — the engine resumes through that member's
 #: step list without re-charging its dispatch
 EXIT_REFETCH = 2    #: branch deviated: the branch retired, pc set to
-#: the actual target — the engine re-fetches normally
+#: the actual target — or a hook flushed code: the hooked access
+#: retired, pc set past it — the engine re-fetches normally
 EXIT_STALE = 3      #: a prologue identity guard failed: nothing was
 #: booked; the engine drops the superblock and falls back
+EXIT_FAULT = 4      #: a hooked access faulted after its hook: the
+#: prefix is booked, pc sits on the instruction, the fault is repaired
+#: — the engine re-fetches and retries it like its MEM arm does
 
 #: Chain limits: enough to swallow a hot inner loop body (unrolled a
 #: few times over), small enough that a single guard miss does not
@@ -166,8 +185,8 @@ class SuperBlockCache:
     """head block index -> SuperBlock, with a member reverse index.
 
     Every code-cache invalidation path notifies the engine (through
-    ``CodeCache.invalidation_listeners``), which calls
-    :meth:`drop_blocks_of` — a superblock dies when *any* of its
+    ``CodeCache.invalidation_listeners``), which drops every superblock
+    :meth:`containing` the block — a superblock dies when *any* of its
     members is flushed, re-JITted or loses its closure to an elision
     retirement.
     """
@@ -196,7 +215,7 @@ class SuperBlockCache:
         self.built += 1
         self.attempt_after.pop(sb.head, None)
 
-    def drop(self, sb: SuperBlock, reason: str) -> int:
+    def drop(self, sb: SuperBlock) -> int:
         if self.by_head.get(sb.head) is not sb:
             return 0
         del self.by_head[sb.head]
@@ -209,17 +228,10 @@ class SuperBlockCache:
         self.dropped += 1
         return 1
 
-    def drop_blocks_of(self, block_index: int, reason: str) -> int:
-        """Drop every superblock whose chain contains ``block_index``."""
-        heads = self._member_index.get(block_index)
-        if not heads:
-            return 0
-        count = 0
-        for head in sorted(heads):
-            sb = self.by_head.get(head)
-            if sb is not None:
-                count += self.drop(sb, reason)
-        return count
+    def containing(self, block_index: int) -> List[SuperBlock]:
+        """Every live superblock whose chain contains ``block_index``."""
+        heads = self._member_index.get(block_index, ())
+        return [self.by_head[head] for head in sorted(heads)]
 
     def unban(self, block_index: int) -> None:
         """An invalidation resets the head's build eligibility (the
@@ -324,14 +336,14 @@ def compile_superblock(members: List, engine) -> SuperBlock:
     plan = engine.elision_plan
     retired_uids = engine._elision_retired
 
-    def _is_elided(instr) -> bool:
-        return (plan is not None and instr.op in MEMORY_OPCODES
-                and instr.uid in plan
-                and instr.uid not in retired_uids)
+    def _is_elided(member, pos: int) -> bool:
+        return plan is not None and elidable(
+            member.instrs[pos], member.hooks[pos], plan, retired_uids)
 
-    has_elision = any(_is_elided(i) for m in members for i in m.instrs)
-    elided_uids = frozenset(i.uid for m in members for i in m.instrs
-                            if _is_elided(i))
+    elided_uids = frozenset(i.uid for m in members
+                            for p, i in enumerate(m.instrs)
+                            if _is_elided(m, p))
+    has_elision = bool(elided_uids)
 
     exit_cell = [0, EXIT_COMPLETE]
     # The body accesses physical memory through the word store
@@ -349,6 +361,7 @@ def compile_superblock(members: List, engine) -> SuperBlock:
         "_mw_get": words.get,
         "_ec": engine._elision_cell,
         "_exit": exit_cell,
+        "_eng": engine,
     }
 
     lines: List[str] = ["def _sb(thread):"]
@@ -386,18 +399,23 @@ def compile_superblock(members: List, engine) -> SuperBlock:
 
     # --- generation-time accounting state -----------------------------
     # Everything the reference tier books per instruction is summed
-    # here and emitted as constants at each exit site.
+    # here and emitted as constants at each exit site — minus what the
+    # body already booked in front of a hook call (``booked``).
     cyc = 0       # retired instruction cycles so far
     icount = 0    # retired instructions so far
     mems = 0      # retired fast-path memory refs so far
     elided = 0    # retired --static-elide-approved accesses so far
-    state = {"vno": 0}
+    hooked = 0    # retired fast-path hooked accesses so far
+    booked = {"dispatches": 0, "cyc": 0, "icount": 0, "mems": 0,
+              "elided": 0, "hooked": 0}
+    state = {"vno": 0, "pc0": None}
     # TLB probe hoisting: page-base vars established earlier in the
     # body, reusable while their inputs are unchanged. Literal pages
-    # key on the page number (never killed); register-relative pages
-    # key on (base_reg, disp) and die when the base register is
-    # rewritten. A fast_rw hit satisfies later fast_ro needs (the
-    # writable map is a subset of the readable one), not vice versa.
+    # key on the page number; register-relative pages key on
+    # (base_reg, disp) and die when the base register is rewritten.
+    # Both die at a hook call. A fast_rw hit satisfies later fast_ro
+    # needs (the writable map is a subset of the readable one), not
+    # vice versa.
     reuse_const: Dict[int, Dict[str, str]] = {}
     reuse_reg: Dict[Tuple[int, int], Tuple[str, Dict[str, str]]] = {}
 
@@ -411,29 +429,42 @@ def compile_superblock(members: List, engine) -> SuperBlock:
         for key in [k for k in reuse_reg if k[0] == reg]:
             del reuse_reg[key]
 
-    def account(ind: str, dispatches: int, cyc_: int, icount_: int,
-                mems_: int, elided_: int) -> None:
-        emit(f"{ind}counter.charge('dbr', "
-             f"{dispatches * costs.BLOCK_DISPATCH})")
-        if cyc_:
-            emit(f"{ind}counter.instr_cycles += {cyc_}")
-        if icount_:
-            emit(f"{ind}stats.instructions += {icount_}")
-        if mems_:
-            emit(f"{ind}stats.memory_refs += {mems_}")
-            emit(f"{ind}tlb.hits += {mems_}")
-            emit(f"{ind}tlb.fast_hits += {mems_}")
-        if elided_:
-            emit(f"{ind}_ec[0] += {elided_}")
-        if has_elision and icount_:
-            emit(f"{ind}_ec[1] += {icount_}")
+    def account(ind: str, dispatches: int, cyc_: int,
+                icount_: int) -> None:
+        """Book the not-yet-booked part of a retired prefix with
+        ``dispatches`` member dispatches, ``cyc_`` cycles and
+        ``icount_`` instructions (memory, elided and hooked counts are
+        the running totals)."""
+        d = dispatches - booked["dispatches"]
+        if d:
+            emit(f"{ind}counter.charge('dbr', "
+                 f"{d * costs.BLOCK_DISPATCH})")
+        c = cyc_ - booked["cyc"]
+        if c:
+            emit(f"{ind}counter.instr_cycles += {c}")
+        n = icount_ - booked["icount"]
+        if n:
+            emit(f"{ind}stats.instructions += {n}")
+        m = mems - booked["mems"]
+        if m:
+            emit(f"{ind}stats.memory_refs += {m}")
+            emit(f"{ind}tlb.hits += {m}")
+            emit(f"{ind}tlb.fast_hits += {m}")
+        h = hooked - booked["hooked"]
+        if h:
+            emit(f"{ind}stats.instrumented_execs += {h}")
+        e = elided - booked["elided"]
+        if e:
+            emit(f"{ind}_ec[0] += {e}")
+        if has_elision and n:
+            emit(f"{ind}_ec[1] += {n}")
 
     def park(ind: str, member_idx: int, bi: int, pos: int,
              dispatches: int, cyc_: int, icount_: int) -> None:
         """Exit with pc parked at (bi, pos) inside member ``member_idx``
         and the given accounting booked; the engine resumes through the
         member's ordinary step list without re-charging its dispatch."""
-        account(ind, dispatches, cyc_, icount_, mems, elided)
+        account(ind, dispatches, cyc_, icount_)
         emit(f"{ind}thread.pc[0] = {bi}")
         emit(f"{ind}thread.pc[1] = {pos}")
         emit(f"{ind}_exit[0] = {member_idx}")
@@ -450,7 +481,7 @@ def compile_superblock(members: List, engine) -> SuperBlock:
         """Branch-deviation exit inside an ``if`` guard: the branch
         itself retired (charge included), pc points at the real
         successor, the engine re-fetches and re-charges there."""
-        account("        ", member_idx + 1, cyc_, icount_, mems, elided)
+        account("        ", member_idx + 1, cyc_, icount_)
         emit(f"        thread.pc[0] = {target_bi}")
         emit("        thread.pc[1] = 0")
         emit(f"        _exit[0] = {member_idx}")
@@ -458,14 +489,107 @@ def compile_superblock(members: List, engine) -> SuperBlock:
         emit(f"        return {icount_}")
 
     def complete(ind: str, pc0, pc1) -> None:
-        account(ind, len(members), cyc, icount, mems, elided)
+        account(ind, len(members), cyc, icount)
         emit(f"{ind}thread.pc[0] = {pc0}")
         emit(f"{ind}thread.pc[1] = {pc1}")
         emit(f"{ind}_exit[1] = {EXIT_COMPLETE}")
         emit(f"{ind}return {icount}")
 
-    def emit_mem(instr, member_idx: int, bi: int, pos: int) -> None:
+    def emit_access(ind: str, instr, paddr: str) -> None:
+        op = instr.op
+        if op is Opcode.LOAD:
+            emit(f"{ind}regs[{instr.rd}] = _mw_get(({paddr}) >> 3, 0)")
+            kill(instr.rd)
+        elif op is Opcode.STORE:
+            emit(f"{ind}_mw[({paddr}) >> 3] = regs[{instr.rs1}]"
+                 f" & {_MASK64}")
+        else:  # ATOMIC_ADD
+            wi = fresh("wi")
+            old = fresh("old")
+            emit(f"{ind}{wi} = ({paddr}) >> 3")
+            emit(f"{ind}{old} = _mw_get({wi}, 0)")
+            emit(f"{ind}_mw[{wi}] = ({old} + regs[{instr.rs1}])"
+                 f" & {_MASK64}")
+            if instr.rd is not None:
+                emit(f"{ind}regs[{instr.rd}] = {old}")
+                kill(instr.rd)
+
+    def emit_hooked(member, member_idx: int, pos: int) -> None:
+        """Hooked access: book the retired prefix and park pc on the
+        instruction (the hook sees the reference tier's state), call
+        the hook, then access its address through the same fast-map
+        probe. A miss or misaligned address runs the compiled step's
+        tail instead, and the body leaves through EXIT_FAULT when the
+        access faulted."""
+        nonlocal cyc, icount, mems, hooked
+        instr = member.instrs[pos]
+        bi = member.block_index
+        mem = instr.mem
+        charge = BASE_COST[instr.op] + overhead
+        account("    ", member_idx + 1, cyc, icount)
+        booked.update(dispatches=member_idx + 1, cyc=cyc, icount=icount,
+                      mems=mems, elided=elided, hooked=hooked)
+        # Only parks write pc mid-body, so pc[0] still holds the last
+        # parked block.
+        if state["pc0"] != bi:
+            emit(f"    thread.pc[0] = {bi}")
+            state["pc0"] = bi
+        emit(f"    thread.pc[1] = {pos}")
+        hvar, ivar, tvar = fresh("h"), fresh("i"), fresh("t")
+        glb[hvar] = member.hooks[pos]
+        glb[ivar] = instr
+        glb[tvar] = hooked_tail(instr, engine, charge, pos + 1)
+        ea = fresh("ea")
+        if mem.base is None:
+            emit(f"    {ea} = {mem.disp}")
+        else:
+            emit(f"    {ea} = (regs[{mem.base}] + {mem.disp})"
+                 f" & {_MASK64}")
+        ov = fresh("ov")
+        emit(f"    {ov} = {hvar}(thread, {ivar}, {ea})")
+        emit(f"    if {ov} is not None:")
+        emit(f"        {ea} = {ov}")
+        # The hook may have changed any translation: forget every
+        # hoisted probe.
+        reuse_const.clear()
+        reuse_reg.clear()
+        pb = fresh("pb")
+        fmap = "fr" if instr.op is Opcode.LOAD else "fw"
+        emit(f"    {pb} = {fmap}.get({ea} >> {PAGE_SHIFT})")
+        # A hook that flushed code (a re-JIT) takes the tail too: the
+        # body ends right after the access, which the tail booked, and
+        # the engine re-fetches, like the reference.
+        emit(f"    if {pb} is None or {ea} & 7 or _eng._cache_dirty:")
+        emit(f"        _exit[0] = {member_idx}")
+        emit(f"        if not {tvar}(thread, {ea}):")
+        emit(f"            _exit[1] = {EXIT_FAULT}")
+        emit(f"            return {icount}")
+        emit("        if _eng._cache_dirty:")
+        emit(f"            _exit[1] = {EXIT_REFETCH}")
+        emit(f"            return {icount + 1}")
+        # The tail booked the retire itself, but the exit constants
+        # count this access as a fast-path hit: take that back out.
+        # Nothing observes the counters before the next booking point.
+        emit(f"        counter.instr_cycles -= {charge}")
+        emit("        stats.instructions -= 1")
+        emit("        stats.memory_refs -= 1")
+        emit("        stats.instrumented_execs -= 1")
+        emit("        tlb.hits -= 1")
+        emit("        tlb.fast_hits -= 1")
+        emit("    else:")
+        emit_access("        ", instr, f"{pb} | ({ea} & {_PAGE_MASK})")
+        cyc += charge
+        icount += 1
+        mems += 1
+        hooked += 1
+
+    def emit_mem(member, member_idx: int, pos: int) -> None:
         nonlocal cyc, icount, mems, elided
+        instr = member.instrs[pos]
+        if member.hooks[pos] is not None:
+            emit_hooked(member, member_idx, pos)
+            return
+        bi = member.block_index
         op = instr.op
         mem = instr.mem
         need_rw = op is not Opcode.LOAD
@@ -512,26 +636,11 @@ def compile_superblock(members: List, engine) -> SuperBlock:
                 bail_resume(member_idx, bi, pos)
                 modes[mode] = pb
             paddr = f"({pb} | ({ea} & {_PAGE_MASK}))"
-        if op is Opcode.LOAD:
-            emit(f"    regs[{instr.rd}] = _mw_get(({paddr}) >> 3, 0)")
-            kill(instr.rd)
-        elif op is Opcode.STORE:
-            emit(f"    _mw[({paddr}) >> 3] = regs[{instr.rs1}]"
-                 f" & {_MASK64}")
-        else:  # ATOMIC_ADD
-            wi = fresh("wi")
-            old = fresh("old")
-            emit(f"    {wi} = ({paddr}) >> 3")
-            emit(f"    {old} = _mw_get({wi}, 0)")
-            emit(f"    _mw[{wi}] = ({old} + regs[{instr.rs1}])"
-                 f" & {_MASK64}")
-            if instr.rd is not None:
-                emit(f"    regs[{instr.rd}] = {old}")
-                kill(instr.rd)
+        emit_access("    ", instr, paddr)
         cyc += BASE_COST[op] + overhead
         icount += 1
         mems += 1
-        if _is_elided(instr):
+        if _is_elided(member, pos):
             elided += 1
 
     total_members = len(members)
@@ -572,7 +681,7 @@ def compile_superblock(members: List, engine) -> SuperBlock:
                 icount += 1
                 continue
             if op in MEMORY_OPCODES:
-                emit_mem(instr, idx, bi, pos)
+                emit_mem(member, idx, pos)
                 continue
             # Control tail (stitchability guarantees pos == n - 1).
             is_terminal = idx == total_members - 1

@@ -14,7 +14,9 @@ specified instrumentation tool". Tools see two things:
 
 Instrumentation hooks have the signature ``hook(thread, instr, app_ea)``
 and may return a replacement effective address (AikidoSD returns mirror
-addresses) or None to run the access unchanged.
+addresses) or None to run the access unchanged. A hook that needs code
+flushed calls ``engine.invalidate_instruction``: every tier, superblock
+bodies included, then re-fetches right after the hooked access.
 """
 
 from __future__ import annotations

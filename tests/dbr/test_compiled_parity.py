@@ -18,7 +18,11 @@ Four layers of evidence:
 * superblock-tier units: chains form and complete on hot loops, the
   side-exit accounting identity holds, invalidation storms (SMC
   cadences) drop superblocks without breaking parity, and quantum
-  tails too short for a whole chain fall back to the compiled tier.
+  tails too short for a whole chain fall back to the compiled tier;
+  hooked accesses inside a body show every hook the reference tier's
+  counters and pc, survive a hook that re-JITs or drops translations,
+  fault and retry like a compiled step, and take both arms of the
+  Fig. 4 check when a page turns shared under a live body.
 """
 
 from __future__ import annotations
@@ -31,10 +35,14 @@ from repro.chaos.invariants import InvariantMonitor
 from repro.chaos.plan import ChaosPlan
 from repro.core.config import AikidoConfig
 from repro.dbr.engine import DBREngine
+from repro.dbr.superblock import EXIT_FAULT
+from repro.dbr.tool import Tool
 from repro.errors import InvariantViolationError, ReproError
 from repro.guestos.kernel import Kernel
-from repro.harness.runner import build_aikido_system, run_mode
+from repro.harness.runner import (build_aikido_system, run_mode,
+                                  system_result)
 from repro.machine.asm import ProgramBuilder
+from repro.machine.isa import Opcode
 from repro.machine.tlb import TLB
 from repro.scengen.scenario import render
 from repro.scengen.strategies import scenario_irs
@@ -415,6 +423,282 @@ class TestSuperblockTier:
         engine.codecache.invalidate_all()
         assert not sb_cache.by_head
         assert sb_cache.dropped >= 1
+
+    def test_runtime_drop_is_traced_with_its_reason(self):
+        # Drops decided in the dispatch loop (stale overhead, stale
+        # identity guard, thrash) go through the same traced path as
+        # listener-driven ones.
+        kernel = Kernel(seed=3, quantum=100, jitter=0.0)
+        kernel.create_process(_hot_loop_program())
+        engine = DBREngine(kernel)
+        thread = kernel.process.threads[1]
+        engine.run(thread, budget=2000)
+        assert engine.superblock_cache.by_head
+        tracer = RecordingTracer()
+        engine.tracer = tracer
+        engine.overhead_per_instr = costs.AIKIDO_RESIDENCY_PER_INSTR
+        engine.run(thread, budget=200)
+        reasons = [attrs["reason"] for name, attrs in tracer.instants
+                   if name == "superblock_drop"]
+        assert "stale_overhead" in reasons
+
+    def test_pointer_table_switches_arms_inside_a_live_body(self):
+        # One register-indirect load reads through a pointer table,
+        # alternating between main's private block and a shared block.
+        # Midway the other thread writes the private block, which goes
+        # PRIVATE -> SHARED while the superblock holding the load lives.
+        (superblock, system), (compiled, _), (interp, _) = \
+            _paper_stack_tiers(_pointer_table_program, AikidoConfig)
+        assert superblock == compiled == interp
+        sb_cache = system.engine.superblock_cache
+        hooked = {head for head, sb in sb_cache.by_head.items()
+                  if any(h is not None for m in sb.members
+                         for h in m.hooks)}
+        assert hooked, "no superblock holds the hooked load"
+        # Built while the private block was still private, and still
+        # live at the end: the transition happened under it.
+        tracer = system.engine.tracer
+        assert any(transitions < system.stats.shared_transitions
+                   for head, transitions in tracer.builds
+                   if head in hooked)
+        assert system.stats.private_fastpath > 0
+        assert system.stats.shared_accesses > 0
+        assert any(member < last for member, last, _ in tracer.side_exits)
+        snapshot = system.engine.superblock_snapshot()
+        assert snapshot["entries"] == (snapshot["completions"]
+                                       + snapshot["side_exits"])
+
+    def test_fault_exit_retries_like_a_mem_step(self):
+        # A hooked access that faults inside the body leaves through the
+        # fault exit. A preempt delivered during that fault's repair
+        # must yield at the retry, as it does after a MEM step's fault.
+        (superblock, system), (compiled, _), (interp, _) = \
+            _paper_stack_tiers(
+                lambda: build_benchmark("canneal", threads=2, scale=0.3),
+                lambda: AikidoConfig(chaos=ChaosPlan.single(
+                    "preempt", seed=13, intensity=0.5)))
+        assert superblock == compiled == interp
+        assert any(code == EXIT_FAULT
+                   for _, _, code in system.engine.tracer.side_exits)
+
+    def test_hook_sees_reference_state(self):
+        # A hook observes the cycle counter, the retired-instruction
+        # count and the pc; the superblock body must have booked its
+        # retired prefix and parked pc before every call.
+        logs = [_recording_run(*knobs) for knobs in TIER_KNOBS]
+        assert logs[0][1]["superblocks_built"] >= 1
+        assert logs[0][0] == logs[1][0] == logs[2][0]
+
+    @pytest.mark.parametrize("flush_at", [301, 302, 777])
+    def test_hook_that_flushes_another_member(self, flush_at):
+        # A hook re-JITs another member's instruction once, mid-body:
+        # the body must end right after the hooked access and the
+        # engine re-fetch, exactly like the reference tier.
+        logs = [_recording_run(*knobs, flush_at=flush_at)
+                for knobs in TIER_KNOBS]
+        assert logs[0][1]["superblocks_built"] >= 1
+        assert logs[0][1]["superblocks_dropped"] >= 1
+        assert logs[0][0] == logs[1][0] == logs[2][0]
+
+    def test_hook_that_drops_translations(self):
+        # A hook may change any translation, so the body forgets its
+        # hoisted probes at every hook call: here every 5th hooked load
+        # flushes the thread's TLB, and the unhooked store after it
+        # must miss again, as it does in the reference tier.
+        logs = [_recording_run(*knobs, program=_two_page_loop_program,
+                               hook_ops=(Opcode.LOAD,), drop_tlb_every=5)
+                for knobs in TIER_KNOBS]
+        assert logs[0][1]["superblocks_built"] >= 1
+        assert logs[0][0] == logs[1][0] == logs[2][0]
+
+    @pytest.mark.parametrize("misalign_at", [300, 601])
+    def test_hook_returning_misaligned_address_raises_alike(self,
+                                                            misalign_at):
+        # The body's fast-map probe must not stand in for the alignment
+        # check: a misaligned override reaches the word store's raise.
+        outcomes = []
+        for knobs in TIER_KNOBS:
+            with pytest.raises(ReproError) as info:
+                _recording_run(*knobs, misalign_at=misalign_at)
+            tool = info.value.tool
+            outcomes.append((type(info.value), str(info.value), tool.log,
+                             tool.engine.counter.total,
+                             tool.engine.stats.as_dict()))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_traced_paper_stack_hook_instants_match(self):
+        # shared_access and instrument instants carry the simulated
+        # timestamp at the hook call: it must not depend on the tier.
+        streams = []
+        for compile_blocks, superblocks in TIER_KNOBS:
+            system = build_aikido_system(
+                build_benchmark("streamcluster", threads=2, scale=0.5),
+                seed=3, quantum=100,
+                config=AikidoConfig(trace=True,
+                                    compile_blocks=compile_blocks,
+                                    superblocks=superblocks))
+            system.run()
+            assert system.tracer.dropped == 0
+            streams.append([
+                (e.name, e.ts, e.tid, e.args)
+                for e in system.tracer.events
+                if e.name in ("shared_access", "instrument")])
+            if superblocks:
+                assert system.engine.superblock_cache.built >= 1
+        assert any(e[0] == "shared_access" for e in streams[0])
+        assert streams[0] == streams[1] == streams[2]
+
+
+def _pointer_table_program(iters=600, delay=300):
+    b = ProgramBuilder("pointer-table")
+    private = b.segment("private", 64)
+    shared = b.segment("shared", 64)
+    table = b.segment("table", 16)
+    b.label("main")
+    b.li(4, private)
+    b.li(5, shared)
+    b.li(6, table)
+    b.store(4, base=6, disp=0)      # table[0] = &private
+    b.store(5, base=6, disp=8)      # table[1] = &shared
+    b.store(4, base=4, disp=0)      # main owns both blocks first
+    b.store(5, base=5, disp=0)
+    b.li(3, 0)
+    b.spawn(7, "other", arg_reg=3)
+    with b.loop(counter=2, count=iters):
+        b.and_(8, 2, imm=1)
+        b.shl(8, 8, imm=3)
+        b.add(8, 8, 6)
+        b.load(9, base=8, disp=0)   # pointer from the table
+        b.load(10, base=9, disp=0)  # the pointer-indirect load
+        b.add(11, 11, 10)
+        b.add(12, 12, imm=3)
+    b.join(7)
+    b.halt()
+    b.label("other")
+    b.li(4, shared)
+    b.store(4, base=4, disp=8)      # shared: PRIVATE -> SHARED at once
+    with b.loop(counter=2, count=delay):
+        b.add(13, 13, imm=1)
+    b.li(4, private)
+    b.store(4, base=4, disp=8)      # private: PRIVATE -> SHARED midway
+    b.halt()
+    return b.build()
+
+
+class _SuperblockTracer(RecordingTracer):
+    """Notes each superblock build with the shared-transition count at
+    that moment, and each side exit's member, chain end and code."""
+
+    def __init__(self, system):
+        super().__init__()
+        self.system = system
+        self.builds = []
+        self.side_exits = []
+
+    def instant(self, name, category, **attrs):
+        if name == "superblock_build":
+            self.builds.append((attrs["head"],
+                                self.system.stats.shared_transitions))
+        elif name == "superblock_side_exit":
+            sb = self.system.engine.superblock_cache.by_head.get(
+                attrs["head"])
+            if sb is not None:
+                self.side_exits.append((attrs["member"],
+                                        len(sb.members) - 1,
+                                        attrs["code"]))
+
+
+def _paper_stack_tiers(program_factory, config_factory):
+    """The paper stack on every tier: ``(surface, system)`` each, the
+    superblock tier's engine traced by a :class:`_SuperblockTracer`."""
+    runs = []
+    for compile_blocks, superblocks in TIER_KNOBS:
+        config = config_factory()
+        config.compile_blocks = compile_blocks
+        config.superblocks = superblocks
+        system = build_aikido_system(program_factory(), seed=3,
+                                     quantum=100, config=config)
+        if superblocks:
+            system.engine.tracer = _SuperblockTracer(system)
+        system.run()
+        runs.append((surface(system_result(system)), system))
+    return runs
+
+
+def _two_page_loop_program(iters=800):
+    b = ProgramBuilder()
+    data = b.segment("data", 64)
+    other = b.segment("other", 64)
+    b.label("main")
+    b.li(4, data)
+    b.li(5, other)
+    with b.loop(counter=2, count=iters):
+        b.store(6, base=5, disp=0)
+        b.load(7, base=4, disp=0)
+        b.store(7, base=5, disp=0)
+        b.add(6, 6, imm=1)
+    b.halt()
+    return b.build()
+
+
+class _RecordingTool(Tool):
+    """Hooks memory accesses and logs what the hook can observe.
+
+    ``flush_at`` re-JITs the loop head at that call, ``drop_tlb_every``
+    flushes the thread's TLB at every that many calls, ``misalign_at``
+    returns a misaligned address at that call.
+    """
+
+    def __init__(self, hook_ops=None, flush_at=None, drop_tlb_every=0,
+                 misalign_at=None):
+        super().__init__()
+        self.log = []
+        self.hook_ops = hook_ops
+        self.flush_at = flush_at
+        self.drop_tlb_every = drop_tlb_every
+        self.misalign_at = misalign_at
+
+    def instrument_block(self, cached):
+        for pos, instr in enumerate(cached.instrs):
+            if instr.mem is not None and (self.hook_ops is None
+                                          or instr.op in self.hook_ops):
+                cached.set_hook(pos, self._hook)
+
+    def _hook(self, thread, instr, ea):
+        engine = self.engine
+        self.log.append((engine.counter.total, engine.stats.instructions,
+                         tuple(thread.pc), ea))
+        calls = len(self.log)
+        if calls == self.flush_at:
+            # Re-JIT the loop head, the other member of the chain.
+            engine.invalidate_instruction(next(
+                i.uid for i in engine.process.program.iter_instructions()
+                if i.op is Opcode.BGE))
+        if self.drop_tlb_every and calls % self.drop_tlb_every == 0:
+            thread.tlb.flush()
+        if calls == self.misalign_at:
+            return ea + 4
+        return None
+
+
+def _recording_run(compile_blocks, superblocks,
+                   program=_hot_loop_program, **tool_kwargs):
+    kernel = Kernel(seed=3, quantum=100, jitter=0.1)
+    kernel.create_process(program())
+    engine = DBREngine(kernel, compile_blocks=compile_blocks,
+                       superblocks=superblocks)
+    tool = _RecordingTool(**tool_kwargs)
+    engine.attach_tool(tool)
+    try:
+        kernel.run()
+    except ReproError as exc:
+        exc.tool = tool
+        raise
+    return ((tool.log, kernel.counter.total, engine.stats.as_dict(),
+             kernel.counter.snapshot(),
+             [(th.tlb.hits, th.tlb.misses)
+              for th in kernel.process.threads.values()]),
+            engine.superblock_snapshot())
 
 
 # ----------------------------------------------------------------------
