@@ -19,7 +19,10 @@ import sys
 #: units: about the geometric midpoint of the slowest unmodified run
 #: (2.59M of 10) and the fastest run with superblocks forced off (1.91M
 #: of 5), all at --seconds 5, seed 1, on a shared 2-core Intel Xeon with
-#: Python 3.11 (docs/performance.md, "CI perf gate").
+#: Python 3.11 (docs/performance.md, "CI perf gate"). Since every block
+#: runs as a generated body, superblocks-off runs clear it (3.04M-3.66M
+#: over 5) and unmodified runs read 3.67M-4.10M (3 runs); runs with the
+#: compiled tier forced off stay far below it.
 FLOOR = 2_200_000
 
 

@@ -1,63 +1,79 @@
-"""Block compiler: specialize cached blocks into Python closures.
+"""Block compiler: the one code generator behind both compiled tiers.
 
 The interpreter tier (``DBREngine._run_interp``) pays a dict-dispatched
 ``CPU.execute`` call, a ``BASE_COST`` lookup, a ``MEMORY_OPCODES`` set
 test and a ``consume_yield`` call for *every* retired instruction. The
-compiled tier pays those costs once, at compile time: when the engine
-first enters a cached block it classifies every position into one of
-four step kinds —
+compiled tiers pay those costs once, at code-generation time: they run
+exec()-generated straight-line *bodies*, the moral equivalent of the
+basic blocks and traces DynamoRIO emits into its code cache. One
+emitter (:func:`body_source`) writes both kinds:
 
-``SEG``
-    a maximal run of pure-ALU instructions (LI/MOV/ADD/SUB/
-    MUL/AND/OR/XOR/SHL/SHR/NOP) fused into a tuple of micro-closures
-    that only touch the register file. The run's cycle charges are
-    pre-summed so the whole segment retires with one
-    ``instr_cycles +=`` and one ``stats.instructions +=``. Segments can
-    neither fault nor enter the kernel, so there is no observation
-    point inside one: deferring the pc update and the charge to the
-    segment end is bit-identical to the interpreter. MOD is *excluded*
-    (it can raise ``InvalidInstructionError`` before charging, which
-    would corrupt the pre-summed charge at exception time).
+* a **block body** covers one cached block from the position the engine
+  entered it at to a stop position (see :class:`CompiledBlock`);
+* a **chain body** covers a hot chain of whole blocks, the superblock
+  tier's trace (:mod:`repro.dbr.superblock`).
 
-``MEM``
-    a LOAD/STORE/ATOMIC_ADD bound into a closure with the operands
-    pre-decoded. It probes the owning thread's TLB micro-cache
-    (``fast_ro``/``fast_rw``) first and falls back to the platform's
-    ``translate`` — counting TLB hits/misses exactly as the interpreter
-    path would — and routes page faults through ``kernel.repair_fault``
-    with the not-retired/refetch contract intact. A hooked access gets
-    its own closure, the tool's hook bound in front of
-    :func:`hooked_tail` (AikidoSD's Fig. 4 sequence runs from here);
-    unhooked accesses never test for a hook.
+Emission rules, identical for both:
 
-``CTL``
-    a control transfer (JMP/BZ/BNZ/BLT/BGE/CALL/RET) or MOD,
-    specialized into a ``fn(thread) -> bool`` closure (True = control
-    transferred, the engine must re-fetch). Branch/call targets are
-    resolved through ``program.label_index`` once, at compile time, and
-    the CALL return site is a prebuilt constant tuple. MOD rides here
-    because its divide-by-zero check must raise *before* charging,
-    which bars it from a pre-summed segment. Like segments, these steps
-    never enter the kernel, so the per-instruction yield check is
-    provably dead and skipped.
+* **Straight-line code.** Every ALU instruction becomes one Python
+  statement with its operands baked in as literals; a chain's internal
+  control transfers disappear into fallthrough.
+* **Inline memory.** An access probes the owning thread's TLB
+  micro-cache (``fast_ro``/``fast_rw``) and indexes the physical word
+  store directly: a fast-map hit guarantees a mapped, backed page (the
+  TLB pops fast entries on every permission change and flush), and the
+  first probe of an effective address also vets its alignment. Probes
+  are hoisted: a page probed once (a literal page, or the same
+  base-register + displacement while the register is unmodified) is
+  reused by later accesses up to the next hook call, and a writable-map
+  hit stands in for later read probes.
+* **One memory tail.** A fast-map miss or a misaligned address runs the
+  shared tail (:func:`cold_paths`): it books the retired prefix, parks
+  pc on the access, translates, repairs a fault and makes the checked
+  word access. A fault leaves through ``EXIT_FAULT`` with nothing of
+  the access retired, and the engine retries it. Otherwise a block body
+  carries on, forgetting its hoisted probes (the tail may have evicted
+  a TLB entry one stands for), and the tail takes the prefix back out
+  so the next exit books it once. A chain leaves instead, parked past
+  the access, so its probes stay hoisted; the engine carries on
+  through the member's block bodies.
+* **Hooked accesses in the body.** A tool's hook is an observation
+  point, so a hooked access first calls the shared ``hooked`` exit
+  (:func:`cold_paths`): it books the retired prefix and parks pc on the
+  instruction, so the hook sees exactly the reference tier's counters
+  and pc, and calls the hook. The body then forgets every hoisted probe
+  and accesses the address the hook returned, through the tail when
+  the probe misses, the address is misaligned or the hook flushed code
+  (``engine._cache_dirty``; the body then leaves through
+  ``EXIT_REFETCH``).
+* **Guards.** MOD checks its divisor and RET the call stack: both raise
+  in the reference, so the body parks in front of them with the prefix
+  booked, and the engine runs the instruction through ``CPU.execute``.
+  A chain also guards each predicted branch direction, and each
+  member's identity (``member.compiled is`` the baked block).
+* **Deferred exact accounting.** Between two observation points nothing
+  can read simulated state, so every counter the reference bumps per
+  instruction (instruction cycles, instruction and memory-ref counts,
+  TLB hit bookkeeping, instrumented executions; for chains also the
+  dispatch charges and execution counts) is summed at generation time
+  and applied as constants at each exit, bit-identical to the
+  interpreter.
 
-``GEN``
-    everything else (kernel actions and HALT): the engine runs
-    ``CPU.execute`` for that one instruction and hands any trap to the
-    kernel. Only the cycle charge is precomputed.
+Kernel operations, HALT and MOD by a literal zero never enter a body:
+the engine runs them through ``CPU.execute``. Hooks exist only on memory
+positions and are set only while a block is built, by the tool's
+``instrument_block``, so a body binds its hooks once; every path that
+changes a block's hooks or elision plan flushes the block or drops its
+:class:`CompiledBlock`, taking the bodies with it.
 
-Hooks exist only on memory positions (``CachedBlock.set_hook`` refuses
-any other) and are set only while a block is built, by the tool's
-``instrument_block``; nothing swaps one at run time. So a compiled step
-may bind its hook once, and the classification of a position is stable
-for the life of its ``CachedBlock``.
-
-A :class:`CompiledBlock` stores the engine's ``overhead_per_instr`` it
-was baked with; the engine recompiles when the installed stack changes
-the residency overhead (AikidoSD raises it on install). The closure
-dies with its :class:`~repro.dbr.codecache.CachedBlock` on any flush,
-so every re-JIT path (sharing faults, ``invalidate_all``, chaos
-flushes, protection-change rewrites) structurally invalidates it.
+Generation cost is paid per distinct block content, not per block: the
+emitter sees only :class:`Slot` tuples (block indices and branch
+targets are bound as globals), and the code object is memoized by that
+shape (:func:`body_code`). Each body is still its own function, bound
+to globals of its own engine and block. Every body books its exits,
+its memory tail and the prefix in front of each hook call through the
+same shared helpers (:func:`cold_paths`), which keeps the memoized code
+small and writes each booking rule once.
 
 Correctness bar: bit-identical simulated stats — cycles, fault counts,
 race reports, chaos replay logs, trace attribution — versus the
@@ -67,9 +83,10 @@ interpreter tier (see ``tests/dbr/test_compiled_parity.py``).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, FrozenSet, List, Optional, Tuple
+from types import CodeType, FunctionType
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.errors import InvalidInstructionError
+from repro import costs
 from repro.machine.cpu import BASE_COST
 from repro.machine.isa import MEMORY_OPCODES, Opcode
 from repro.machine.paging import PAGE_SHIFT, PAGE_SIZE, PageFault
@@ -77,228 +94,407 @@ from repro.machine.paging import PAGE_SHIFT, PAGE_SIZE, PageFault
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _PAGE_MASK = PAGE_SIZE - 1
 
-#: Step kind tags (first element of every step tuple).
-SEG = 0
-MEM = 1
-GEN = 2
-CTL = 3
-#: Statically-elided fused run (``--static-elide``): superimposed over a
-#: maximal run of SEG positions and unhooked memory accesses the elision
-#: plan proved race-free/private. ``(ELI, fast_fn, count, fallback)``
-#: where ``fast_fn(thread) -> retired`` runs the whole run with inline
-#: TLB-micro-cache guards and literal-baked effects, bailing (with exact
-#: prefix accounting) to the base step at the failing position, and
-#: ``fallback`` is the base step the position keeps for budget tails,
-#: pending yields and guard misses at position 0.
-ELI = 4
+#: Exit protocol: a body returns the retired instruction count and
+#: leaves ``(member index, code)`` in the engine's exit cell.
+EXIT_COMPLETE = 0   #: control transferred; pc set to the successor
+EXIT_RESUME = 1     #: pc parked inside (or just past) member exit[0];
+#: the engine carries on in that block without re-charging its dispatch
+EXIT_REFETCH = 2    #: a chain's branch deviated (the branch retired, pc
+#: set to the actual target) or a hook flushed code (the hooked access
+#: retired, pc set past it): the engine re-fetches normally
+EXIT_STALE = 3      #: a chain's identity guard failed: nothing was
+#: booked; the engine drops the superblock and falls back
+EXIT_FAULT = 4      #: a memory access faulted: the prefix is booked,
+#: pc sits on the instruction and the fault is repaired; the engine
+#: re-fetches and retries it
 
-#: Opcodes eligible for segment fusion: register-file-only semantics,
-#: cannot fault, cannot trap, cannot raise before charging.
-SEG_OPCODES = frozenset((
+#: Pure-ALU opcodes: register-file-only semantics, cannot fault, trap or
+#: raise.
+ALU_OPCODES = frozenset((
     Opcode.NOP, Opcode.LI, Opcode.MOV, Opcode.ADD, Opcode.SUB,
     Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.SHL,
     Opcode.SHR,
 ))
 
-#: Opcodes specialized as CTL steps.
-CTL_OPCODES = frozenset((
-    Opcode.JMP, Opcode.BZ, Opcode.BNZ, Opcode.BLT, Opcode.BGE,
-    Opcode.CALL, Opcode.RET, Opcode.MOD,
-))
-
-#: Opcodes a superblock (see :mod:`repro.dbr.superblock`) can inline at
-#: any position of a chain member: pure ALU, memory accesses, hooked or
-#: not (guarded on the TLB micro-cache) and MOD (guarded on its divisor).
-STITCH_BODY_OPCODES = SEG_OPCODES | MEMORY_OPCODES | frozenset(
+#: Opcodes a body can hold at any position: pure ALU, memory accesses,
+#: hooked or not, and MOD (guarded on its divisor).
+BODY_OPCODES = ALU_OPCODES | MEMORY_OPCODES | frozenset(
     (Opcode.MOD,))
 
-#: Control opcodes legal only as a chain member's *final* instruction —
-#: the block terminators (plus CALL, which the ISA allows mid-block:
-#: a mid-block CALL makes the block unstitchable because the chain
-#: would have to span the callee and the return site).
-STITCH_TAIL_OPCODES = frozenset((
+#: Control opcodes a body holds as its final instruction — the block
+#: terminators plus CALL, which the ISA allows mid-block: a mid-block
+#: CALL ends a block body, and makes the block unstitchable because a
+#: chain would have to span the callee and the return site.
+TAIL_OPCODES = frozenset((
     Opcode.JMP, Opcode.BZ, Opcode.BNZ, Opcode.BLT, Opcode.BGE,
     Opcode.CALL, Opcode.RET,
 ))
 
+_BRANCH_OPCODES = frozenset((Opcode.BZ, Opcode.BNZ, Opcode.BLT,
+                             Opcode.BGE))
 
-def chain_stitchable(cached) -> bool:
-    """Can this cached block serve as a superblock chain member?
 
-    Every opcode must be one the superblock compiler can inline:
-    ALU/memory/MOD anywhere, a control transfer only at the final
-    position. Hooked memory positions qualify: the body books the
-    retired prefix, calls the hook and carries on (see
-    :mod:`repro.dbr.superblock`). Kernel ops, HALT and mid-block CALLs
-    disqualify the block — it runs through the ordinary step list
-    instead. A MOD with a literal zero divisor also disqualifies (it
-    unconditionally raises, so the block can never retire past it
-    anyway), as does a memory access with a literal misaligned address
-    (same argument — and the superblock compiler inlines word-store
-    accesses on the premise that literal addresses it sees are aligned).
+def _holdable(instr) -> bool:
+    """Can a body hold this instruction? Not a kernel action or HALT,
+    and not a MOD by a literal zero (it always raises)."""
+    op = instr.op
+    if op is Opcode.MOD:
+        return instr.rs2 is not None or instr.imm != 0
+    return op in BODY_OPCODES or op in TAIL_OPCODES
 
-    The verdict depends only on the block's instructions, so it is
-    stable for the life of the CachedBlock.
+
+class Slot(NamedTuple):
+    """One instruction as the emitter sees it.
+
+    Block indices and branch targets are left out on purpose (bodies
+    read them from their globals), so blocks with the same content share
+    one generated source.
     """
-    instrs = cached.instrs
-    last = len(instrs) - 1
-    for i, instr in enumerate(instrs):
-        op = instr.op
-        if op in STITCH_BODY_OPCODES:
-            if (op is Opcode.MOD and instr.rs2 is None
-                    and instr.imm == 0):
-                return False
-            if (op in MEMORY_OPCODES and instr.mem.base is None
-                    and instr.mem.disp & 7):
-                # A literal misaligned address raises unconditionally;
-                # the superblock compiler inlines word-store accesses
-                # on the premise that literal addresses are aligned.
-                return False
-            continue
-        if i == last and op in STITCH_TAIL_OPCODES:
-            continue
-        return False
-    return True
+
+    op: Opcode
+    rd: Optional[int]
+    rs1: Optional[int]
+    rs2: Optional[int]
+    imm: int
+    base: Optional[int]
+    disp: int
+    hooked: bool
+    elided: bool
+
+
+#: Slots are shared across blocks, so the body memo's keys hold one copy
+#: of each instruction content rather than a copy per dead block.
+_slot = lru_cache(maxsize=4096)(Slot)
 
 
 class CompiledBlock:
     """The compiled form of one cached block.
 
-    ``steps[ii]`` is the step covering instruction index ``ii`` (segment
-    runs get a suffix step per interior position, so re-entry mid-block
-    after a quantum boundary lands on a valid step). ``overhead`` is the
-    per-instruction residency overhead the charges were summed with —
-    the engine treats a mismatch as stale and recompiles.
+    ``limits[ii]`` is where a body entered at ``ii`` must stop: the
+    first position no body can hold (``limits[ii] == ii`` means the
+    instruction at ``ii`` runs through ``CPU.execute``), or just past the
+    first control transfer. The engine clips it further to the quantum
+    budget, and ``bodies[(start, stop)]`` caches each variant, built on
+    first use by :func:`block_body`. ``overhead`` is the per-instruction
+    residency overhead the charges were summed with — the engine treats
+    a mismatch as stale and recompiles.
     """
 
-    __slots__ = ("steps", "overhead", "length", "elided_uids",
-                 "elided_private", "stitchable")
+    __slots__ = ("overhead", "length", "limits", "slots", "bodies",
+                 "globals", "elided_uids", "elided_private", "stitchable")
 
-    def __init__(self, steps: List[tuple], overhead: int,
-                 elided_uids: FrozenSet[int] = frozenset(),
-                 elided_private: FrozenSet[int] = frozenset(),
-                 stitchable: bool = False):
-        self.steps = steps
+    def __init__(self, overhead: int, limits: List[int],
+                 slots: Tuple[Slot, ...], elided_uids: frozenset,
+                 elided_private: frozenset, stitchable: bool):
         self.overhead = overhead
-        self.length = len(steps)
-        #: Memory uids fused into ELI fast paths in this closure, and
+        self.length = len(slots)
+        self.limits = limits
+        self.slots = slots
+        self.bodies: Dict[Tuple[int, int], object] = {}
+        #: The globals every body of this block shares (first use).
+        self.globals: Optional[dict] = None
+        #: Memory uids ``--static-elide`` approved in this block, and
         #: the private-tier subset (the InvariantMonitor asserts no
-        #: private-tier uid's closure coexists with a SHARED footprint
+        #: private-tier uid's block coexists with a SHARED footprint
         #: page — see ``elision_no_shared``).
         self.elided_uids = elided_uids
         self.elided_private = elided_private
         #: True when the source block qualifies as a superblock chain
-        #: member (see :func:`chain_stitchable`); computed once here so
-        #: the chain planner's hot path is one attribute read.
+        #: member: one body holds all of it. Computed once here so the
+        #: chain planner's hot path is one attribute read.
         self.stitchable = stitchable
 
 
-def _alu_closure(instr) -> Callable:
-    """Bind one pure-ALU instruction into a ``fn(regs)`` micro-closure.
+def elidable(instr, hook, plan, retired) -> bool:
+    """Does ``--static-elide`` elide this position's check?
 
-    Each branch replicates the matching ``CPU.execute`` arm exactly
-    (same masking, same shift clamping) with operands pre-decoded.
+    Only an unhooked memory access the plan approved and no tripwire
+    has retired: a hooked access always runs its hook.
     """
-    op = instr.op
-    rd = instr.rd
-    rs1 = instr.rs1
-    rs2 = instr.rs2
-    imm = instr.imm
+    if hook is not None or instr.op not in MEMORY_OPCODES:
+        return False
+    uid = instr.uid
+    return uid in plan and uid not in retired
 
-    if op is Opcode.LI:
-        value = imm & _MASK64
 
-        def fn(regs, _v=value, _rd=rd):
-            regs[_rd] = _v
-        return fn
-    if op is Opcode.MOV:
-        def fn(regs, _rd=rd, _rs=rs1):
-            regs[_rd] = regs[_rs]
-        return fn
-    if op is Opcode.NOP:
-        def fn(regs):
-            pass
-        return fn
+def compile_block(cached, engine) -> CompiledBlock:
+    """Compile a cached block against ``engine``'s current overhead.
 
-    if rs2 is not None:
-        if op is Opcode.ADD:
-            def fn(regs, _rd=rd, _a=rs1, _b=rs2):
-                regs[_rd] = (regs[_a] + regs[_b]) & _MASK64
-        elif op is Opcode.SUB:
-            def fn(regs, _rd=rd, _a=rs1, _b=rs2):
-                regs[_rd] = (regs[_a] - regs[_b]) & _MASK64
-        elif op is Opcode.MUL:
-            def fn(regs, _rd=rd, _a=rs1, _b=rs2):
-                regs[_rd] = (regs[_a] * regs[_b]) & _MASK64
-        elif op is Opcode.AND:
-            def fn(regs, _rd=rd, _a=rs1, _b=rs2):
-                regs[_rd] = regs[_a] & regs[_b]
-        elif op is Opcode.OR:
-            def fn(regs, _rd=rd, _a=rs1, _b=rs2):
-                regs[_rd] = regs[_a] | regs[_b]
-        elif op is Opcode.XOR:
-            def fn(regs, _rd=rd, _a=rs1, _b=rs2):
-                regs[_rd] = (regs[_a] ^ regs[_b]) & _MASK64
-        elif op is Opcode.SHL:
-            def fn(regs, _rd=rd, _a=rs1, _b=rs2):
-                regs[_rd] = (regs[_a] << (regs[_b] & 63)) & _MASK64
-        elif op is Opcode.SHR:
-            def fn(regs, _rd=rd, _a=rs1, _b=rs2):
-                regs[_rd] = regs[_a] >> (regs[_b] & 63)
-        else:  # pragma: no cover - SEG_OPCODES guards this
-            raise AssertionError(f"not a segment opcode: {op}")
-        return fn
+    Only the block's shape and stop positions are computed here; bodies
+    are generated when the engine first enters each ``(start, stop)``.
+    """
+    plan = engine.elision_plan
+    retired = engine._elision_retired
+    slots = []
+    elided_uids = set()
+    elided_private = set()
+    for instr, hook in zip(cached.instrs, cached.hooks):
+        mem = instr.mem
+        elided = plan is not None and elidable(instr, hook, plan, retired)
+        if elided:
+            elided_uids.add(instr.uid)
+            if plan.tier(instr.uid) == "private":
+                elided_private.add(instr.uid)
+        slots.append(_slot(instr.op, instr.rd, instr.rs1, instr.rs2,
+                          instr.imm, mem.base if mem else None,
+                          mem.disp if mem else 0, hook is not None,
+                          elided))
+    limits = [0] * len(slots)
+    stop = len(slots)
+    for pos in range(len(slots) - 1, -1, -1):
+        instr = cached.instrs[pos]
+        if not _holdable(instr):
+            stop = pos
+        elif instr.op in TAIL_OPCODES:
+            stop = pos + 1
+        limits[pos] = stop
+    # A chain member must be one whole body: no position a body cannot
+    # hold, and a control transfer only at the end.
+    return CompiledBlock(engine.overhead_per_instr, limits, tuple(slots),
+                         frozenset(elided_uids), frozenset(elided_private),
+                         bool(slots) and limits[0] == len(slots))
 
-    if op is Opcode.ADD:
-        def fn(regs, _rd=rd, _a=rs1, _i=imm):
-            regs[_rd] = (regs[_a] + _i) & _MASK64
-    elif op is Opcode.SUB:
-        def fn(regs, _rd=rd, _a=rs1, _i=imm):
-            regs[_rd] = (regs[_a] - _i) & _MASK64
-    elif op is Opcode.MUL:
-        def fn(regs, _rd=rd, _a=rs1, _i=imm):
-            regs[_rd] = (regs[_a] * _i) & _MASK64
-    elif op is Opcode.AND:
-        def fn(regs, _rd=rd, _a=rs1, _i=imm):
-            regs[_rd] = regs[_a] & _i
-    elif op is Opcode.OR:
-        def fn(regs, _rd=rd, _a=rs1, _i=imm):
-            regs[_rd] = regs[_a] | _i
-    elif op is Opcode.XOR:
-        def fn(regs, _rd=rd, _a=rs1, _i=imm):
-            regs[_rd] = (regs[_a] ^ _i) & _MASK64
-    elif op is Opcode.SHL:
-        shift = imm & 63
 
-        def fn(regs, _rd=rd, _a=rs1, _s=shift):
-            regs[_rd] = (regs[_a] << _s) & _MASK64
-    elif op is Opcode.SHR:
-        shift = imm & 63
+def block_body(cached, compiled: CompiledBlock, start: int, stop: int,
+               engine):
+    """Build (and keep on ``compiled``) the body for ``[start, stop)``.
 
-        def fn(regs, _rd=rd, _a=rs1, _s=shift):
-            regs[_rd] = regs[_a] >> _s
-    else:  # pragma: no cover - SEG_OPCODES guards this
-        raise AssertionError(f"not a segment opcode: {op}")
+    The engine enters a block body after its own fetch, which charged
+    the dispatch and counted the execution, so the body books neither
+    and needs no identity guard. Every variant of one block shares one
+    globals dict.
+    """
+    if compiled.globals is None:
+        compiled.globals = body_globals(
+            engine, ((cached, 0, compiled.length),), chain=False)
+    fn = FunctionType(body_code(False, compiled.overhead, start,
+                                ((0, compiled.slots[start:stop], False),)),
+                      compiled.globals)
+    compiled.bodies[start, stop] = fn
+    engine.codecache.bodies_built += 1
     return fn
 
 
-def _seg_statement(instr) -> Optional[str]:
+#: Flag bits of a tail call's ``mode`` argument.
+_HOOKED, _ELIDED, _RESUME, _FAST = 1, 2, 4, 8
+
+
+def cold_paths(engine):
+    """The exits generated bodies share, bound to one engine.
+
+    Exits are a small share of a body's run time but most of its code,
+    so every body, block or chain, books through these and the memoized
+    code objects stay small. Each takes the not-yet-booked part of the
+    retired prefix as trailing arguments, zeros left off: instruction
+    cycles, instructions, fast-path memory refs, instrumented
+    executions, dispatch cycles, elided checks, fast-path instructions
+    (``*prefix`` below). The two hot exits spell these parameters out:
+    packing and unpacking ``*prefix`` costs about a third more per call.
+    ``pc0`` is the block index to set, or None when pc[0] already holds
+    it.
+
+    ``leave(thread, pc0, pc1, idx, code, retired, *prefix)`` books the
+    prefix, sets pc and the exit cell and returns ``retired``.
+
+    ``hooked(thread, hook, instr, ea, pc0, pos, *prefix)`` runs in front
+    of a hooked access: book the prefix (which stays booked) and park pc
+    on the access, call the hook and return the address to access.
+
+    ``tail(thread, ea, instr, pc0, pos, idx, retired, charge, mode,
+    *prefix)`` is the shared memory tail, for hooked and unhooked
+    accesses alike: book the prefix and park pc on the access, so a
+    fault repair sees the reference tier's state; probe the TLB
+    micro-cache for ``ea``, fall back to the platform's ``translate`` on
+    a miss (counting TLB hits and misses exactly as the interpreter path
+    would), and route a page fault through ``kernel.repair_fault``
+    (``EXIT_FAULT``: nothing of the access retired, the engine retries
+    it). Otherwise access the word through ``read_word``/``write_word``,
+    which raise on a misaligned address like the reference. With
+    ``_RESUME`` in ``mode`` the tail returns -1 and the body carries on
+    after the access; otherwise, or when code was flushed, it books the
+    retire and leaves parked past the access (``EXIT_RESUME``, or
+    ``EXIT_REFETCH`` after a flush).
+    """
+    counter = engine.counter
+    stats = engine.stats
+    ec = engine._elision_cell
+    exit_cell = engine._exit
+    translate = engine.cpu.translate
+    repair_fault = engine.kernel.repair_fault
+    memory = engine.cpu.memory
+    read_word = memory.read_word
+    write_word = memory.write_word
+
+    def book(thread, pc0, pos, cycles=0, instructions=0, refs=0,
+             instrumented=0, dispatch=0, elided=0, fast=0):
+        counter.instr_cycles += cycles
+        stats.instructions += instructions
+        if refs:
+            tlb = thread.tlb
+            stats.memory_refs += refs
+            tlb.hits += refs
+            tlb.fast_hits += refs
+        if instrumented:
+            stats.instrumented_execs += instrumented
+        if dispatch:
+            counter.charge("dbr", dispatch)
+        if elided or fast:
+            ec[0] += elided
+            ec[1] += fast
+        pc = thread.pc
+        if pc0 is not None:
+            pc[0] = pc0
+        pc[1] = pos
+        return pc
+
+    def leave(thread, pc0, pc1, idx, code, retired, cycles=0,
+              instructions=0, refs=0, instrumented=0, dispatch=0, elided=0,
+              fast=0):
+        book(thread, pc0, pc1, cycles, instructions, refs, instrumented,
+             dispatch, elided, fast)
+        exit_cell[0] = idx
+        exit_cell[1] = code
+        return retired
+
+    def hooked(thread, hook, instr, ea, pc0, pos, cycles=0,
+               instructions=0, refs=0, instrumented=0, dispatch=0,
+               elided=0, fast=0):
+        book(thread, pc0, pos, cycles, instructions, refs, instrumented,
+             dispatch, elided, fast)
+        override = hook(thread, instr, ea)
+        return ea if override is None else override
+
+    def tail(thread, ea, instr, pc0, pos, idx, retired, charge, mode,
+             *prefix):
+        pc = book(thread, pc0, pos, *prefix)
+        exit_cell[0] = idx
+        op = instr.op
+        is_load = op is Opcode.LOAD
+        tlb = thread.tlb
+        pb = (tlb.fast_ro if is_load else tlb.fast_rw).get(ea >> PAGE_SHIFT)
+        if pb is not None:
+            tlb.hits += 1
+            tlb.fast_hits += 1
+            paddr = pb | (ea & _PAGE_MASK)
+        else:
+            tlb.fast_misses += 1
+            try:
+                paddr = translate(thread, ea, not is_load)
+            except PageFault as fault:
+                repair_fault(thread, fault)
+                exit_cell[1] = EXIT_FAULT
+                return retired
+        regs = thread.regs
+        if is_load:
+            regs[instr.rd] = read_word(paddr)
+        elif op is Opcode.STORE:
+            write_word(paddr, regs[instr.rs1])
+        else:  # ATOMIC_ADD
+            old = read_word(paddr)
+            write_word(paddr, (old + regs[instr.rs1]) & _MASK64)
+            if instr.rd is not None:
+                regs[instr.rd] = old
+        if mode & _RESUME and not engine._cache_dirty:
+            # Back into the body, which books the prefix and this
+            # access (as a fast-path hit) at its next exit: take both
+            # back out. Nothing observes the counters before then.
+            tlb.hits -= 1
+            tlb.fast_hits -= 1
+            if mode & _ELIDED:
+                ec[0] -= 1
+            book(thread, None, pos, *[-v for v in prefix])
+            return -1
+        counter.instr_cycles += charge
+        stats.instructions += 1
+        stats.memory_refs += 1
+        stats.instrumented_execs += mode & _HOOKED
+        if mode & _FAST:
+            ec[1] += 1
+        pc[1] = pos + 1
+        exit_cell[1] = EXIT_REFETCH if engine._cache_dirty else EXIT_RESUME
+        return retired + 1
+
+    return leave, hooked, tail
+
+
+def body_globals(engine, spans, *, chain: bool) -> dict:
+    """The globals a body reads, named the way :func:`body_source`
+    names them.
+
+    ``spans`` lists ``(cached, start, stop)`` per member, in emission
+    order. Per distinct member ``f``: ``b<f>`` (its block index) and,
+    for chains, ``m<f>``/``c<f>`` (the block and the CompiledBlock the
+    body was built from). Per emitted position ``k`` (the block position
+    for a block body, counted across members for a chain): ``i<k>`` and
+    ``h<k>`` (a memory instruction and its hook), ``g<k>`` (a branch or
+    call target).
+    """
+    base = engine._codegen_globals
+    if base is None:
+        words = engine.cpu.memory._words
+        leave, hooked, tail = cold_paths(engine)
+        base = engine._codegen_globals = {
+            "_mw": words, "_mw_get": words.get, "_exit": engine._exit,
+            "_eng": engine, "_leave": leave, "_hooked": hooked,
+            "_tail": tail}
+    glb = dict(base)
+    label_index = engine.codecache.program.label_index
+    firsts: Dict[int, int] = {}
+    offset = 0
+    for cached, start, stop in spans:
+        if id(cached) not in firsts:
+            f = firsts[id(cached)] = len(firsts)
+            glb[f"b{f}"] = cached.block_index
+            if chain:
+                glb[f"m{f}"] = cached
+                glb[f"c{f}"] = cached.compiled
+        for pos in range(start, stop):
+            instr = cached.instrs[pos]
+            k = offset + pos
+            if instr.mem is not None:
+                glb[f"i{k}"] = instr
+                if cached.hooks[pos] is not None:
+                    glb[f"h{k}"] = cached.hooks[pos]
+            elif instr.label is not None:
+                glb[f"g{k}"] = label_index(instr.label)
+        offset += stop - start
+    return glb
+
+
+@lru_cache(maxsize=2048)
+def body_code(chain: bool, overhead: int, start: int,
+              members: tuple) -> CodeType:
+    """The code object of one body, memoized by its shape.
+
+    Small programs repeat the same block contents many times over (for
+    the quick fuzz campaign's counts see ``docs/performance.md``). The
+    memo keeps neither the source nor the module code, only the
+    function's code object; every caller binds it to its own globals,
+    so each body is its own function bound to its own engine and block.
+    Arguments as for :func:`body_source`.
+    """
+    module = compile(body_source(chain, overhead, start, members),
+                     "<superblock>" if chain else "<block>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def _alu_statement(s: Slot) -> Optional[str]:
     """Render one pure-ALU instruction as a Python statement on ``regs``.
 
     Mirrors the matching ``CPU.execute`` arm exactly; operands are baked
     as literals. Returns None for NOP (no statement).
     """
-    op = instr.op
+    op = s.op
     if op is Opcode.NOP:
         return None
-    rd = instr.rd
+    rd = s.rd
     if op is Opcode.LI:
-        return f"regs[{rd}] = {instr.imm & _MASK64}"
-    rs1 = instr.rs1
+        return f"regs[{rd}] = {s.imm & _MASK64}"
+    rs1 = s.rs1
     if op is Opcode.MOV:
         return f"regs[{rd}] = regs[{rs1}]"
-    rs2 = instr.rs2
-    rhs = f"regs[{rs2}]" if rs2 is not None else repr(instr.imm)
+    rs2 = s.rs2
+    rhs = f"regs[{rs2}]" if rs2 is not None else repr(s.imm)
     if op is Opcode.ADD:
         return f"regs[{rd}] = (regs[{rs1}] + {rhs}) & {_MASK64}"
     if op is Opcode.SUB:
@@ -311,586 +507,355 @@ def _seg_statement(instr) -> Optional[str]:
         return f"regs[{rd}] = regs[{rs1}] | {rhs}"
     if op is Opcode.XOR:
         return f"regs[{rd}] = (regs[{rs1}] ^ {rhs}) & {_MASK64}"
+    shift = f"(regs[{rs2}] & 63)" if rs2 is not None else str(s.imm & 63)
     if op is Opcode.SHL:
-        shift = f"(regs[{rs2}] & 63)" if rs2 is not None else str(
-            instr.imm & 63)
         return f"regs[{rd}] = (regs[{rs1}] << {shift}) & {_MASK64}"
     if op is Opcode.SHR:
-        shift = f"(regs[{rs2}] & 63)" if rs2 is not None else str(
-            instr.imm & 63)
         return f"regs[{rd}] = regs[{rs1}] >> {shift}"
     raise AssertionError(f"not a segment opcode: {op}")  # pragma: no cover
 
 
-@lru_cache(maxsize=1024)
-def generated_code(source: str, filename: str):
-    """``compile()`` of generated source, memoized per (source, filename).
-
-    Small programs repeat the same segment, elided-run and superblock
-    sources many times over (a fuzz campaign compiles a few hundred
-    distinct sources a couple of thousand times). Code objects are
-    immutable; every caller still ``exec``s the code into a fresh
-    namespace with its own globals, so each compiled block gets its own
-    function object bound to its own engine state.
-    """
-    return compile(source, filename, "exec")
-
-
-def _seg_run_fn(instrs) -> Optional[Callable]:
-    """exec()-generate one straight-line function for a whole segment.
-
-    Turns N micro-closure calls into a single call; returns None when
-    the segment has no statements (all NOP) or a single statement would
-    not beat the micro-closure.
-    """
-    statements = [s for s in (_seg_statement(i) for i in instrs)
-                  if s is not None]
-    if len(instrs) < 2:
-        return None
-    if not statements:
-        statements = ["pass"]
-    source = "def _seg(regs):\n    " + "\n    ".join(statements)
-    namespace: dict = {}
-    exec(generated_code(source, "<blockcompiler:seg>"), {}, namespace)
-    return namespace["_seg"]
-
-
-def _ctl_closure(instr, engine, charge: int, block_index: int,
-                 next_ii: int) -> Callable:
-    """Bind one control transfer (or MOD) into ``fn(thread) -> bool``.
-
-    True means control transferred (the engine re-fetches, like the
-    interpreter's ``cur_bi = -1`` after ``_apply_result``); False means
-    fallthrough with pc already advanced. Charge ordering matches the
-    interpreter arm for arm: transfers charge before applying the
-    result (so a RET-on-empty-stack raises *after* charging, exactly
-    like ``_apply_result``), while MOD's zero check raises *before* any
-    charge, exactly like ``CPU.execute``.
-    """
-    op = instr.op
-    counter = engine.counter
-    stats = engine.stats
-    program = engine.codecache.program
-
-    if op is Opcode.MOD:
-        rd = instr.rd
-        rs1 = instr.rs1
-        rs2 = instr.rs2
-        imm = instr.imm
-
-        def fn(thread):
-            regs = thread.regs
-            rhs = regs[rs2] if rs2 is not None else imm
-            if rhs == 0:
-                raise InvalidInstructionError("modulo by zero")
-            regs[rd] = regs[rs1] % rhs
-            counter.instr_cycles += charge
-            stats.instructions += 1
-            thread.pc[1] = next_ii
-            return False
-        return fn
-
-    if op is Opcode.RET:
-        def fn(thread):
-            counter.instr_cycles += charge
-            stats.instructions += 1
-            stack = thread.call_stack
-            if not stack:
-                raise InvalidInstructionError(
-                    f"RET with empty call stack in thread {thread.tid}")
-            pc = thread.pc
-            pc[0], pc[1] = stack.pop()
-            return True
-        return fn
-
-    target = program.label_index(instr.label)
-
-    if op is Opcode.JMP:
-        def fn(thread):
-            counter.instr_cycles += charge
-            stats.instructions += 1
-            pc = thread.pc
-            pc[0] = target
-            pc[1] = 0
-            return True
-        return fn
-
-    if op is Opcode.CALL:
-        return_site = (block_index, next_ii)
-
-        def fn(thread):
-            counter.instr_cycles += charge
-            stats.instructions += 1
-            thread.call_stack.append(return_site)
-            pc = thread.pc
-            pc[0] = target
-            pc[1] = 0
-            return True
-        return fn
-
-    rs1 = instr.rs1
-    rs2 = instr.rs2
-
+def _taken_cond(s: Slot) -> str:
+    op = s.op
     if op is Opcode.BZ:
-        def fn(thread):
-            counter.instr_cycles += charge
-            stats.instructions += 1
-            pc = thread.pc
-            if thread.regs[rs1] == 0:
-                pc[0] = target
-                pc[1] = 0
-                return True
-            pc[1] = next_ii
-            return False
-    elif op is Opcode.BNZ:
-        def fn(thread):
-            counter.instr_cycles += charge
-            stats.instructions += 1
-            pc = thread.pc
-            if thread.regs[rs1] != 0:
-                pc[0] = target
-                pc[1] = 0
-                return True
-            pc[1] = next_ii
-            return False
-    elif op is Opcode.BLT:
-        def fn(thread):
-            counter.instr_cycles += charge
-            stats.instructions += 1
-            pc = thread.pc
-            regs = thread.regs
-            if regs[rs1] < regs[rs2]:
-                pc[0] = target
-                pc[1] = 0
-                return True
-            pc[1] = next_ii
-            return False
-    else:  # BGE — CTL_OPCODES guards this
-        def fn(thread):
-            counter.instr_cycles += charge
-            stats.instructions += 1
-            pc = thread.pc
-            regs = thread.regs
-            if regs[rs1] >= regs[rs2]:
-                pc[0] = target
-                pc[1] = 0
-                return True
-            pc[1] = next_ii
-            return False
-    return fn
+        return f"regs[{s.rs1}] == 0"
+    if op is Opcode.BNZ:
+        return f"regs[{s.rs1}] != 0"
+    if op is Opcode.BLT:
+        return f"regs[{s.rs1}] < regs[{s.rs2}]"
+    return f"regs[{s.rs1}] >= regs[{s.rs2}]"  # BGE
 
 
-def _mem_closure(instr, engine, charge: int, next_ii: int) -> Callable:
-    """Bind one unhooked memory instruction into ``fn(thread) -> bool``.
+def _not_taken_cond(s: Slot) -> str:
+    op = s.op
+    if op is Opcode.BZ:
+        return f"regs[{s.rs1}] != 0"
+    if op is Opcode.BNZ:
+        return f"regs[{s.rs1}] == 0"
+    if op is Opcode.BLT:
+        return f"regs[{s.rs1}] >= regs[{s.rs2}]"
+    return f"regs[{s.rs1}] < regs[{s.rs2}]"  # BGE
 
-    Returns True when the instruction retired (charge applied, stats and
-    pc advanced, so the caller only counts it against the budget and
-    checks the yield flag) and False when it page-faulted: the fault has
-    been routed through ``kernel.repair_fault`` and the caller must
-    refetch the block and retry, exactly like the interpreter's fault
-    arm. The fast path resolves the translation from the thread's TLB
-    micro-cache; a fast hit stands in for a successful ``lookup`` +
-    permission check, so it books a regular TLB hit too.
+
+def body_source(chain: bool, overhead: int, start: int,
+                members: tuple) -> str:
+    """Generate the source of one body (see the module docstring).
+
+    ``members`` holds one ``(f, slots, follows_taken)`` per member: ``f``
+    numbers distinct blocks in order of first appearance (an unrolled
+    loop repeats them), ``slots`` are the instructions the body covers,
+    and ``follows_taken`` says a chain member's final branch is
+    predicted taken. A block body has one member whose slots start at
+    block position ``start``; a chain (``chain=True``) covers whole
+    blocks and also books each member's dispatch and execution count.
     """
-    op = instr.op
-    mem = instr.mem
-    base = mem.base
-    disp = mem.disp
-    rd = instr.rd
-    rs1 = instr.rs1
-    memory = engine.cpu.memory
-    translate = engine.cpu.translate
-    kernel = engine.kernel
-    counter = engine.counter
-    stats = engine.stats
-    read_word = memory.read_word
-    write_word = memory.write_word
+    lines: List[str] = ["def _body(thread):"]
+    emit = lines.append
+    last = len(members) - 1
+    if chain:
+        # Prologue identity guards: the baked CompiledBlock stands in
+        # for "the member's hook set and elision plan are unchanged" —
+        # every path that changes either replaces or drops it. Nothing
+        # is booked on a stale exit.
+        for f in range(1 + max(m[0] for m in members)):
+            emit(f"    if m{f}.compiled is not c{f}:")
+            emit(f"        _exit[1] = {EXIT_STALE}")
+            emit("        return 0")
+    emit("    regs = thread.regs")
+    all_slots = [s for m in members for s in m[1]]
+    probed = [s.op for s in all_slots if s.op in MEMORY_OPCODES]
+    if Opcode.LOAD in probed:
+        emit("    fr = thread.tlb.fast_ro")
+    if Opcode.STORE in probed or Opcode.ATOMIC_ADD in probed:
+        emit("    fw = thread.tlb.fast_rw")
+    has_elision = any(s.elided for s in all_slots)
 
-    if op is Opcode.LOAD:
-        def fn(thread):
-            regs = thread.regs
-            ea = disp if base is None else (regs[base] + disp) & _MASK64
-            tlb = thread.tlb
-            pb = tlb.fast_ro.get(ea >> PAGE_SHIFT)
-            if pb is not None:
-                tlb.hits += 1
-                tlb.fast_hits += 1
-                paddr = pb | (ea & _PAGE_MASK)
-            else:
-                tlb.fast_misses += 1
-                try:
-                    paddr = translate(thread, ea, False)
-                except PageFault as fault:
-                    kernel.repair_fault(thread, fault)
-                    return False
-            regs[rd] = read_word(paddr)
-            counter.instr_cycles += charge
-            stats.instructions += 1
-            stats.memory_refs += 1
-            thread.pc[1] = next_ii
-            return True
-        return fn
+    # Generation-time accounting: everything the reference books per
+    # instruction is summed here and emitted as constants at each exit
+    # site — minus what the body already booked in front of a hook call
+    # (``booked``).
+    cyc = 0       # retired instruction cycles so far
+    icount = 0    # retired instructions so far
+    mems = 0      # retired fast-path memory refs so far
+    elided = 0    # retired --static-elide-approved accesses so far
+    hooked = 0    # retired fast-path hooked accesses so far
+    booked = {"dispatches": 0, "cyc": 0, "icount": 0, "mems": 0,
+              "elided": 0, "hooked": 0}
+    # pc[0] is the first member's block on entry, and only parks write
+    # it mid-body.
+    state = {"vno": 0, "pc0": 0}
+    # TLB probe hoisting: page-base vars established earlier in the
+    # body. Literal pages key on the page number; register-relative
+    # pages key on (base_reg, disp) and die when the base register is
+    # rewritten. Both die at a hook call. A fast_rw hit satisfies later
+    # fast_ro needs (the writable map is a subset of the readable one).
+    reuse_const: Dict[int, Dict[str, str]] = {}
+    reuse_reg: Dict[Tuple[Optional[int], int],
+                    Tuple[str, Dict[str, str]]] = {}
 
-    if op is Opcode.STORE:
-        def fn(thread):
-            regs = thread.regs
-            ea = disp if base is None else (regs[base] + disp) & _MASK64
-            tlb = thread.tlb
-            pb = tlb.fast_rw.get(ea >> PAGE_SHIFT)
-            if pb is not None:
-                tlb.hits += 1
-                tlb.fast_hits += 1
-                paddr = pb | (ea & _PAGE_MASK)
-            else:
-                tlb.fast_misses += 1
-                try:
-                    paddr = translate(thread, ea, True)
-                except PageFault as fault:
-                    kernel.repair_fault(thread, fault)
-                    return False
-            write_word(paddr, regs[rs1])
-            counter.instr_cycles += charge
-            stats.instructions += 1
-            stats.memory_refs += 1
-            thread.pc[1] = next_ii
-            return True
-        return fn
+    def fresh(prefix: str) -> str:
+        state["vno"] += 1
+        return f"{prefix}{state['vno']}"
 
-    # ATOMIC_ADD
-    def fn(thread):
-        regs = thread.regs
-        ea = disp if base is None else (regs[base] + disp) & _MASK64
-        tlb = thread.tlb
-        pb = tlb.fast_rw.get(ea >> PAGE_SHIFT)
-        if pb is not None:
-            tlb.hits += 1
-            tlb.fast_hits += 1
-            paddr = pb | (ea & _PAGE_MASK)
-        else:
-            tlb.fast_misses += 1
-            try:
-                paddr = translate(thread, ea, True)
-            except PageFault as fault:
-                kernel.repair_fault(thread, fault)
-                return False
-        old = read_word(paddr)
-        write_word(paddr, (old + regs[rs1]) & _MASK64)
-        if rd is not None:
-            regs[rd] = old
-        counter.instr_cycles += charge
-        stats.instructions += 1
-        stats.memory_refs += 1
-        thread.pc[1] = next_ii
-        return True
-    return fn
+    def kill(reg: Optional[int]) -> None:
+        for key in [key for key in reuse_reg if key[0] == reg]:
+            del reuse_reg[key]
 
+    def dispatches(idx: int) -> int:
+        return idx + 1 if chain else 0
 
-def hooked_tail(instr, engine, charge: int, next_ii: int) -> Callable:
-    """Everything a hooked memory step does after its hook.
+    def prefix_args(dispatched: int, cyc_: int, icount_: int) -> str:
+        """The not-yet-booked part of a retired prefix (memory, elided
+        and hooked counts are the running totals) as trailing arguments
+        of a shared exit (:func:`cold_paths`), zeros left off."""
+        n = icount_ - booked["icount"]
+        prefix = [cyc_ - booked["cyc"], n, mems - booked["mems"],
+                  hooked - booked["hooked"],
+                  (dispatched - booked["dispatches"]) * costs.BLOCK_DISPATCH,
+                  elided - booked["elided"], n if has_elision else 0]
+        while prefix and not prefix[-1]:
+            prefix.pop()
+        return "".join(f", {v}" for v in prefix)
 
-    Returns ``tail(thread, ea) -> bool``: probe the TLB micro-cache for
-    ``ea`` (the hook's override, when it returned one), fall back to the
-    platform's ``translate`` on a miss, route a page fault through
-    ``kernel.repair_fault`` (False: nothing retired, the caller retries
-    through the hook again), else access the word and book the retire
-    — charge, counts, ``stats.instrumented_execs`` and ``pc[1]``. The
-    compiled hooked step is its hook plus this tail; a superblock body
-    inlines the fast probe and calls it only when the probe misses or
-    the address is misaligned, so it never calls the hook twice. One
-    body serves all three opcodes: next to the hook call, its opcode
-    tests are noise.
-    """
-    is_load = instr.op is Opcode.LOAD
-    is_atomic = instr.op is Opcode.ATOMIC_ADD
-    rd = instr.rd
-    rs1 = instr.rs1
-    memory = engine.cpu.memory
-    translate = engine.cpu.translate
-    kernel = engine.kernel
-    counter = engine.counter
-    stats = engine.stats
-    read_word = memory.read_word
-    write_word = memory.write_word
+    def pc0_arg(f: int) -> str:
+        """The ``pc0`` argument of a shared exit in member block ``f``."""
+        return "None" if state["pc0"] == f else f"b{f}"
 
-    def tail(thread, ea):
-        tlb = thread.tlb
-        pb = (tlb.fast_ro if is_load else tlb.fast_rw).get(ea >> PAGE_SHIFT)
-        if pb is not None:
-            tlb.hits += 1
-            tlb.fast_hits += 1
-            paddr = pb | (ea & _PAGE_MASK)
-        else:
-            tlb.fast_misses += 1
-            try:
-                paddr = translate(thread, ea, not is_load)
-            except PageFault as fault:
-                kernel.repair_fault(thread, fault)
-                return False
-        regs = thread.regs
-        if is_load:
-            regs[rd] = read_word(paddr)
-        elif is_atomic:
-            old = read_word(paddr)
-            write_word(paddr, (old + regs[rs1]) & _MASK64)
-            if rd is not None:
-                regs[rd] = old
-        else:
-            write_word(paddr, regs[rs1])
-        counter.instr_cycles += charge
-        stats.instructions += 1
-        stats.memory_refs += 1
-        stats.instrumented_execs += 1
-        thread.pc[1] = next_ii
-        return True
-    return tail
+    def leave(ind: str, pc0: str, pc1, idx: int, code: int,
+              dispatched: int, cyc_: int, icount_: int) -> None:
+        """Exit: book the rest of the prefix and set pc (``pc0`` None:
+        pc[0] already holds the block)."""
+        emit(f"{ind}return _leave(thread, {pc0}, {pc1}, {idx}, {code}, "
+             f"{icount_}{prefix_args(dispatched, cyc_, icount_)})")
 
+    def park(ind: str, idx: int, f: int, pos: int, dispatched: int,
+             cyc_: int, icount_: int) -> None:
+        """Exit with pc parked at ``pos`` inside member ``idx``; the
+        engine carries on in that block without re-charging its
+        dispatch."""
+        leave(ind, pc0_arg(f), pos, idx, EXIT_RESUME, dispatched, cyc_,
+              icount_)
 
-def _hooked_mem_closure(instr, hook, engine, charge: int,
-                        next_ii: int) -> Callable:
-    """Bind one hooked memory instruction into ``fn(thread) -> bool``.
+    def complete(ind: str, pc0: str, pc1) -> None:
+        leave(ind, pc0, pc1, last, EXIT_COMPLETE, dispatches(last), cyc,
+              icount)
 
-    The :func:`_mem_closure` contract with the tool's hook in front:
-    every attempt calls ``hook(thread, instr, ea)`` on the computed
-    effective address and accesses the address it returns instead, when
-    it returns one — exactly the interpreter's ``ea_override`` path —
-    through :func:`hooked_tail`. A faulting attempt retries through the
-    hook again; only the retire counts toward
-    ``stats.instrumented_execs``. The hook is bound once: tools set
-    hooks only while a block is built.
-    """
-    mem = instr.mem
-    base = mem.base
-    disp = mem.disp
-    tail = hooked_tail(instr, engine, charge, next_ii)
+    def tail_args(s: Slot, idx: int) -> str:
+        """``retired, charge, mode, *prefix`` of a tail call (see
+        :func:`cold_paths`)."""
+        mode = ((_HOOKED if s.hooked else 0) | (_ELIDED if s.elided else 0)
+                | (_RESUME if resumes(s) else 0)
+                | (_FAST if has_elision else 0))
+        return (f"{icount}, {BASE_COST[s.op] + overhead}, {mode}"
+                f"{prefix_args(dispatches(idx), cyc, icount)}")
 
-    def fn(thread):
-        ea = disp if base is None else (thread.regs[base] + disp) & _MASK64
-        override = hook(thread, instr, ea)
-        return tail(thread, ea if override is None else override)
-    return fn
+    def resumes(s: Slot) -> bool:
+        """Does the body carry on after this access's tail? A block body
+        does, forgetting every hoisted probe (the tail may have evicted
+        one). A chain does after a hooked access, whose hook already
+        made it forget them; after an unhooked miss it leaves, keeping
+        its probes hoisted."""
+        return not chain or s.hooked
 
+    def slow_path(s: Slot, idx: int, f: int, pos: int, k: int,
+                  ea: str) -> str:
+        """Inside a miss guard: run the access through the memory tail
+        (see :func:`resumes`). Returns the indent of the fast access,
+        which goes under ``else`` when the body carries on."""
+        call = (f"_tail(thread, {ea}, i{k}, {pc0_arg(f)}, {pos}, {idx}, "
+                f"{tail_args(s, idx)})")
+        if not resumes(s):
+            emit(f"        return {call}")
+            return "    "
+        emit(f"        r = {call}")
+        emit("        if r >= 0:")
+        emit("            return r")
+        emit("    else:")
+        return "        "
 
-def _eli_fast_fn(instrs, start: int, engine, overhead: int) -> Callable:
-    """exec()-generate the fast body for one statically-elided run.
-
-    ``instrs`` is the run (SEG opcodes + elidable memory accesses),
-    ``start`` its first instruction index in the block. The generated
-    ``fn(thread) -> retired`` inlines every ALU statement and guards
-    each memory access on the owning thread's TLB micro-cache
-    (``fast_ro``/``fast_rw``). A guard miss at run position ``k``
-    applies the *exact* accounting of the ``k`` already-retired prefix
-    instructions (pre-summed cycle charges, instruction/memory-ref
-    counts, per-access TLB hit bookkeeping — identical to what the base
-    SEG/MEM steps would have booked, because nothing between two fast
-    retires can observe intermediate state), parks ``pc`` on the failing
-    position and returns ``k``; the engine then re-executes that
-    position through its base step, which re-probes, counts the
-    ``fast_misses`` and handles translate/fault — so a bail costs
-    nothing extra and counts nothing twice. A miss at position 0 returns
-    0 with no effects at all.
-
-    The elision counters (``engine._elision_cell``) are host-side
-    observability, never part of any simulated stat surface.
-    """
-    counter = engine.counter
-    stats = engine.stats
-    memory = engine.cpu.memory
-
-    charges = [BASE_COST[i.op] + overhead for i in instrs]
-    cyc_prefix = [0]
-    for c in charges:
-        cyc_prefix.append(cyc_prefix[-1] + c)
-    n = len(instrs)
-
-    lines: List[str] = ["def _eli(thread):",
-                        "    regs = thread.regs",
-                        "    tlb = thread.tlb"]
-    uses_ro = any(i.op is Opcode.LOAD for i in instrs)
-    uses_rw = any(i.op in (Opcode.STORE, Opcode.ATOMIC_ADD)
-                  for i in instrs)
-    if uses_ro:
-        lines.append("    fr = tlb.fast_ro")
-    if uses_rw:
-        lines.append("    fw = tlb.fast_rw")
-
-    def bail(k: int, mems: int) -> List[str]:
-        if k == 0:
-            return ["        return 0"]
-        out = [f"        counter.instr_cycles += {cyc_prefix[k]}",
-               f"        stats.instructions += {k}"]
-        if mems:
-            out += [f"        stats.memory_refs += {mems}",
-                    f"        tlb.hits += {mems}",
-                    f"        tlb.fast_hits += {mems}",
-                    f"        _ec[0] += {mems}"]
-        out += [f"        _ec[1] += {k}",
-                f"        thread.pc[1] = {start + k}",
-                f"        return {k}"]
-        return out
-
-    mems_so_far = 0
-    for k, instr in enumerate(instrs):
-        op = instr.op
-        if op in SEG_OPCODES:
-            stmt = _seg_statement(instr)
-            if stmt is not None:
-                lines.append(f"    {stmt}")
-            continue
-        # Memory access: compute the physical address behind a guard.
-        mem = instr.mem
-        fmap = "fr" if op is Opcode.LOAD else "fw"
-        if mem.base is None:
-            page = mem.disp >> PAGE_SHIFT
-            off = mem.disp & _PAGE_MASK
-            lines.append(f"    pb{k} = {fmap}.get({page})")
-            lines.append(f"    if pb{k} is None:")
-            lines.extend(bail(k, mems_so_far))
-            paddr = f"(pb{k} | {off})" if off else f"pb{k}"
-        else:
-            lines.append(f"    ea{k} = (regs[{mem.base}] + {mem.disp})"
-                         f" & {_MASK64}")
-            lines.append(f"    pb{k} = {fmap}.get(ea{k} >> {PAGE_SHIFT})")
-            lines.append(f"    if pb{k} is None:")
-            lines.extend(bail(k, mems_so_far))
-            paddr = f"(pb{k} | (ea{k} & {_PAGE_MASK}))"
+    def emit_access(ind: str, s: Slot, paddr: str) -> None:
+        op = s.op
         if op is Opcode.LOAD:
-            lines.append(f"    regs[{instr.rd}] = read_word({paddr})")
+            emit(f"{ind}regs[{s.rd}] = _mw_get(({paddr}) >> 3, 0)")
+            kill(s.rd)
         elif op is Opcode.STORE:
-            lines.append(f"    write_word({paddr}, regs[{instr.rs1}])")
+            emit(f"{ind}_mw[({paddr}) >> 3] = regs[{s.rs1}] & {_MASK64}")
         else:  # ATOMIC_ADD
-            lines.append(f"    pa{k} = {paddr}")
-            lines.append(f"    old{k} = read_word(pa{k})")
-            lines.append(f"    write_word(pa{k}, (old{k} + "
-                         f"regs[{instr.rs1}]) & {_MASK64})")
-            if instr.rd is not None:
-                lines.append(f"    regs[{instr.rd}] = old{k}")
-        mems_so_far += 1
-    # Full completion: total accounting in one shot.
-    lines += [f"    counter.instr_cycles += {cyc_prefix[n]}",
-              f"    stats.instructions += {n}",
-              f"    stats.memory_refs += {mems_so_far}",
-              f"    tlb.hits += {mems_so_far}",
-              f"    tlb.fast_hits += {mems_so_far}",
-              f"    _ec[0] += {mems_so_far}",
-              f"    _ec[1] += {n}",
-              f"    thread.pc[1] = {start + n}",
-              f"    return {n}"]
-    namespace: dict = {}
-    exec(generated_code("\n".join(lines), "<blockcompiler:eli>"),
-         {"counter": counter, "stats": stats, "_ec": engine._elision_cell,
-          "read_word": memory.read_word,
-          "write_word": memory.write_word},
-         namespace)
-    return namespace["_eli"]
+            wi = fresh("wi")
+            old = fresh("old")
+            emit(f"{ind}{wi} = ({paddr}) >> 3")
+            emit(f"{ind}{old} = _mw_get({wi}, 0)")
+            emit(f"{ind}_mw[{wi}] = ({old} + regs[{s.rs1}]) & {_MASK64}")
+            if s.rd is not None:
+                emit(f"{ind}regs[{s.rd}] = {old}")
+                kill(s.rd)
 
+    def emit_hooked(s: Slot, idx: int, f: int, pos: int, k: int) -> None:
+        nonlocal cyc, icount, mems, hooked
+        # The shared ``hooked`` exit books the prefix, parks pc and calls
+        # the hook, which may have changed any translation.
+        reuse_const.clear()
+        reuse_reg.clear()
+        ea = fresh("ea")
+        ea_expr = (str(s.disp) if s.base is None
+                   else f"(regs[{s.base}] + {s.disp}) & {_MASK64}")
+        emit(f"    {ea} = _hooked(thread, h{k}, i{k}, {ea_expr}, "
+             f"{pc0_arg(f)}, {pos}"
+             f"{prefix_args(dispatches(idx), cyc, icount)})")
+        booked.update(dispatches=dispatches(idx), cyc=cyc, icount=icount,
+                      mems=mems, elided=elided, hooked=hooked)
+        state["pc0"] = f
+        pb = fresh("pb")
+        fmap = "fr" if s.op is Opcode.LOAD else "fw"
+        emit(f"    {pb} = {fmap}.get({ea} >> {PAGE_SHIFT})")
+        emit(f"    if {pb} is None or {ea} & 7 or _eng._cache_dirty:")
+        emit_access(slow_path(s, idx, f, pos, k, ea), s,
+                    f"{pb} | ({ea} & {_PAGE_MASK})")
+        cyc += BASE_COST[s.op] + overhead
+        icount += 1
+        mems += 1
+        hooked += 1
 
-def elidable(instr, hook, plan, retired) -> bool:
-    """Does ``--static-elide`` elide this position's check?
-
-    Only an unhooked memory access the plan approved and no tripwire
-    has retired: a hooked access is a memory step too, but an elided
-    body never calls hooks, so it keeps its own step (and a superblock
-    never counts it as elided).
-    """
-    if hook is not None or instr.op not in MEMORY_OPCODES:
-        return False
-    uid = instr.uid
-    return uid in plan and uid not in retired
-
-
-def compile_block(cached, engine) -> CompiledBlock:
-    """Compile a cached block against ``engine``'s current overhead.
-
-    Classification is stable for the life of the ``CachedBlock``: hooks
-    are set only while the block is built (AikidoSD adds one through a
-    flush-and-rebuild, its re-JIT), so a hooked position's closure binds
-    its hook once.
-    """
-    overhead = engine.overhead_per_instr
-    instrs = cached.instrs
-    hooks = cached.hooks
-    n = len(instrs)
-    steps: List[Optional[tuple]] = [None] * n
-    i = 0
-    while i < n:
-        instr = instrs[i]
-        if instr.op in SEG_OPCODES:
-            j = i
-            fns: List[Callable] = []
-            charges: List[int] = []
-            while j < n and instrs[j].op in SEG_OPCODES:
-                fns.append(_alu_closure(instrs[j]))
-                charges.append(BASE_COST[instrs[j].op] + overhead)
-                j += 1
-            # One suffix step per position so mid-run re-entry (quantum
-            # boundary landed inside the segment) stays valid; only the
-            # run head gets the exec()-generated fast body, interior
-            # entries (rare: a quantum boundary parked mid-run) fall
-            # back to the micro-closure loop.
-            for start in range(i, j):
-                sub = tuple(fns[start - i:])
-                prefixes: List[int] = [0]
-                acc = 0
-                for c in charges[start - i:]:
-                    acc += c
-                    prefixes.append(acc)
-                run_fn = _seg_run_fn(instrs[i:j]) if start == i else None
-                steps[start] = (SEG, run_fn, sub, len(sub), acc,
-                                tuple(prefixes), j)
-            i = j
-            continue
-        charge = BASE_COST[instr.op] + overhead
-        if instr.op in MEMORY_OPCODES:
-            hook = hooks[i]
-            if hook is None:
-                fn = _mem_closure(instr, engine, charge, i + 1)
-            else:
-                fn = _hooked_mem_closure(instr, hook, engine, charge, i + 1)
-            steps[i] = (MEM, fn)
-        elif instr.op in CTL_OPCODES:
-            steps[i] = (CTL, _ctl_closure(instr, engine, charge,
-                                          cached.block_index, i + 1))
+    def emit_mem(s: Slot, idx: int, f: int, pos: int, k: int) -> None:
+        nonlocal cyc, icount, mems, elided
+        if s.hooked:
+            emit_hooked(s, idx, f, pos, k)
+            return
+        need_rw = s.op is not Opcode.LOAD
+        mode = "rw" if need_rw else "ro"
+        fmap = "fw" if need_rw else "fr"
+        ind = None  # set when this access probes afresh
+        if s.base is None and not s.disp & 7:
+            page = s.disp >> PAGE_SHIFT
+            off = s.disp & _PAGE_MASK
+            modes = reuse_const.setdefault(page, {})
+            pb = modes.get("rw") or (None if need_rw else modes.get("ro"))
+            if pb is None:
+                pb = fresh("pb")
+                emit(f"    {pb} = {fmap}.get({page})")
+                emit(f"    if {pb} is None:")
+                ind = slow_path(s, idx, f, pos, k, str(s.disp))
+                modes[mode] = pb
+            paddr = f"({pb} | {off})" if off else pb
         else:
-            steps[i] = (GEN, charge)
-        i += 1
+            # Register-relative, or a literal misaligned address (which
+            # always takes the tail: its first probe vets alignment).
+            key = (s.base, s.disp)
+            rec = reuse_reg.get(key)
+            if rec is None:
+                ea = fresh("ea")
+                if s.base is None:
+                    emit(f"    {ea} = {s.disp}")
+                else:
+                    emit(f"    {ea} = (regs[{s.base}] + {s.disp})"
+                         f" & {_MASK64}")
+                rec = reuse_reg[key] = (ea, {})
+            ea, modes = rec
+            pb = modes.get("rw") or (None if need_rw else modes.get("ro"))
+            if pb is None:
+                pb = fresh("pb")
+                emit(f"    {pb} = {fmap}.get({ea} >> {PAGE_SHIFT})")
+                emit(f"    if {pb} is None or {ea} & 7:" if not modes
+                     else f"    if {pb} is None:")
+                ind = slow_path(s, idx, f, pos, k, ea)
+                modes[mode] = pb
+            paddr = f"({pb} | ({ea} & {_PAGE_MASK}))"
+        emit_access(ind or "    ", s, paddr)
+        if ind is not None and not chain:
+            # A block body carried on after the tail, which may have
+            # evicted any hoisted probe.
+            reuse_const.clear()
+            reuse_reg.clear()
+        cyc += BASE_COST[s.op] + overhead
+        icount += 1
+        mems += 1
+        if s.elided:
+            elided += 1
 
-    # ------------------------------------------------------------------
-    # static-check elision: superimpose ELI fast paths (--static-elide)
-    # ------------------------------------------------------------------
-    stitchable = chain_stitchable(cached)
-    plan = engine.elision_plan
-    if plan is None:
-        return CompiledBlock(steps, overhead, stitchable=stitchable)
-    retired = engine._elision_retired
-    elided_uids = set()
-    elided_private = set()
-
-    def _elidable(pos: int) -> bool:
-        return elidable(instrs[pos], hooks[pos], plan, retired)
-
-    i = 0
-    while i < n:
-        if steps[i][0] != SEG and not _elidable(i):
-            i += 1
-            continue
-        j = i
-        mem_positions: List[int] = []
-        while j < n and (steps[j][0] == SEG or _elidable(j)):
-            if steps[j][0] == MEM:
-                mem_positions.append(j)
-            j += 1
-        # Fuse only when there is a check to elide and the run beats a
-        # single base step. Interior positions keep their base steps
-        # (mid-run re-entry after a quantum boundary or a bail).
-        if mem_positions and j - i >= 2:
-            fast_fn = _eli_fast_fn(instrs[i:j], i, engine, overhead)
-            steps[i] = (ELI, fast_fn, j - i, steps[i])
-            for p in mem_positions:
-                uid = instrs[p].uid
-                elided_uids.add(uid)
-                if plan.tier(uid) == "private":
-                    elided_private.add(uid)
-        i = j
-    return CompiledBlock(steps, overhead, frozenset(elided_uids),
-                         frozenset(elided_private),
-                         stitchable=stitchable)
+    offset = 0
+    for idx, (f, slots, follows_taken) in enumerate(members):
+        first = start if not chain else 0
+        end = first + len(slots)
+        if chain:
+            # The member's fetch bookkeeping: the reference tier's
+            # codecache.get() bumps the execution count on every entry
+            # (dispatch cycles are summed into the exit constants; the
+            # promotion check is provably dead here — every member is
+            # already in_trace, a build precondition).
+            emit(f"    m{f}.executions += 1")
+        for pos, s in enumerate(slots, first):
+            k = offset + pos
+            op = s.op
+            charge = BASE_COST[op] + overhead
+            if op in ALU_OPCODES:
+                stmt = _alu_statement(s)
+                if stmt is not None:
+                    emit(f"    {stmt}")
+                    kill(s.rd)
+            elif op is Opcode.MOD:
+                if s.rs2 is not None:
+                    # The zero check raises *before* charging in the
+                    # reference: park with MOD unretired.
+                    emit(f"    if regs[{s.rs2}] == 0:")
+                    park("        ", idx, f, pos, dispatches(idx), cyc,
+                         icount)
+                    rhs = f"regs[{s.rs2}]"
+                else:
+                    rhs = repr(s.imm)  # a literal zero is not holdable
+                emit(f"    regs[{s.rd}] = regs[{s.rs1}] % {rhs}")
+                kill(s.rd)
+            elif op in MEMORY_OPCODES:
+                emit_mem(s, idx, f, pos, k)
+                continue
+            elif op is Opcode.JMP or op is Opcode.CALL:
+                if op is Opcode.CALL:
+                    emit(f"    thread.call_stack.append((b{f}, {pos + 1}))")
+                cyc += charge
+                icount += 1
+                if idx == last:
+                    complete("    ", f"g{k}", 0)
+                continue
+            elif op is Opcode.RET:
+                # RET charges before raising on an empty stack: park it
+                # unretired; CPU.execute books it and raises.
+                emit("    if not thread.call_stack:")
+                park("        ", idx, f, pos, dispatches(idx), cyc, icount)
+                cyc += charge
+                icount += 1
+                ra = fresh("ra")
+                emit(f"    {ra} = thread.call_stack.pop()")
+                complete("    ", f"{ra}[0]", f"{ra}[1]")
+                continue
+            elif op in _BRANCH_OPCODES:
+                # A not-taken branch in the reference does NOT transfer
+                # control: it parks pc just past the block end and the
+                # engine advances on its next loop iteration — a state a
+                # quantum boundary can observe. Not-taken outcomes
+                # therefore park at ``pos + 1`` with the branch retired.
+                if idx == last:
+                    emit(f"    if {_taken_cond(s)}:")
+                    cyc += charge
+                    icount += 1
+                    complete("        ", f"g{k}", 0)
+                    park("    ", idx, f, pos + 1, dispatches(idx), cyc,
+                         icount)
+                elif follows_taken:
+                    emit(f"    if {_not_taken_cond(s)}:")
+                    park("        ", idx, f, pos + 1, idx + 1,
+                         cyc + charge, icount + 1)
+                else:
+                    emit(f"    if {_taken_cond(s)}:")
+                    leave("        ", f"g{k}", 0, idx, EXIT_REFETCH, idx + 1,
+                          cyc + charge, icount + 1)
+                if idx != last:
+                    cyc += charge
+                    icount += 1
+                continue
+            cyc += charge
+            icount += 1
+        if idx == last and slots[-1].op not in TAIL_OPCODES:
+            # Fell off the end: like a not-taken branch, the reference
+            # parks pc past the last instruction.
+            park("    ", idx, f, end, dispatches(idx), cyc, icount)
+        offset += len(slots)
+    return "\n".join(lines)

@@ -44,15 +44,15 @@ class CachedBlock:
         #: Lazily attached :class:`~repro.dbr.blockcompiler.CompiledBlock`
         #: (None until the engine's compiled tier first enters the block).
         #: It shares this object's lifetime: every invalidation path pops
-        #: the CachedBlock, taking the closure with it.
+        #: the CachedBlock, taking the compiled bodies with it.
         self.compiled = None
 
     def set_hook(self, position: int, hook: Callable) -> None:
         """Hook the memory instruction at ``position``.
 
         Tools call this only from ``instrument_block``, while the block
-        is built; the compiled tier binds the hook into the position's
-        closure once. Only memory instructions take hooks.
+        is built; the compiled tier binds the hook into the block's
+        generated bodies once. Only memory instructions take hooks.
         """
         instr = self.instrs[position]
         if instr.mem is None:
@@ -81,10 +81,13 @@ class CodeCache:
         self.builds = 0
         self.flushes = 0
         self.traces_built = 0
-        #: Compiled-tier traffic: closures built by the engine and
-        #: closures dropped by invalidation (observability only — never
-        #: part of the tier-parity stats surface).
+        #: Compiled-tier traffic: blocks compiled by the engine, their
+        #: generated body variants (one per entry ``(start, stop)``
+        #: pair) and compiled blocks dropped by invalidation
+        #: (observability only — never part of the tier-parity stats
+        #: surface).
         self.closures_compiled = 0
+        self.bodies_built = 0
         self.closures_dropped = 0
         #: Observability tracer, attached by AikidoSystem (None = off).
         self.tracer = None

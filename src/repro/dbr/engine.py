@@ -9,6 +9,12 @@ Running under the engine costs: one block build per cold block, one
 dispatch charge per block entry (link stubs / IBL lookups, amortized), and
 whatever the attached hooks charge. This models DynamoRIO's "near native
 once warm" profile — both the FastTrack baseline and Aikido pay it.
+
+On the host, the compiled tiers run every block as code generated by one
+emitter (:mod:`repro.dbr.blockcompiler`), the way DynamoRIO's basic
+blocks and traces come out of one code cache: a block body from the
+entry position to the first instruction only ``CPU.execute`` can run,
+clipped to the quantum, and a chain body for hot traces.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro import costs
-from repro.dbr.blockcompiler import CTL, ELI, GEN, MEM, SEG, compile_block
+from repro.dbr.blockcompiler import (EXIT_COMPLETE, EXIT_FAULT,
+                                     EXIT_RESUME, EXIT_STALE, block_body,
+                                     compile_block)
 from repro.dbr.codecache import CodeCache
-from repro.dbr.superblock import (EXIT_COMPLETE, EXIT_FAULT, EXIT_RESUME,
-                                  EXIT_STALE, MIN_INSTRUCTIONS,
-                                  RETRY_EXECUTIONS,
+from repro.dbr.superblock import (MIN_INSTRUCTIONS, RETRY_EXECUTIONS,
                                   THRASH_MIN_ENTRIES, SuperBlockCache,
                                   compile_superblock, plan_chain)
 from repro.dbr.tool import Tool
@@ -40,12 +46,13 @@ class DBREngine(ExecutionDriver):
     Three execution tiers share the code cache. The *interpreter* tier
     (:meth:`_run_interp`) is the reference: one ``CPU.execute`` per
     instruction. The *compiled* tier (:meth:`_run_compiled`, default,
-    ``compile_blocks=False`` to disable) runs each block through its
-    specialized closure form (see :mod:`repro.dbr.blockcompiler`). The
-    *superblock* tier (``superblocks=False`` to disable, on by default
-    whenever the compiled tier is) additionally stitches hot block
-    chains into single generated functions with guard-protected side
-    exits (see :mod:`repro.dbr.superblock` /
+    ``compile_blocks=False`` to disable) runs each block as generated
+    bodies, one per entry position and stop (see
+    :mod:`repro.dbr.blockcompiler`); kernel actions and HALT go through
+    ``CPU.execute``. The *superblock* tier (``superblocks=False`` to
+    disable, on by default whenever the compiled tier is) additionally
+    stitches hot block chains into single bodies from the same emitter,
+    with guard-protected side exits (see :mod:`repro.dbr.superblock` /
     :mod:`repro.dbr.traceprofiler`), dispatched from the compiled
     tier's fetch path. All tiers must produce bit-identical simulated
     stats.
@@ -91,6 +98,10 @@ class DBREngine(ExecutionDriver):
         self.elision_plan = None
         self._elision_retired: set = set()
         self._elision_cell = [0, 0]
+        #: ``[member index, exit code]`` every generated body leaves on
+        #: exit, and the globals every body shares (built on first use).
+        self._exit = [0, EXIT_COMPLETE]
+        self._codegen_globals = None
         kernel.set_driver(self, self.process)
 
     # ------------------------------------------------------------------
@@ -236,6 +247,7 @@ class DBREngine(ExecutionDriver):
             "entries": sb_cache.entries,
             "completions": sb_cache.completions,
             "instructions": sb_cache.instructions,
+            "refused": sb_cache.refused,
             "live": len(sb_cache.by_head),
         }
 
@@ -329,7 +341,7 @@ class DBREngine(ExecutionDriver):
         return "quantum"
 
     def _compile_block(self, cached, overhead: int):
-        """(Re)compile a cached block's closure; tracks traffic/tracing."""
+        """(Re)compile a cached block; tracks traffic/tracing."""
         codecache = self.codecache
         if cached.compiled is not None:
             # Stale: baked with a different residency overhead (the
@@ -342,15 +354,17 @@ class DBREngine(ExecutionDriver):
         if self.tracer is not None:
             self.tracer.instant("block_compile", "dbr",
                                 block=cached.block_index,
-                                steps=compiled.length)
+                                instructions=compiled.length)
         return compiled
 
     def _run_compiled(self, thread, budget: int) -> str:
-        """Compiled tier: one specialized step per fused unit.
+        """Compiled tier: generated bodies instead of per-instruction
+        dispatch.
 
         Structurally a clone of :meth:`_run_interp` — same fetch
         condition, same dispatch charge, same fault/yield/blocked exits —
-        with the per-instruction body replaced by the block's step list.
+        with the per-instruction body replaced by block bodies and, when
+        the superblock tier is on, chain bodies entered at block heads.
         """
         kernel = self.kernel
         execute = self.cpu.execute
@@ -358,13 +372,16 @@ class DBREngine(ExecutionDriver):
         stats = self.stats
         codecache = self.codecache
         pc = thread.pc
+        exit_cell = self._exit
         executed = 0
         cur_bi = -1
         cached = None
-        steps = None
+        compiled = None
+        limits = bodies = None
         length = 0
         #: True only while a fault-repair for the instruction being
-        #: retried may have left a chaos preempt pending.
+        #: retried may have left a chaos preempt pending: the yield flag
+        #: is checked after the retry, like the interpreter does.
         pending_yield = False
         #: The interpreter re-reads ``thread.runnable`` before every
         #: instruction, but only kernel entries can change it; the
@@ -406,7 +423,11 @@ class DBREngine(ExecutionDriver):
                         if sb.overhead != overhead:
                             self._drop_superblocks((sb,), bi,
                                                    "stale_overhead")
-                        elif sb.count <= budget - executed:
+                        elif sb.count > budget - executed:
+                            # The chain does not fit the rest of the
+                            # quantum: the block bodies run it instead.
+                            sb_cache.refused += 1
+                        else:
                             # The whole chain fits in the remaining
                             # budget — run it. The body books the
                             # accounting at its exit site, and in
@@ -454,28 +475,32 @@ class DBREngine(ExecutionDriver):
                                 # the members had dispatched normally.
                                 if code == EXIT_RESUME:
                                     # pc is parked inside (or just
-                                    # past) a member; resume through
-                                    # its ordinary step list. Its
-                                    # dispatch is already charged — do
-                                    # NOT re-fetch.
+                                    # past) a member; carry on in its
+                                    # block bodies. Its dispatch is
+                                    # already charged — do NOT
+                                    # re-fetch.
                                     member = sb.members[sb.exit[0]]
                                     cached = member
                                     cur_bi = member.block_index
                                     prev_bi = cur_bi
                                     compiled = member.compiled
-                                    steps = compiled.steps
+                                    if (compiled is None or
+                                            compiled.overhead != overhead):
+                                        compiled = self._compile_block(
+                                            member, overhead)
+                                    limits = compiled.limits
+                                    bodies = compiled.bodies
                                     length = compiled.length
                                 elif code == EXIT_COMPLETE:
                                     cur_bi = -1
                                     prev_bi = (
                                         sb.members[-1].block_index)
                                 else:
-                                    # REFETCH after a deviation, or a
-                                    # hooked access that faulted: the
-                                    # engine re-fetches; a fault also
-                                    # makes the retry check the yield
-                                    # flag and runnability, exactly as
-                                    # after a MEM step's fault.
+                                    # REFETCH after a deviation or a
+                                    # flush, or an access that faulted:
+                                    # the engine re-fetches; a fault
+                                    # also makes the retry check the
+                                    # yield flag and runnability.
                                     cur_bi = -1
                                     prev_bi = (sb.members[sb.exit[0]]
                                                .block_index)
@@ -493,9 +518,9 @@ class DBREngine(ExecutionDriver):
                                         (sb,), bi, "thrash")
                                     sb_cache.banned.add(sb.head)
                                 continue
-                            # EXIT_STALE: a member's closure changed
-                            # under us; nothing was booked. Drop the
-                            # superblock and dispatch normally.
+                            # EXIT_STALE: a member's CompiledBlock
+                            # changed under us; nothing was booked. Drop
+                            # the superblock and dispatch normally.
                             self._drop_superblocks((sb,), bi, "stale")
                 self._cache_dirty = False
                 cached = codecache.get(bi)
@@ -504,7 +529,8 @@ class DBREngine(ExecutionDriver):
                 compiled = cached.compiled
                 if compiled is None or compiled.overhead != overhead:
                     compiled = self._compile_block(cached, overhead)
-                steps = compiled.steps
+                limits = compiled.limits
+                bodies = compiled.bodies
                 length = compiled.length
                 if edges is not None:
                     if pc[1] == 0:
@@ -533,82 +559,51 @@ class DBREngine(ExecutionDriver):
                 pc[1] = 0
                 cur_bi = -1
                 continue
-            step = steps[ii]
-            kind = step[0]
-            if kind == ELI:
-                # Statically-elided fused run: the whole run (or an
-                # exactly-accounted prefix, when a TLB guard misses)
-                # retires in one call. Never entered with a pending
-                # yield (the post-fault retry must go through the base
-                # step's consume_yield check) or a budget too small for
-                # the full run — both fall back to the base step.
-                if not pending_yield and step[2] <= budget - executed:
-                    retired = step[1](thread)
-                    if retired:
-                        executed += retired
-                        continue
-                    # Guard missed at position 0: nothing retired, run
-                    # this position through its base step below.
-                step = step[3]
-                kind = step[0]
-            if kind == SEG:
-                # Fused pure-ALU run: no faults, no kernel entry, no
-                # observation point inside — retire it in one go (or a
-                # budget-bounded prefix of it).
-                count = step[3]
-                remaining = budget - executed
-                if count <= remaining:
-                    run_fn = step[1]
-                    if run_fn is not None:
-                        run_fn(thread.regs)
-                    else:
-                        regs = thread.regs
-                        for fn in step[2]:
-                            fn(regs)
-                    counter.instr_cycles += step[4]
-                    executed += count
-                    stats.instructions += count
-                    pc[1] = step[6]
+            stop = limits[ii]
+            if stop != ii:
+                # A block body from here to the first position no body
+                # can hold, clipped to the budget — or to one
+                # instruction, when a preempt delivered during a fault
+                # repair makes the retried instruction the last.
+                if pending_yield and kernel._yield_requested:
+                    stop = ii + 1
                 else:
-                    regs = thread.regs
-                    for fn in step[2][:remaining]:
-                        fn(regs)
-                    counter.instr_cycles += step[5][remaining]
-                    executed += remaining
-                    stats.instructions += remaining
-                    pc[1] = ii + remaining
-                continue
-            if kind == MEM:
-                if step[1](thread):
-                    executed += 1
-                    # The closure (and a tool hook it calls) never
-                    # enters the kernel on the retire path, so the yield
-                    # flag can only be pending from a chaos preempt
-                    # during this instruction's own fault repair — only
-                    # then is the check live.
-                    if pending_yield and kernel.consume_yield():
-                        return "yield"
+                    # No preempt pending: a later fault in this body
+                    # must not read as one left over from the last.
                     pending_yield = False
-                else:
-                    # Faulted (not retired): the handler may have rebuilt
-                    # the block — force a re-fetch, like the interpreter.
-                    pending_yield = True
-                    check_runnable = True
+                    if stop - ii > budget - executed:
+                        stop = ii + budget - executed
+                fn = bodies.get((ii, stop))
+                if fn is None:
+                    fn = block_body(cached, compiled, ii, stop, self)
+                retired = fn(thread)
+                code = exit_cell[1]
+                if retired:
+                    executed += retired
+                    # A body enters the kernel only through a fault,
+                    # which leaves it: a yield can only be pending from
+                    # the retried instruction's own repair.
+                    if pending_yield:
+                        kernel.consume_yield()
+                        return "yield"
+                    if code == EXIT_RESUME:
+                        continue
+                if code != EXIT_RESUME:
+                    # Control transferred, a hook flushed code, or an
+                    # access faulted (the handler may have rebuilt this
+                    # block): re-fetch, like the interpreter.
                     cur_bi = -1
-                continue
-            if kind == CTL:
-                # Control transfers and MOD never enter the kernel: no
-                # fault, no yield, no runnable change — just count it
-                # and re-fetch when control moved.
-                if step[1](thread):
-                    cur_bi = -1
-                executed += 1
-                continue
-            # GEN: a kernel action or HALT. Every memory access, hooked
-            # or not, is a MEM step, so CPU.execute returns a trap here
-            # and cannot page-fault.
-            res = execute(cached.instrs[ii], thread)
-            counter.instr_cycles += step[1]
+                    if code == EXIT_FAULT:
+                        pending_yield = True
+                        check_runnable = True
+                    continue
+                # Parked on its own entry with nothing retired: a MOD by
+                # zero or a RET on an empty stack, which raise in
+                # CPU.execute below exactly like the reference.
+            # A kernel action, HALT, or an instruction that raises.
+            instr = cached.instrs[ii]
+            res = execute(instr, thread)
+            counter.instr_cycles += BASE_COST[instr.op] + overhead
             executed += 1
             stats.instructions += 1
             if not self._apply_result(thread, pc, ii, res):

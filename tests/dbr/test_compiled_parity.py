@@ -18,7 +18,8 @@ Four layers of evidence:
 * superblock-tier units: chains form and complete on hot loops, the
   side-exit accounting identity holds, invalidation storms (SMC
   cadences) drop superblocks without breaking parity, and quantum
-  tails too short for a whole chain fall back to the compiled tier;
+  tails too short for a whole chain run through block bodies clipped
+  to the budget, down to a quantum of one instruction;
   hooked accesses inside a body show every hook the reference tier's
   counters and pc, survive a hook that re-JITs or drops translations,
   fault and retry like a compiled step, and take both arms of the
@@ -362,7 +363,7 @@ class TestSuperblockTier:
         assert snapshot["entries"] == (snapshot["completions"]
                                        + snapshot["side_exits"])
 
-    @pytest.mark.parametrize("quantum", [13, 31, 50])
+    @pytest.mark.parametrize("quantum", [1, 2, 3, 13, 31, 50])
     def test_quantum_tail_parity(self, quantum):
         # A quantum tail shorter than a whole chain must fall back to
         # the compiled tier for those steps — bit-identically.
@@ -374,6 +375,19 @@ class TestSuperblockTier:
         snapshot = engine.superblock_snapshot()
         assert snapshot["entries"] == (snapshot["completions"]
                                        + snapshot["side_exits"])
+
+    @pytest.mark.parametrize("quantum", [3, 7])
+    def test_paper_stack_quantum_tail_parity(self, quantum):
+        # Quanta this short end block bodies at almost every position,
+        # so hooked accesses on the paper's stack are entered mid-block
+        # and sit at budget stops.
+        superblock, compiled, interp = run_all_tiers(
+            lambda: build_benchmark("streamcluster", threads=2,
+                                    scale=0.3),
+            seed=3, quantum=quantum)
+        assert superblock[0] == "ok", superblock
+        assert superblock == compiled == interp
+        assert superblock[1]["run_stats"]["instrumented_execs"] > 0
 
     def test_rejit_drops_member_superblocks_and_resets_gate(self):
         _, engine = _bare_run(_hot_loop_program,

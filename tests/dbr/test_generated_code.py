@@ -1,89 +1,108 @@
-"""Memoized code objects still give every compiled block its own function.
+"""Memoized code objects still give every compiled body its own function.
 
-``generated_code`` reuses one code object per (source, filename), but
-each block ``exec``s it into a fresh namespace with its own globals, so
-two blocks compiled from identical source against different engines
-must get distinct functions that only ever touch their own engine's
-counter, stats and memory.
+``body_code`` reuses one code object per body shape, but each body binds
+it to globals of its own engine and block. So two engines, or two
+blocks with the same content at different indices, must get distinct
+functions that share one code object and only ever touch their own
+engine's counters and their own block's branch target.
 """
 
-from types import SimpleNamespace
-
-from repro.dbr.blockcompiler import (
-    _eli_fast_fn,
-    _seg_run_fn,
-    generated_code,
-)
-from repro.machine.isa import Instruction, MemOperand, Opcode
-from repro.machine.paging import PAGE_SHIFT
-from repro.machine.tlb import TLB
-
-ADDR = 0x10000008
+from repro.dbr.blockcompiler import block_body, body_code, compile_block
+from repro.dbr.engine import DBREngine
+from repro.guestos.kernel import Kernel
+from repro.machine.asm import ProgramBuilder
 
 
-def _instrs():
-    return [Instruction(Opcode.LI, rd=1, imm=5),
-            Instruction(Opcode.ADD, rd=2, rs1=1, imm=3),
-            Instruction(Opcode.STORE, rs1=2, mem=MemOperand(None, ADDR)),
-            Instruction(Opcode.LOAD, rd=3, mem=MemOperand(None, ADDR))]
+def _program():
+    """Two blocks with identical instructions; only the JMP targets
+    differ, and those are bound as globals, not baked into the source."""
+    b = ProgramBuilder()
+    data = b.segment("data", 64)
+    b.label("main")
+    for nxt in ("second", "done"):
+        b.li(4, data)
+        b.li(1, 5)
+        b.add(2, 1, imm=3)
+        b.store(2, base=4, disp=8)
+        b.load(3, base=4, disp=8)
+        b.jmp(nxt)
+        b.label(nxt)
+    b.halt()
+    return b.build()
 
 
 def _engine():
-    words = {}
-    memory = SimpleNamespace(read_word=lambda pa: words.get(pa, 0),
-                             write_word=words.__setitem__, words=words)
-    return SimpleNamespace(
-        counter=SimpleNamespace(instr_cycles=0),
-        stats=SimpleNamespace(instructions=0, memory_refs=0),
-        cpu=SimpleNamespace(memory=memory),
-        _elision_cell=[0, 0])
+    kernel = Kernel(jitter=0.0)
+    kernel.create_process(_program())
+    return DBREngine(kernel, superblocks=False)
 
 
-def _thread(frame_base: int):
-    tlb = TLB()
-    tlb.fast_rw[ADDR >> PAGE_SHIFT] = frame_base
-    tlb.fast_ro[ADDR >> PAGE_SHIFT] = frame_base
-    return SimpleNamespace(regs=[0] * 16, tlb=tlb, pc=[0, 0])
+def _whole_block_body(engine, block_index):
+    cached = engine.codecache.get(block_index)
+    compiled = compile_block(cached, engine)
+    return block_body(cached, compiled, 0, compiled.limits[0], engine)
 
 
-def test_identical_eli_sources_get_distinct_functions_with_own_state():
+def _state(engine):
+    return (engine.counter.total, engine.stats.as_dict(),
+            dict(engine.cpu.memory._words))
+
+
+def _primed_thread(engine):
+    """The main thread, its data page already in the TLB fast map, so a
+    whole-block body runs every access inline (no tail call)."""
+    thread = engine.kernel.process.threads[1]
+    data = engine.kernel.process.segment_bases["data"]
+    return thread, engine.cpu.translate(thread, data + 8, True)
+
+
+def test_twin_engines_share_code_not_functions():
     a, b = _engine(), _engine()
-    fn_a = _eli_fast_fn(_instrs(), 0, a, 1)
-    fn_b = _eli_fast_fn(_instrs(), 0, b, 1)
+    fn_a, fn_b = _whole_block_body(a, 0), _whole_block_body(b, 0)
     assert fn_a is not fn_b
     assert fn_a.__code__ is fn_b.__code__  # one compile() for both
     assert fn_a.__globals__ is not fn_b.__globals__
+    assert fn_a.__globals__["_mw"] is a.cpu.memory._words
+    assert fn_b.__globals__["_mw"] is b.cpu.memory._words
 
-    thread = _thread(0x4000)
-    assert fn_a(thread) == 4
-    assert thread.regs[3] == 8
-    assert a.counter.instr_cycles > 0
-    assert (a.stats.instructions, a.stats.memory_refs) == (4, 2)
-    assert a._elision_cell == [2, 4]
-    assert a.cpu.memory.words == {0x4000 | (ADDR & 0xFFF): 8}
+    thread_a, paddr = _primed_thread(a)
+    thread_b, paddr_b = _primed_thread(b)
+    assert paddr_b == paddr  # same layout: only the engine tells them apart
+    b_before = _state(b)
+    assert b_before[2] == {}
+    assert fn_a(thread_a) == 6
+    assert thread_a.regs[3] == 8
+    assert (a.stats.instructions, a.stats.memory_refs) == (6, 2)
+    assert a.counter.total > 0
+    assert a.cpu.memory._words == {paddr >> 3: 8}
     # The twin compiled from the same source saw none of it.
-    assert b.counter.instr_cycles == 0
-    assert (b.stats.instructions, b.stats.memory_refs) == (0, 0)
-    assert b._elision_cell == [0, 0]
-    assert b.cpu.memory.words == {}
+    assert _state(b) == b_before
+    assert thread_b.regs[3] == 0
 
-    assert fn_b(_thread(0x8000)) == 4
-    assert b.stats.instructions == 4
-    assert a.stats.instructions == 4  # unchanged by the twin's run
-    assert b.cpu.memory.words == {0x8000 | (ADDR & 0xFFF): 8}
-
-
-def test_identical_segment_sources_share_code_not_functions():
-    seg = _instrs()[:2]
-    fn_a, fn_b = _seg_run_fn(seg), _seg_run_fn(seg)
-    assert fn_a is not fn_b and fn_a.__code__ is fn_b.__code__
-    regs = [0] * 16
-    fn_a(regs)
-    assert regs[1:3] == [5, 8]
+    a_after = _state(a)
+    assert fn_b(thread_b) == 6
+    assert thread_b.regs[3] == 8
+    assert b.cpu.memory._words == {paddr >> 3: 8}
+    assert _state(b)[:2] == a_after[:2]
+    assert _state(a) == a_after  # unchanged by the twin's run
 
 
-def test_code_memo_is_keyed_by_source_and_filename():
-    src = "def _f():\n    return 1"
-    assert generated_code(src, "<a>") is generated_code(src, "<a>")
-    assert generated_code(src, "<a>") is not generated_code(src, "<b>")
-    assert generated_code(src, "<b>").co_filename == "<b>"
+def test_same_content_blocks_share_code_not_functions():
+    engine = _engine()
+    first = _whole_block_body(engine, 0)
+    second = _whole_block_body(engine, 1)
+    assert first is not second and first.__code__ is second.__code__
+    jmp = len(engine.codecache.get(0).instrs) - 1
+    assert (first.__globals__["b0"], second.__globals__["b0"]) == (0, 1)
+    assert first.__globals__[f"g{jmp}"] == 1
+    assert second.__globals__[f"g{jmp}"] == 2
+
+
+def test_code_memo_is_keyed_by_shape_and_kind():
+    engine = _engine()
+    slots = compile_block(engine.codecache.get(0), engine).slots
+    block = ((0, slots, False),)
+    assert body_code(False, 1, 0, block) is body_code(False, 1, 0, block)
+    assert body_code(False, 1, 0, block) is not body_code(False, 2, 0, block)
+    assert body_code(False, 1, 0, block).co_filename == "<block>"
+    assert body_code(True, 1, 0, block).co_filename == "<superblock>"
