@@ -3,8 +3,9 @@
 Under Aikido, FastTrack "only instruments instructions that access shared
 data and only maintains the epoch metadata for shared data": AikidoSD
 feeds this adapter just the shared-page accesses, so private data costs
-nothing and its metadata is never allocated. Access and sync dispatch
-are :class:`~repro.analyses.generic_tool.GenericAnalysis`'s.
+nothing and its metadata is never allocated. Each shared access goes
+straight to the detector's ``on_read``/``on_write``, bound once here;
+sync dispatch is :class:`~repro.analyses.generic_tool.GenericAnalysis`'s.
 
 When the §6 first-access ordering workaround is enabled
 (:attr:`repro.core.config.AikidoConfig.order_first_accesses`), the page
@@ -31,13 +32,21 @@ class AikidoFastTrack(GenericAnalysis):
                  block_size: int = 8):
         super().__init__(detector if detector is not None
                          else FastTrackDetector(kernel.counter, block_size))
+        self._on_read = self.detector.on_read
+        self._on_write = self.detector.on_write
         #: vpn -> owner's clock snapshot, kept while the §6 ordering
         #: workaround is active.
         self._page_clocks: Dict[int, VectorClock] = {}
 
+    def on_shared_access(self, thread, instr, addr: int,
+                         is_write: bool) -> None:
+        if is_write:
+            self._on_write(thread.tid, addr, instr.uid)
+        else:
+            self._on_read(thread.tid, addr, instr.uid)
+
     # perfbench/layers.py times the analysis layer on this class's own
     # attributes, so the inherited dispatch is bound here by name.
-    on_shared_access = GenericAnalysis.on_shared_access
     on_sync_event = GenericAnalysis.on_sync_event
 
     # ------------------------------------------------------------------

@@ -13,31 +13,48 @@ standard behavior to avoid cascading reports.
 
 Every operation charges the cycle cost of its path, so the harness's
 slowdown figures reflect the *mix* of fast and slow paths each workload
-produces, just as the real tool's overhead does.
+produces, just as the real tool's overhead does. Each entry point sums
+its path's costs locally and adds them to the ``fasttrack`` cycle cell
+once: one category, the same sum, and no observation point in between,
+so every cycle snapshot is bit-identical to charging each cost as it
+is incurred.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro import costs
 from repro.analyses.fasttrack.epoch import (
     EPOCH_NONE,
-    epoch_clock,
-    epoch_leq_vc,
-    epoch_tid,
+    TID_BITS,
+    TID_MASK,
+    make_epoch,
 )
 from repro.analyses.fasttrack.metadata import MetadataStore
 from repro.analyses.fasttrack.reports import RaceReport
 from repro.analyses.fasttrack.vectorclock import VectorClock
 
+_SAME_EPOCH = costs.CLEAN_CALL + costs.FT_SAME_EPOCH
+_SAME_EPOCH_PING = _SAME_EPOCH + costs.FT_METADATA_PING
+_FIRST_TOUCH = costs.CLEAN_CALL + costs.FT_METADATA_INIT
+_READ_SHARE = costs.FT_VC_BASE + 2 * costs.FT_VC_PER_THREAD
+
 
 class FastTrackDetector:
-    """Happens-before race detection with the epoch optimization."""
+    """Happens-before race detection with the epoch optimization.
+
+    ``counter`` is the run's :class:`~repro.machine.cpu.CycleCounter`;
+    without one (replay, unit tests) the costs go to a private cell.
+    A thread's own clock is read from its epoch
+    (``thread.epoch >> TID_BITS``): :class:`ThreadState` refreshes the
+    epoch after every change to its vector clock.
+    """
 
     def __init__(self, counter=None, block_size: int = 8,
                  max_reports: int = 10_000):
-        self.counter = counter
+        self._cell = (counter.cell("fasttrack") if counter is not None
+                      else [0])
         self.meta = MetadataStore(block_size)
         self.max_reports = max_reports
         self.races: List[RaceReport] = []
@@ -62,89 +79,115 @@ class FastTrackDetector:
 
     def on_read(self, tid: int, addr: int, instr_uid: int = -1) -> None:
         self.reads += 1
-        thread = self.meta.thread(tid)
-        block = addr // self.meta.block_size
-        # Same-epoch early exit (epoch mode and read-shared mode): the
-        # hot repeat-read needs one metadata peek and no writes, so the
-        # path's charges are folded into a single counter update — same
-        # category, same sum, and no observation point in between, so
-        # every cycle snapshot is bit-identical to the long-hand path.
-        var = self.meta.vars.get(block)
-        if var is not None:
-            read_vc = var.read_vc
-            if (read_vc.get(tid) == thread.vc.get(tid)
-                    if read_vc is not None
-                    else var.read_epoch == thread.epoch):
-                self.same_epoch_hits += 1
-                charge = costs.CLEAN_CALL + costs.FT_SAME_EPOCH
-                last = var.write_epoch or var.read_epoch
-                if last and last & 0xFF != tid:
-                    self.metadata_pings += 1
-                    charge += costs.FT_METADATA_PING
-                self._charge(charge)
-                return
-        self._charge(costs.CLEAN_CALL)
+        meta = self.meta
+        thread = meta.threads.get(tid)
+        if thread is None:
+            thread = meta.thread(tid)
+        epoch = thread.epoch
+        clock = epoch >> TID_BITS
+        block = addr // meta.block_size
+        var = meta.vars.get(block)
         if var is None:
-            var = self._var(block)
-        self._charge_ping(var, tid)
-        # Write-read race check.
-        if not epoch_leq_vc(var.write_epoch, thread.vc):
-            self._report("write-read", block, addr, var.write_epoch,
-                         thread, instr_uid)
-        if var.read_vc is not None:
-            # Read shared: O(1) slot update.
-            var.read_vc.set(tid, thread.vc.get(tid))
-            self._charge(costs.FT_READ_SHARED_BASE)
-            return
-        if epoch_leq_vc(var.read_epoch, thread.vc):
-            # Exclusive: the previous read happens-before this one.
-            var.read_epoch = thread.epoch
-            self._charge(costs.FT_EPOCH_UPDATE)
-            return
-        # Share transition: inflate to a read vector clock.
-        self.read_shared_transitions += 1
-        prev = var.read_epoch
-        var.read_vc = VectorClock({epoch_tid(prev): epoch_clock(prev),
-                                   tid: thread.vc.get(tid)})
-        var.read_epoch = EPOCH_NONE
-        self._charge(costs.FT_VC_BASE + 2 * costs.FT_VC_PER_THREAD)
+            var = meta.var(block)
+            cycles = _FIRST_TOUCH
+        else:
+            # Same-epoch early exit (epoch mode and read-shared mode):
+            # the hot repeat-read needs one metadata peek and no writes.
+            read_vc = var.read_vc
+            last = var.write_epoch or var.read_epoch
+            ping = last and last & TID_MASK != tid
+            if (read_vc.get(tid) == clock if read_vc is not None
+                    else var.read_epoch == epoch):
+                self.same_epoch_hits += 1
+                if ping:
+                    self.metadata_pings += 1
+                    self._cell[0] += _SAME_EPOCH_PING
+                else:
+                    self._cell[0] += _SAME_EPOCH
+                return
+            cycles = costs.CLEAN_CALL
+            if ping:
+                # Shadow-metadata cache-line transfer: the last accessor
+                # was another thread (see FT_METADATA_PING).
+                self.metadata_pings += 1
+                cycles += costs.FT_METADATA_PING
+            # Write-read race check: ``epoch_leq_vc``, inlined.
+            vc = thread.vc
+            write_epoch = var.write_epoch
+            if write_epoch and (write_epoch >> TID_BITS
+                                > vc.get(write_epoch & TID_MASK)):
+                self._report("write-read", block, addr, write_epoch,
+                             thread, instr_uid)
+            if read_vc is not None:
+                # Read shared: O(1) slot update.
+                read_vc.set(tid, clock)
+                self._cell[0] += cycles + costs.FT_READ_SHARED_BASE
+                return
+            prev = var.read_epoch
+            if prev and prev >> TID_BITS > vc.get(prev & TID_MASK):
+                # Share transition: inflate to a read vector clock.
+                self.read_shared_transitions += 1
+                var.read_vc = VectorClock({prev & TID_MASK:
+                                           prev >> TID_BITS,
+                                           tid: clock})
+                var.read_epoch = EPOCH_NONE
+                self._cell[0] += cycles + _READ_SHARE
+                return
+        # Exclusive: the previous read (if any) happens-before this one.
+        var.read_epoch = epoch
+        self._cell[0] += cycles + costs.FT_EPOCH_UPDATE
 
     def on_write(self, tid: int, addr: int, instr_uid: int = -1) -> None:
         self.writes += 1
-        thread = self.meta.thread(tid)
-        block = addr // self.meta.block_size
-        # Same-epoch early exit: a repeat write means the last accessor
-        # was this thread at this epoch, so the metadata ping can never
-        # fire — one combined charge covers the whole path.
-        var = self.meta.vars.get(block)
-        if var is not None and var.write_epoch == thread.epoch:
-            self.same_epoch_hits += 1
-            self._charge(costs.CLEAN_CALL + costs.FT_SAME_EPOCH)
-            return
-        self._charge(costs.CLEAN_CALL)
+        meta = self.meta
+        thread = meta.threads.get(tid)
+        if thread is None:
+            thread = meta.thread(tid)
+        epoch = thread.epoch
+        block = addr // meta.block_size
+        var = meta.vars.get(block)
         if var is None:
-            var = self._var(block)
-        self._charge_ping(var, tid)
-        if not epoch_leq_vc(var.write_epoch, thread.vc):
-            self._report("write-write", block, addr, var.write_epoch,
+            var = meta.var(block)
+            var.write_epoch = epoch
+            self._cell[0] += _FIRST_TOUCH + costs.FT_EPOCH_UPDATE
+            return
+        write_epoch = var.write_epoch
+        if write_epoch == epoch:
+            # Same-epoch early exit: a repeat write means the last
+            # accessor was this thread at this epoch, so the metadata
+            # ping can never fire.
+            self.same_epoch_hits += 1
+            self._cell[0] += _SAME_EPOCH
+            return
+        cycles = costs.CLEAN_CALL
+        last = write_epoch or var.read_epoch
+        if last and last & TID_MASK != tid:
+            self.metadata_pings += 1
+            cycles += costs.FT_METADATA_PING
+        vc = thread.vc
+        if write_epoch and (write_epoch >> TID_BITS
+                            > vc.get(write_epoch & TID_MASK)):
+            self._report("write-write", block, addr, write_epoch,
                          thread, instr_uid)
-        if var.read_vc is None:
-            if not epoch_leq_vc(var.read_epoch, thread.vc):
-                self._report("read-write", block, addr, var.read_epoch,
+        read_vc = var.read_vc
+        if read_vc is None:
+            prev = var.read_epoch
+            if prev and prev >> TID_BITS > vc.get(prev & TID_MASK):
+                self._report("read-write", block, addr, prev,
                              thread, instr_uid)
-            self._charge(costs.FT_EPOCH_UPDATE)
+            cycles += costs.FT_EPOCH_UPDATE
         else:
             # Write after read-shared: full vector comparison, then the
             # read state deflates back to epoch mode.
-            if not var.read_vc.leq(thread.vc):
-                racing = self._max_entry_epoch(var.read_vc)
+            if not read_vc.leq(vc):
+                racing = self._max_entry_epoch(read_vc)
                 self._report("read-write", block, addr, racing,
                              thread, instr_uid)
-            self._charge(costs.FT_VC_BASE
-                         + costs.FT_VC_PER_THREAD * len(var.read_vc))
+            cycles += costs.FT_VC_BASE + costs.FT_VC_PER_THREAD * len(read_vc)
             var.read_vc = None
             var.read_epoch = EPOCH_NONE
-        var.write_epoch = thread.epoch
+        var.write_epoch = epoch
+        self._cell[0] += cycles
 
     # ------------------------------------------------------------------
     # synchronization
@@ -155,16 +198,16 @@ class FastTrackDetector:
         lock_vc = self.meta.lock(lock_id)
         thread.vc.join(lock_vc)
         thread.refresh_epoch()
-        self._charge(costs.FT_SYNC_BASE
-                     + costs.FT_VC_PER_THREAD * len(lock_vc))
+        self._cell[0] += (costs.FT_SYNC_BASE
+                          + costs.FT_VC_PER_THREAD * len(lock_vc))
 
     def on_release(self, tid: int, lock_id: int) -> None:
         self.sync_ops += 1
         thread = self.meta.thread(tid)
         self.meta.locks[lock_id] = thread.vc.copy()
         thread.increment()
-        self._charge(costs.FT_SYNC_BASE
-                     + costs.FT_VC_PER_THREAD * len(thread.vc))
+        self._cell[0] += (costs.FT_SYNC_BASE
+                          + costs.FT_VC_PER_THREAD * len(thread.vc))
 
     def on_fork(self, parent_tid: int, child_tid: int) -> None:
         self.sync_ops += 1
@@ -173,8 +216,8 @@ class FastTrackDetector:
         child.vc.join(parent.vc)
         child.refresh_epoch()
         parent.increment()
-        self._charge(costs.FT_SYNC_BASE
-                     + costs.FT_VC_PER_THREAD * len(parent.vc))
+        self._cell[0] += (costs.FT_SYNC_BASE
+                          + costs.FT_VC_PER_THREAD * len(parent.vc))
 
     def on_join(self, parent_tid: int, child_tid: int) -> None:
         self.sync_ops += 1
@@ -182,8 +225,8 @@ class FastTrackDetector:
         child = self.meta.thread(child_tid)
         parent.vc.join(child.vc)
         parent.refresh_epoch()
-        self._charge(costs.FT_SYNC_BASE
-                     + costs.FT_VC_PER_THREAD * len(child.vc))
+        self._cell[0] += (costs.FT_SYNC_BASE
+                          + costs.FT_VC_PER_THREAD * len(child.vc))
 
     def on_barrier(self, tids, barrier_id: int = 0) -> None:
         """All-to-all ordering across the barrier's participants.
@@ -200,28 +243,13 @@ class FastTrackDetector:
         for thread in participants:
             thread.vc = merged.copy()
             thread.increment()
-        self._charge(costs.FT_SYNC_BASE
-                     + costs.FT_VC_PER_THREAD * len(merged)
-                     * max(1, len(participants)))
+        self._cell[0] += (costs.FT_SYNC_BASE
+                          + costs.FT_VC_PER_THREAD * len(merged)
+                          * max(1, len(participants)))
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _charge_ping(self, var, tid: int) -> None:
-        """Shadow-metadata cache-line transfer when the last accessor of
-        this variable was a different thread (see FT_METADATA_PING)."""
-        last = var.write_epoch or var.read_epoch
-        if last and last & 0xFF != tid:
-            self.metadata_pings += 1
-            self._charge(costs.FT_METADATA_PING)
-
-    def _var(self, block: int):
-        var = self.meta.vars.get(block)
-        if var is None:
-            var = self.meta.var(block)
-            self._charge(costs.FT_METADATA_INIT)
-        return var
-
     def _report(self, kind: str, block: int, addr: int, prior_epoch: int,
                 thread, instr_uid: int) -> None:
         if len(self.races) >= self.max_reports:
@@ -235,13 +263,8 @@ class FastTrackDetector:
 
     @staticmethod
     def _max_entry_epoch(vc: VectorClock) -> int:
-        from repro.analyses.fasttrack.epoch import make_epoch
         best = EPOCH_NONE
         for tid, clock in vc.items():
             if clock > 0:
                 best = make_epoch(tid, clock)
         return best
-
-    def _charge(self, cycles: int) -> None:
-        if self.counter is not None:
-            self.counter.charge("fasttrack", cycles)

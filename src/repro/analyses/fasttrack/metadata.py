@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.analyses.fasttrack.epoch import EPOCH_NONE
+from repro.analyses.fasttrack.epoch import (
+    EPOCH_NONE,
+    format_epoch,
+    make_epoch,
+)
 from repro.analyses.fasttrack.vectorclock import VectorClock
 
 
@@ -34,25 +38,27 @@ class VarState:
         return self.read_vc is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        from repro.analyses.fasttrack.epoch import format_epoch
         read = (repr(self.read_vc) if self.read_vc is not None
                 else format_epoch(self.read_epoch))
         return f"<VarState W={format_epoch(self.write_epoch)} R={read}>"
 
 
 class ThreadState:
-    """One thread's vector clock and cached epoch."""
+    """One thread's vector clock and cached epoch.
+
+    ``epoch`` is refreshed after every change to ``vc``, so
+    ``epoch >> TID_BITS == vc.get(tid)`` always holds and the detector
+    reads the thread's own clock from the epoch.
+    """
 
     __slots__ = ("tid", "vc", "epoch")
 
     def __init__(self, tid: int):
-        from repro.analyses.fasttrack.epoch import make_epoch
         self.tid = tid
         self.vc = VectorClock({tid: 1})
         self.epoch = make_epoch(tid, 1)
 
     def refresh_epoch(self) -> None:
-        from repro.analyses.fasttrack.epoch import make_epoch
         self.epoch = make_epoch(self.tid, self.vc.get(self.tid))
 
     def increment(self) -> None:

@@ -51,8 +51,10 @@ class MirrorManager:
         self.backing_files: Dict[int, BackingFile] = {}
         self._next_file_id = 1
         self._attached = False
-        #: page -> mirror address minus application address.
-        self._page_delta: Dict[int, int] = {}
+        #: page -> mirror address minus application address, for pages
+        #: :meth:`mirror_address` has translated before. Hot callers may
+        #: read it and call :meth:`mirror_address` only on a miss.
+        self.page_delta: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def attach(self) -> None:
@@ -73,7 +75,7 @@ class MirrorManager:
         changes. Uncosted host bookkeeping, like ``region_for``.
         """
         page = addr >> PAGE_SHIFT
-        delta = self._page_delta.get(page)
+        delta = self.page_delta.get(page)
         if delta is not None:
             return addr + delta
         region = self.shadow.region_for(addr)
@@ -82,7 +84,7 @@ class MirrorManager:
         mirrored = region.mirror_address(addr)
         if (region.app_start <= page << PAGE_SHIFT
                 and (page + 1) << PAGE_SHIFT <= region.app_end):
-            self._page_delta[page] = mirrored - addr
+            self.page_delta[page] = mirrored - addr
         return mirrored
 
     # ------------------------------------------------------------------

@@ -316,14 +316,14 @@ class SharingDetector(Tool):
             instr.mem.disp = self.mirror.mirror_address(app_addr)
         analysis = self.analysis
         stats = self.stats
-        counter = self.counter
+        inline = self.counter.cell("aikido_inline")
         tracer = self.tracer
         mirror_cost = (costs.MIRROR_ACCESS_PENALTY
                        if self.config.mirror_pages else 0)
 
         def direct_hook(thread, _instr, _ea, *, _addr=app_addr):
             if mirror_cost:
-                counter.charge("aikido_inline", mirror_cost)
+                inline[0] += mirror_cost
             stats.shared_accesses += 1
             if tracer is not None:
                 tracer.instant("shared_access", "tool", tid=thread.tid,
@@ -344,20 +344,22 @@ class SharingDetector(Tool):
         instruction pays it — including private fast-path executions.
         """
         shadow_translate = self.shadow.translate
-        charge = self.counter.charge
+        inline = self.counter.cell("aikido_inline")
         page_state = self.pagestate._table.get
         stats = self.stats
         tracer = self.tracer
         on_shared_access = self.analysis.on_shared_access
         mirror_pages = self.config.mirror_pages
+        page_delta = self.mirror.page_delta.get
         mirror_address = self.mirror.mirror_address
         check_cost = costs.SHARED_STATUS_CHECK
         redirect_cost = costs.MIRROR_REDIRECT + costs.MIRROR_ACCESS_PENALTY
 
         def indirect_hook(thread, instr, ea: int) -> Optional[int]:
             shadow_translate(thread.tid, ea)
-            charge("aikido_inline", check_cost)
-            if page_state(ea >> PAGE_SHIFT) != SHARED_MARK:
+            inline[0] += check_cost
+            vpn = ea >> PAGE_SHIFT
+            if page_state(vpn) != SHARED_MARK:
                 # Private (or not-yet-tracked) page: run the original
                 # access. It executes at native speed, or faults into
                 # the SD if this thread has not touched the page before.
@@ -370,8 +372,9 @@ class SharingDetector(Tool):
             on_shared_access(thread, instr, ea, instr.is_write)
             if not mirror_pages:
                 return None
-            charge("aikido_inline", redirect_cost)
-            return mirror_address(ea)
+            inline[0] += redirect_cost
+            delta = page_delta(vpn)
+            return mirror_address(ea) if delta is None else ea + delta
 
         return indirect_hook
 

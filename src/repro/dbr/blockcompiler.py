@@ -316,6 +316,7 @@ def cold_paths(engine):
     ``EXIT_REFETCH`` after a flush).
     """
     counter = engine.counter
+    dbr_cycles = engine._dbr_cycles
     stats = engine.stats
     ec = engine._elision_cell
     exit_cell = engine._exit
@@ -337,7 +338,7 @@ def cold_paths(engine):
         if instrumented:
             stats.instrumented_execs += instrumented
         if dispatch:
-            counter.charge("dbr", dispatch)
+            dbr_cycles[0] += dispatch
         if elided or fast:
             ec[0] += elided
             ec[1] += fast

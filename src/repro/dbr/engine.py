@@ -102,6 +102,9 @@ class DBREngine(ExecutionDriver):
         #: exit, and the globals every body shares (built on first use).
         self._exit = [0, EXIT_COMPLETE]
         self._codegen_globals = None
+        #: The counter's ``dbr`` cell, which the compiled tier's dispatch
+        #: charges add to inline (see ``CycleCounter``).
+        self._dbr_cycles = kernel.counter.cell("dbr")
         kernel.set_driver(self, self.process)
 
     # ------------------------------------------------------------------
@@ -369,6 +372,7 @@ class DBREngine(ExecutionDriver):
         kernel = self.kernel
         execute = self.cpu.execute
         counter = self.counter
+        dbr_cycles = self._dbr_cycles
         stats = self.stats
         codecache = self.codecache
         pc = thread.pc
@@ -525,7 +529,7 @@ class DBREngine(ExecutionDriver):
                 self._cache_dirty = False
                 cached = codecache.get(bi)
                 cur_bi = bi
-                counter.charge("dbr", costs.BLOCK_DISPATCH)
+                dbr_cycles[0] += costs.BLOCK_DISPATCH
                 compiled = cached.compiled
                 if compiled is None or compiled.overhead != overhead:
                     compiled = self._compile_block(cached, overhead)

@@ -529,12 +529,23 @@ class ParallelRunner:
             retry_queue: List[Tuple[int, int]] = []
             casualties: List[Tuple[int, int]] = []
             broken = False
+            unsubmitted: List[Tuple[int, int]] = []
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_pool_worker, batch.units[index],
-                                self.timeout): (index, attempt)
-                    for index, attempt in queue
-                }
+                futures = {}
+                for pos, (index, attempt) in enumerate(queue):
+                    try:
+                        future = pool.submit(_pool_worker,
+                                             batch.units[index],
+                                             self.timeout)
+                    except BrokenProcessPool:
+                        # A worker died while the batch was being
+                        # submitted. The rest never ran: requeue them at
+                        # their current attempt, so they spend no retry
+                        # budget. (A fresh pool accepts its first
+                        # submit, so every round makes progress.)
+                        unsubmitted = queue[pos:]
+                        break
+                    futures[future] = (index, attempt)
                 not_done = set(futures)
                 while not_done and not broken:
                     done, not_done = wait(not_done,
@@ -549,10 +560,11 @@ class ParallelRunner:
                             continue
                         self._settle(batch, index, attempt, outcome,
                                      retry_queue)
+                if broken or unsubmitted:
+                    self.pool_recoveries += 1
                 if broken:
                     # The pool is dead but completed futures still hold
                     # their outcomes — harvest them, requeue the rest.
-                    self.pool_recoveries += 1
                     for future in not_done:
                         index, attempt = futures[future]
                         try:
@@ -575,6 +587,7 @@ class ParallelRunner:
                                                self.timeout)
                     self._settle(batch, index, attempt, outcome,
                                  retry_queue, lost_worker_fallback=True)
+            retry_queue.extend(unsubmitted)
             queue = retry_queue
 
     def _settle(self, batch: _Batch, index: int, attempt: int,

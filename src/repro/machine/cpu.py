@@ -28,7 +28,7 @@ re-executed after the fault is repaired.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import InvalidInstructionError
 from repro.machine.isa import Instruction, Opcode
@@ -39,36 +39,50 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 class CycleCounter:
     """Accumulates simulated cycles, split by category.
 
-    ``instr_cycles`` is incremented inline by drivers (hot path); rarer
-    events use :meth:`charge`. Slowdown figures are ratios of
+    Each category is one mutable cell, a one-element list. Hot sites
+    bind their cell once (:meth:`cell`) and add to ``cell[0]`` inline,
+    as drivers do with ``instr_cycles``; rarer events use
+    :meth:`charge`, which adds to the same cell. Nothing is deferred, so
+    an observer reading :attr:`total` or :meth:`snapshot` at any point
+    sees every cycle booked before it. Slowdown figures are ratios of
     :attr:`total` between runs.
     """
 
     def __init__(self):
         self.instr_cycles = 0
-        self.by_category: Dict[str, int] = {}
-        #: Running sum of every charge(); kept in lockstep with
-        #: ``by_category`` so ``total`` never re-sums the dict (it is read
-        #: at quantum cadence by metrics/invariants and at every fault by
-        #: the sharing detector's fault log).
-        self._charged = 0
+        self._cells: Dict[str, List[int]] = {}
+
+    def cell(self, category: str) -> List[int]:
+        """The one-element list holding ``category``'s cycles."""
+        cell = self._cells.get(category)
+        if cell is None:
+            cell = self._cells[category] = [0]
+        return cell
 
     def charge(self, category: str, cycles: int) -> None:
         """Add ``cycles`` to a named cost category."""
         try:
-            self.by_category[category] += cycles
+            self._cells[category][0] += cycles
         except KeyError:
-            self.by_category[category] = cycles
-        self._charged += cycles
+            self._cells[category] = [cycles]
+
+    @property
+    def by_category(self) -> Dict[str, int]:
+        """Cycles per category; categories still at 0 are left out."""
+        return {name: cell[0] for name, cell in self._cells.items()
+                if cell[0]}
 
     @property
     def total(self) -> int:
         """All simulated cycles of the run."""
-        return self.instr_cycles + self._charged
+        total = self.instr_cycles
+        for cell in self._cells.values():
+            total += cell[0]
+        return total
 
     def snapshot(self) -> Dict[str, int]:
         """A copy of the per-category breakdown, including instructions."""
-        out = dict(self.by_category)
+        out = self.by_category
         out["instr"] = self.instr_cycles
         return out
 

@@ -60,7 +60,8 @@ class ShadowMemory:
     """
 
     def __init__(self, counter=None, block_size: int = 8):
-        self.counter = counter
+        #: The ``umbra`` cycle cell; without a counter, a private one.
+        self._cell = counter.cell("umbra") if counter is not None else [0]
         self.block_size = block_size
         self._starts: List[int] = []
         self._regions: List[ShadowRegion] = []
@@ -123,14 +124,12 @@ class ShadowMemory:
         memo = self._page_memo.get(tid)
         if memo is not None and memo[0] == page:
             self.inline_hits += 1
-            if self.counter is not None:
-                self.counter.charge("umbra", costs.UMBRA_TRANSLATE_INLINE)
+            self._cell[0] += costs.UMBRA_TRANSLATE_INLINE
             return memo[1]
         region = self._inline_cache.get(tid)
         if region is not None and region.contains(addr):
             self.inline_hits += 1
-            if self.counter is not None:
-                self.counter.charge("umbra", costs.UMBRA_TRANSLATE_INLINE)
+            self._cell[0] += costs.UMBRA_TRANSLATE_INLINE
             self._refresh_page_memo(tid, page, region)
             return region
         region = self.region_for(addr)
@@ -140,13 +139,11 @@ class ShadowMemory:
         key = id(region)
         if key in warm:
             self.lean_hits += 1
-            if self.counter is not None:
-                self.counter.charge("umbra", costs.UMBRA_TRANSLATE_LEAN)
+            self._cell[0] += costs.UMBRA_TRANSLATE_LEAN
         else:
             warm.add(key)
             self.full_lookups += 1
-            if self.counter is not None:
-                self.counter.charge("umbra", costs.UMBRA_TRANSLATE_FULL)
+            self._cell[0] += costs.UMBRA_TRANSLATE_FULL
             if self.tracer is not None:
                 self.tracer.instant("umbra_full_lookup", "umbra", tid=tid,
                                     app_start=region.app_start)

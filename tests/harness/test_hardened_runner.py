@@ -9,6 +9,8 @@ sweeps.
 
 import json
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -154,6 +156,35 @@ class TestWorkerDeathRecovery:
         batch = [KILLER, GOOD, GOOD2]
         results = ParallelRunner(jobs=2, retries=1).run(batch)
         assert flag.exists()  # a worker really died
+        inline = ParallelRunner(jobs=1).run(batch)
+        assert ([result_to_dict(r) for r in results]
+                == [result_to_dict(r) for r in inline])
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_pool_broken_at_submit_requeues_unsubmitted(self, k,
+                                                        monkeypatch):
+        """``submit`` raising ``BrokenProcessPool`` (a worker died while
+        the batch was being submitted) requeues the units not yet
+        submitted at their current attempt: the batch completes, and
+        no retry is counted because no unit was lost."""
+        original = ProcessPoolExecutor.submit
+        calls = [0]
+
+        def submit(pool, *args, **kwargs):
+            calls[0] += 1
+            if calls[0] == k:
+                raise BrokenProcessPool("worker died during submit")
+            return original(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        batch = [GOOD, GOOD2, Job("swaptions", "native", **_FAST)]
+        runner = ParallelRunner(jobs=2, retries=0)
+        results = runner.run(batch)
+        assert calls[0] == len(batch) + 1
+        assert runner.retries_performed == 0
+        assert runner.inline_fallbacks == 0
+        assert runner.pool_recoveries == 1
+        monkeypatch.undo()
         inline = ParallelRunner(jobs=1).run(batch)
         assert ([result_to_dict(r) for r in results]
                 == [result_to_dict(r) for r in inline])
