@@ -113,8 +113,9 @@ EOF
 # bare DBR and on the paper stack — the parity contract
 # tests/dbr/test_compiled_parity.py and the fuzz oracle's tier_parity_*
 # checks pin — with at least one superblock actually built so the tier
-# is known to have engaged, and on the paper stack at least one whose
-# members carry the sharing detector's hooks.
+# is known to have engaged, at least one entered budget-bounded (a chain
+# prefix run at the end of a quantum), and on the paper stack at least
+# one whose members carry the sharing detector's hooks.
 python - <<'EOF'
 from repro.core.config import AikidoConfig
 from repro.dbr.engine import DBREngine
@@ -122,7 +123,7 @@ from repro.guestos.kernel import Kernel
 from repro.harness.runner import build_aikido_system, system_result
 from repro.workloads.parsec import build_benchmark
 
-built = 0
+built = bounded = 0
 for name in ("blackscholes", "canneal"):
     surfaces = []
     for cb, sb in ((False, False), (True, False), (True, True)):
@@ -135,9 +136,11 @@ for name in ("blackscholes", "canneal"):
                          kernel.counter.snapshot()))
     snapshot = engine.superblock_snapshot() or {}
     built += snapshot.get("superblocks_built", 0)
+    bounded += snapshot.get("bounded", 0)
     assert surfaces[0] == surfaces[1] == surfaces[2], \
         f"{name}: execution-tier surfaces diverge"
 assert built > 0, "superblock smoke never built a superblock"
+assert bounded > 0, "superblock smoke never entered a chain prefix"
 
 surfaces = []
 for cb, sb in ((False, False), (True, False), (True, True)):
@@ -158,7 +161,8 @@ hooked = sum(1 for sb in sb_cache.by_head.values()
              if any(h is not None for m in sb.members for h in m.hooks))
 assert hooked > 0, "no paper-stack superblock holds a hooked access"
 print(f"superblock smoke ok: 3-tier surfaces bit-identical, "
-      f"{built} bare superblock(s) built; paper stack "
+      f"{built} bare superblock(s) built, {bounded} bounded entries; "
+      f"paper stack "
       f"{sb_cache.built} built, {hooked} live with hooked members, "
       f"{sb_cache.entries} entries")
 EOF

@@ -31,7 +31,7 @@ from repro.analyses.fasttrack.epoch import (
     TID_MASK,
     make_epoch,
 )
-from repro.analyses.fasttrack.metadata import MetadataStore
+from repro.analyses.fasttrack.metadata import MetadataStore, VarState
 from repro.analyses.fasttrack.reports import RaceReport
 from repro.analyses.fasttrack.vectorclock import VectorClock
 
@@ -88,7 +88,9 @@ class FastTrackDetector:
         block = addr // meta.block_size
         var = meta.vars.get(block)
         if var is None:
-            var = meta.var(block)
+            # First touch: ``MetadataStore.var``, inlined past the miss.
+            var = meta.vars[block] = VarState()
+            meta.var_inits += 1
             cycles = _FIRST_TOUCH
         else:
             # Same-epoch early exit (epoch mode and read-shared mode):
@@ -147,7 +149,8 @@ class FastTrackDetector:
         block = addr // meta.block_size
         var = meta.vars.get(block)
         if var is None:
-            var = meta.var(block)
+            var = meta.vars[block] = VarState()
+            meta.var_inits += 1
             var.write_epoch = epoch
             self._cell[0] += _FIRST_TOUCH + costs.FT_EPOCH_UPDATE
             return

@@ -31,7 +31,12 @@ def epoch_clock(epoch: int) -> int:
 
 
 def epoch_leq_vc(epoch: int, vc) -> bool:
-    """Does the epoch happen-before-or-equal the vector clock?"""
+    """Does the epoch happen-before-or-equal the vector clock?
+
+    The reference form of the check the detector inlines on its hot
+    paths (``FastTrackDetector.on_read``/``on_write``);
+    ``tests/analyses/test_fasttrack_detector.py`` asserts the two agree.
+    """
     if epoch == EPOCH_NONE:
         return True
     return (epoch >> TID_BITS) <= vc.get(epoch & TID_MASK)

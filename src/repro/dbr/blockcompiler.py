@@ -26,7 +26,14 @@ Emission rules, identical for both:
   are hoisted: a page probed once (a literal page, or the same
   base-register + displacement while the register is unmodified) is
   reused by later accesses up to the next hook call, and a writable-map
-  hit stands in for later read probes.
+  hit stands in for later read probes. A chain also groups probes per
+  base register (:func:`_probe_groups`): the first access through a
+  register probes for the accesses after it at 8-aligned displacements
+  up to ``MAX_GROUP_SPAN`` bytes further on, guarding that the whole
+  span sits on the probed page and is aligned, and they index the word
+  store from its word. A group's first store after a read-only head
+  probes the writable map once for the group. Block bodies, which carry
+  on after a tail, do not group.
 * **One memory tail.** A fast-map miss or a misaligned address runs the
   shared tail (:func:`cold_paths`): it books the retired prefix, parks
   pc on the access, translates, repairs a fault and makes the checked
@@ -36,7 +43,8 @@ Emission rules, identical for both:
   a TLB entry one stands for), and the tail takes the prefix back out
   so the next exit books it once. A chain leaves instead, parked past
   the access, so its probes stay hoisted; the engine carries on
-  through the member's block bodies.
+  through the member's block bodies. A probe group whose span would
+  cross a page takes the same exit at its head.
 * **Hooked accesses in the body.** A tool's hook is an observation
   point, so a hooked access first calls the shared ``hooked`` exit
   (:func:`cold_paths`): it books the retired prefix and parks pc on the
@@ -132,6 +140,12 @@ TAIL_OPCODES = frozenset((
 
 _BRANCH_OPCODES = frozenset((Opcode.BZ, Opcode.BNZ, Opcode.BLT,
                              Opcode.BGE))
+
+#: Widest displacement span one grouped page probe covers. Every entry
+#: whose group head lands in the last ``span`` bytes of its page leaves
+#: the chain, so a wider group would trade saved probes for side exits;
+#: 256 bytes bounds that at one entry in sixteen.
+MAX_GROUP_SPAN = 256
 
 
 def _holdable(instr) -> bool:
@@ -538,6 +552,37 @@ def _not_taken_cond(s: Slot) -> str:
     return f"regs[{s.rs1}] < regs[{s.rs2}]"  # BGE
 
 
+def _probe_groups(slots) -> Tuple[Dict[int, Tuple[int, int]],
+                                   Dict[int, int]]:
+    """Group a chain's unhooked register-relative accesses by page probe.
+
+    An access joins the group of the first access on its base register
+    (the head) when its displacement sits an 8-aligned ``delta`` in
+    ``[0, MAX_GROUP_SPAN]`` past the head's, up to the next write of the
+    base register or the next hook call. Returns ``{position: (head,
+    delta)}`` for the accesses of groups with more than one displacement
+    (heads included, with delta 0) and ``{head: span}``, the span being
+    the group's largest delta.
+    """
+    heads: Dict[int, int] = {}
+    deltas: Dict[int, Tuple[int, int]] = {}
+    spans: Dict[int, int] = {}
+    for j, s in enumerate(slots):
+        if s.op in MEMORY_OPCODES:
+            if s.hooked:
+                heads.clear()
+            elif s.base is not None:
+                head = heads.setdefault(s.base, j)
+                delta = s.disp - slots[head].disp
+                if 0 <= delta <= MAX_GROUP_SPAN and not delta & 7:
+                    deltas[j] = (head, delta)
+                    spans[head] = max(spans.get(head, 0), delta)
+        heads.pop(s.rd, None)
+    spans = {head: span for head, span in spans.items() if span}
+    return ({j: hd for j, hd in deltas.items() if hd[0] in spans},
+            spans)
+
+
 def body_source(chain: bool, overhead: int, start: int,
                 members: tuple) -> str:
     """Generate the source of one body (see the module docstring).
@@ -593,6 +638,11 @@ def body_source(chain: bool, overhead: int, start: int,
     reuse_const: Dict[int, Dict[str, str]] = {}
     reuse_reg: Dict[Tuple[Optional[int], int],
                     Tuple[str, Dict[str, str]]] = {}
+    # Grouped page probes (chains only, see :func:`_probe_groups`): per
+    # group head, its effective-address and word-index vars and whether
+    # the group has probed the writable map.
+    groups, spans = _probe_groups(all_slots) if chain else ({}, {})
+    group_vars: Dict[int, List] = {}
 
     def fresh(prefix: str) -> str:
         state["vno"] += 1
@@ -674,17 +724,18 @@ def body_source(chain: bool, overhead: int, start: int,
         emit("    else:")
         return "        "
 
-    def emit_access(ind: str, s: Slot, paddr: str) -> None:
+    def emit_access(ind: str, s: Slot, word: str) -> None:
+        """The access itself, on the physical word index ``word``."""
         op = s.op
         if op is Opcode.LOAD:
-            emit(f"{ind}regs[{s.rd}] = _mw_get(({paddr}) >> 3, 0)")
+            emit(f"{ind}regs[{s.rd}] = _mw_get({word}, 0)")
             kill(s.rd)
         elif op is Opcode.STORE:
-            emit(f"{ind}_mw[({paddr}) >> 3] = regs[{s.rs1}] & {_MASK64}")
+            emit(f"{ind}_mw[{word}] = regs[{s.rs1}] & {_MASK64}")
         else:  # ATOMIC_ADD
             wi = fresh("wi")
             old = fresh("old")
-            emit(f"{ind}{wi} = ({paddr}) >> 3")
+            emit(f"{ind}{wi} = {word}")
             emit(f"{ind}{old} = _mw_get({wi}, 0)")
             emit(f"{ind}_mw[{wi}] = ({old} + regs[{s.rs1}]) & {_MASK64}")
             if s.rd is not None:
@@ -711,7 +762,7 @@ def body_source(chain: bool, overhead: int, start: int,
         emit(f"    {pb} = {fmap}.get({ea} >> {PAGE_SHIFT})")
         emit(f"    if {pb} is None or {ea} & 7 or _eng._cache_dirty:")
         emit_access(slow_path(s, idx, f, pos, k, ea), s,
-                    f"{pb} | ({ea} & {_PAGE_MASK})")
+                    f"({pb} | ({ea} & {_PAGE_MASK})) >> 3")
         cyc += BASE_COST[s.op] + overhead
         icount += 1
         mems += 1
@@ -726,7 +777,9 @@ def body_source(chain: bool, overhead: int, start: int,
         mode = "rw" if need_rw else "ro"
         fmap = "fw" if need_rw else "fr"
         ind = None  # set when this access probes afresh
-        if s.base is None and not s.disp & 7:
+        if k in groups:
+            word = grouped_word(s, idx, f, pos, k, need_rw)
+        elif s.base is None and not s.disp & 7:
             page = s.disp >> PAGE_SHIFT
             off = s.disp & _PAGE_MASK
             modes = reuse_const.setdefault(page, {})
@@ -737,7 +790,7 @@ def body_source(chain: bool, overhead: int, start: int,
                 emit(f"    if {pb} is None:")
                 ind = slow_path(s, idx, f, pos, k, str(s.disp))
                 modes[mode] = pb
-            paddr = f"({pb} | {off})" if off else pb
+            word = f"({pb} | {off}) >> 3" if off else f"{pb} >> 3"
         else:
             # Register-relative, or a literal misaligned address (which
             # always takes the tail: its first probe vets alignment).
@@ -760,8 +813,8 @@ def body_source(chain: bool, overhead: int, start: int,
                      else f"    if {pb} is None:")
                 ind = slow_path(s, idx, f, pos, k, ea)
                 modes[mode] = pb
-            paddr = f"({pb} | ({ea} & {_PAGE_MASK}))"
-        emit_access(ind or "    ", s, paddr)
+            word = f"({pb} | ({ea} & {_PAGE_MASK})) >> 3"
+        emit_access(ind or "    ", s, word)
         if ind is not None and not chain:
             # A block body carried on after the tail, which may have
             # evicted any hoisted probe.
@@ -772,6 +825,38 @@ def body_source(chain: bool, overhead: int, start: int,
         mems += 1
         if s.elided:
             elided += 1
+
+    def grouped_word(s: Slot, idx: int, f: int, pos: int, k: int,
+                     need_rw: bool) -> str:
+        """Probe for a grouped access, returning its word index: the
+        head probes for its whole group and guards that the group's span
+        stays on its page and is aligned; a member indexes from the
+        head's word. The first store of a group whose head only read
+        probes the writable map, for the group. A miss or a failed
+        guard takes the access's tail and the chain leaves."""
+        head, delta = groups[k]
+        if head == k:
+            ea, pb, w = fresh("ea"), fresh("pb"), fresh("w")
+            emit(f"    {ea} = (regs[{s.base}] + {s.disp}) & {_MASK64}")
+            emit(f"    {pb} = {'fw' if need_rw else 'fr'}"
+                 f".get({ea} >> {PAGE_SHIFT})")
+            emit(f"    if {pb} is None or {ea} & 7"
+                 f" or ({ea} & {_PAGE_MASK}) > {_PAGE_MASK - spans[k]}:")
+            slow_path(s, idx, f, pos, k, ea)
+            emit(f"    {w} = ({pb} | ({ea} & {_PAGE_MASK})) >> 3")
+            group_vars[k] = [ea, w, need_rw]
+            return w
+        ea, w, writable = group_vars[head]
+        if need_rw and not writable:
+            # Both maps hold the same page base for a page they both
+            # hold (``TLB.fill``), so the head's word index stands for
+            # this probe's too.
+            pb = fresh("pb")
+            emit(f"    {pb} = fw.get({ea} >> {PAGE_SHIFT})")
+            emit(f"    if {pb} is None:")
+            slow_path(s, idx, f, pos, k, f"{ea} + {delta}")
+            group_vars[head][2] = True
+        return f"{w} + {delta >> 3}" if delta else w
 
     offset = 0
     for idx, (f, slots, follows_taken) in enumerate(members):

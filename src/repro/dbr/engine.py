@@ -250,6 +250,7 @@ class DBREngine(ExecutionDriver):
             "entries": sb_cache.entries,
             "completions": sb_cache.completions,
             "instructions": sb_cache.instructions,
+            "bounded": sb_cache.bounded,
             "refused": sb_cache.refused,
             "live": len(sb_cache.by_head),
         }
@@ -424,34 +425,42 @@ class DBREngine(ExecutionDriver):
                         and not pending_yield:
                     sb = sb_get(bi)
                     if sb is not None:
+                        run = sb
                         if sb.overhead != overhead:
                             self._drop_superblocks((sb,), bi,
                                                    "stale_overhead")
+                            run = None
                         elif sb.count > budget - executed:
                             # The chain does not fit the rest of the
-                            # quantum: the block bodies run it instead.
-                            sb_cache.refused += 1
-                        else:
-                            # The whole chain fits in the remaining
-                            # budget — run it. The body books the
-                            # accounting at its exit site, and in
-                            # front of every hook call so the hook
-                            # sees the reference tier's state.
-                            # The entry still records its profiler
-                            # edge (the body replaces the fetch that
-                            # would have) so chains through and past
-                            # this superblock can keep maturing.
+                            # quantum: run its longest member prefix
+                            # that does, or let the block bodies run it
+                            # if not even the first member fits.
+                            run = sb.prefix(budget - executed, self)
+                            if run is None:
+                                sb_cache.refused += 1
+                        if run is not None:
+                            # Run the chain (or its prefix). The body
+                            # books the accounting at its exit site, and
+                            # in front of every hook call so the hook
+                            # sees the reference tier's state; entries,
+                            # exits and the thrash decision are the
+                            # parent's. The entry still records its
+                            # profiler edge (the body replaces the fetch
+                            # that would have) so chains through and
+                            # past this superblock can keep maturing.
                             if prev_bi >= 0:
                                 per_src = edges.get(prev_bi)
                                 if per_src is None:
                                     per_src = edges[prev_bi] = {}
                                 per_src[bi] = per_src.get(bi, 0) + 1
                             self._cache_dirty = False
-                            retired = sb.fn(thread)
-                            code = sb.exit[1]
+                            retired = run.fn(thread)
+                            code = exit_cell[1]
                             if code != EXIT_STALE:
                                 sb.entries += 1
                                 sb_cache.entries += 1
+                                if run is not sb:
+                                    sb_cache.bounded += 1
                                 sb_cache.instructions += retired
                                 executed += retired
                                 # A full-count EXIT_RESUME is a
@@ -461,7 +470,7 @@ class DBREngine(ExecutionDriver):
                                 # end exactly like the reference and
                                 # the loop below advances it.
                                 if (code == EXIT_COMPLETE
-                                        or retired == sb.count):
+                                        or retired == run.count):
                                     sb_cache.completions += 1
                                 else:
                                     # Guard-protected side exit.
@@ -471,7 +480,7 @@ class DBREngine(ExecutionDriver):
                                         self.tracer.instant(
                                             "superblock_side_exit",
                                             "dbr", head=sb.head,
-                                            member=sb.exit[0],
+                                            member=exit_cell[0],
                                             code=code)
                                 # The block the chain logically left
                                 # from stays the profiler's edge
@@ -483,7 +492,7 @@ class DBREngine(ExecutionDriver):
                                     # block bodies. Its dispatch is
                                     # already charged — do NOT
                                     # re-fetch.
-                                    member = sb.members[sb.exit[0]]
+                                    member = sb.members[exit_cell[0]]
                                     cached = member
                                     cur_bi = member.block_index
                                     prev_bi = cur_bi
@@ -498,7 +507,7 @@ class DBREngine(ExecutionDriver):
                                 elif code == EXIT_COMPLETE:
                                     cur_bi = -1
                                     prev_bi = (
-                                        sb.members[-1].block_index)
+                                        run.members[-1].block_index)
                                 else:
                                     # REFETCH after a deviation or a
                                     # flush, or an access that faulted:
@@ -506,7 +515,7 @@ class DBREngine(ExecutionDriver):
                                     # also makes the retry check the
                                     # yield flag and runnability.
                                     cur_bi = -1
-                                    prev_bi = (sb.members[sb.exit[0]]
+                                    prev_bi = (sb.members[exit_cell[0]]
                                                .block_index)
                                     if code == EXIT_FAULT:
                                         pending_yield = True
@@ -524,7 +533,8 @@ class DBREngine(ExecutionDriver):
                                 continue
                             # EXIT_STALE: a member's CompiledBlock
                             # changed under us; nothing was booked. Drop
-                            # the superblock and dispatch normally.
+                            # the superblock, prefixes and all, and
+                            # dispatch normally.
                             self._drop_superblocks((sb,), bi, "stale")
                 self._cache_dirty = False
                 cached = codecache.get(bi)

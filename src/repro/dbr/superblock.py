@@ -28,6 +28,15 @@ fault and re-fetch exits exactly like a block body. A chain member must
 be a block one body holds whole (``CompiledBlock.stitchable``): kernel
 operations, HALT and mid-block CALLs keep a block out of chains.
 
+**Bounded entry.** When the rest of the quantum is shorter than the
+whole chain, the engine enters the longest member prefix that fits
+(:meth:`SuperBlock.prefix`): the first ``k`` members compiled as a chain
+of their own, whose last member's exit already leaves both ways. The
+prefix is memoized on its parent and dies with it; its entries, side
+exits and completions are booked on the parent, whose thrash decision
+they feed, and a stale prefix drops the parent. Only an entry whose
+first member alone does not fit is refused.
+
 The parity contract is the same as the compiled tier's: bit-identical
 simulated statistics, race reports, chaos replay logs and cycle
 attribution versus the interpreter, enforced by
@@ -38,8 +47,10 @@ attribution versus the interpreter, enforced by
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from types import FunctionType
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.dbr.blockcompiler import (  # noqa: F401 - exit codes re-exported
     EXIT_COMPLETE,
@@ -81,26 +92,46 @@ THRASH_MIN_ENTRIES = 32
 class SuperBlock:
     """One compiled trace: a chain of cached blocks and its body."""
 
-    __slots__ = ("head", "members", "fn", "count", "overhead", "exit",
-                 "entries", "side_exits", "elided_uids")
+    __slots__ = ("head", "members", "fn", "count", "ends", "prefixes",
+                 "overhead", "entries", "side_exits")
 
-    def __init__(self, head: int, members: Tuple, fn, count: int,
-                 overhead: int, exit_cell: List[int],
-                 elided_uids: frozenset):
+    def __init__(self, head: int, members: Tuple, fn, overhead: int):
         self.head = head
         #: The chain's CachedBlocks, in order. The engine resumes
-        #: ``members[exit[0]]`` on an EXIT_RESUME side exit.
+        #: ``members[i]`` on an EXIT_RESUME side exit that leaves ``i`` in
+        #: its exit cell.
         self.members = members
         self.fn = fn
-        #: Total instructions when the body runs to completion — the
-        #: engine only enters when the quantum budget covers all of it
-        #: (and counts a refusal otherwise).
-        self.count = count
+        #: Instructions retired by completing each member prefix.
+        self.ends = tuple(accumulate(len(m.instrs) for m in members))
+        #: Total instructions when the body runs to completion. When the
+        #: rest of the quantum is shorter, the engine enters the longest
+        #: member prefix that fits instead (:meth:`prefix`), and refuses
+        #: the entry only when not even the first member fits.
+        self.count = self.ends[-1]
+        #: Bounded-entry bodies, keyed by member count: they live and die
+        #: with this superblock, which books their entries and exits.
+        self.prefixes: Dict[int, SuperBlock] = {}
         self.overhead = overhead
-        self.exit = exit_cell
         self.entries = 0
         self.side_exits = 0
-        self.elided_uids = elided_uids
+
+    def prefix(self, budget: int, engine) -> Optional["SuperBlock"]:
+        """The longest member prefix that retires at most ``budget``
+        instructions, compiled on first use; None if the first member
+        alone does not fit. The prefix's last member exits both ways,
+        like any chain's last member, so the emitter needs no budget
+        guard. Its body reads this body's globals, whose names for the
+        first members are the same, so its identity guards check the
+        blocks this superblock was built from."""
+        k = bisect_right(self.ends, budget)
+        if k == 0:
+            return None
+        sb = self.prefixes.get(k)
+        if sb is None:
+            sb = self.prefixes[k] = compile_superblock(
+                self.members[:k], engine, self.fn.__globals__)
+        return sb
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         chain = "->".join(str(m.block_index) for m in self.members)
@@ -126,8 +157,11 @@ class SuperBlockCache:
         self.completions = 0
         self.side_exits = 0
         self.instructions = 0
-        #: Entries refused because the chain did not fit the rest of the
-        #: quantum; the block bodies run those instructions instead.
+        #: Entries that ran a member prefix because the whole chain did
+        #: not fit the rest of the quantum (:meth:`SuperBlock.prefix`),
+        #: and entries refused because not even the first member fit;
+        #: the block bodies run those instructions instead.
+        self.bounded = 0
         self.refused = 0
         #: Heads proven unstitchable (or guard-thrashing): no further
         #: build attempts until the block itself is invalidated.
@@ -253,11 +287,13 @@ def plan_chain(head_index: int, engine) -> List:
     return members
 
 
-def compile_superblock(members: List, engine) -> SuperBlock:
+def compile_superblock(members: List, engine,
+                       glb: Optional[dict] = None) -> SuperBlock:
     """Generate and bind the body for one chain.
 
     The generated ``fn(thread) -> retired`` reports its exit through the
-    engine's exit cell ``[resume_member_index, exit_code]``.
+    engine's exit cell ``[resume_member_index, exit_code]``. ``glb`` is a
+    longer chain's globals, which a member prefix shares.
     """
     label_index = engine.codecache.program.label_index
     firsts: Dict[int, int] = {}
@@ -274,12 +310,8 @@ def compile_superblock(members: List, engine) -> SuperBlock:
                              or target == members[idx + 1].block_index)
         shape.append((f, slots, follows_taken))
     overhead = engine.overhead_per_instr
-    fn = FunctionType(body_code(True, overhead, 0, tuple(shape)),
-                      body_globals(engine, [(m, 0, len(m.instrs))
-                                            for m in members], chain=True))
-    elided_uids = frozenset(
-        instr.uid for m in members
-        for instr, slot in zip(m.instrs, m.compiled.slots) if slot.elided)
-    return SuperBlock(members[0].block_index, tuple(members), fn,
-                      sum(len(m.instrs) for m in members), overhead,
-                      engine._exit, elided_uids)
+    if glb is None:
+        glb = body_globals(engine, [(m, 0, len(m.instrs)) for m in members],
+                           chain=True)
+    fn = FunctionType(body_code(True, overhead, 0, tuple(shape)), glb)
+    return SuperBlock(members[0].block_index, tuple(members), fn, overhead)

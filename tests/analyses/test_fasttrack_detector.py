@@ -1,6 +1,9 @@
 """Direct unit tests of the FastTrack algorithm (no simulation)."""
 
+import pytest
+
 from repro.analyses.fasttrack.detector import FastTrackDetector
+from repro.analyses.fasttrack.vectorclock import VectorClock
 
 
 def kinds(detector):
@@ -194,6 +197,53 @@ class TestReporting:
         d.on_read(1, 0x100)
         assert len(d.meta.vars) == 1
         assert d.meta.var_inits == 1
+
+
+class TestInlinedEpochCheck:
+    """``epoch_leq_vc`` is the reference for the happens-before check the
+    detector inlines: the last write races with an access exactly when
+    it does not happen before the accessor's clock."""
+
+    #: (last write as (tid, clock) or None, the reader's clock)
+    TABLE = [
+        (None, {2: 1}),
+        ((1, 5), {1: 5, 2: 1}),
+        ((1, 5), {1: 4, 2: 1}),
+        ((1, 5), {1: 9, 2: 3}),
+        ((3, 1), {2: 1}),
+        ((2, 1), {2: 2}),
+        ((255, 7), {255: 7, 2: 1}),
+        ((255, 8), {255: 7, 2: 1}),
+    ]
+
+    @staticmethod
+    def _detector(write, clock):
+        from repro.analyses.fasttrack.epoch import EPOCH_NONE, make_epoch
+        from repro.analyses.fasttrack.metadata import VarState
+        d = FastTrackDetector()
+        var = d.meta.vars[0x100 // d.meta.block_size] = VarState()
+        var.write_epoch = EPOCH_NONE if write is None else make_epoch(*write)
+        thread = d.meta.thread(2)
+        thread.vc = VectorClock(clock)
+        thread.refresh_epoch()
+        return d, var.write_epoch, thread.vc
+
+    @pytest.mark.parametrize("write,clock", TABLE)
+    @pytest.mark.parametrize("access,kind", [("on_read", "write-read"),
+                                             ("on_write", "write-write")])
+    def test_detector_agrees_with_epoch_leq_vc(self, write, clock, access,
+                                               kind):
+        from repro.analyses.fasttrack.epoch import epoch_leq_vc
+        d, epoch, vc = self._detector(write, clock)
+        happens_before = epoch_leq_vc(epoch, vc)
+        getattr(d, access)(2, 0x100)
+        assert (kind in kinds(d)) == (not happens_before)
+
+    def test_table_covers_both_outcomes(self):
+        from repro.analyses.fasttrack.epoch import epoch_leq_vc
+        outcomes = {epoch_leq_vc(*self._detector(*row)[1:])
+                    for row in self.TABLE}
+        assert outcomes == {True, False}
 
 
 class TestReportAttribution:

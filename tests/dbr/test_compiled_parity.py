@@ -1,7 +1,7 @@
 """The block-compiled and superblock tiers must be observationally
 identical to the interpreter tier.
 
-Four layers of evidence:
+Five layers of evidence:
 
 * differential runs over every bundled workload (plain, under chaos
   injection, and with tracing/metrics on) comparing the full simulated
@@ -23,7 +23,12 @@ Four layers of evidence:
   hooked accesses inside a body show every hook the reference tier's
   counters and pc, survive a hook that re-JITs or drops translations,
   fault and retry like a compiled step, and take both arms of the
-  Fig. 4 check when a page turns shared under a live body.
+  Fig. 4 check when a page turns shared under a live body;
+* bounded entries and grouped page probes, stepped in lockstep with the
+  interpreter: a chain entered with every remaining budget, a probe
+  group straddling a page, a read-only group head whose member store
+  faults, a stale prefix dropping its parent, and thrash counted on the
+  parent.
 """
 
 from __future__ import annotations
@@ -35,15 +40,19 @@ from repro import costs
 from repro.chaos.invariants import InvariantMonitor
 from repro.chaos.plan import ChaosPlan
 from repro.core.config import AikidoConfig
+from repro.dbr.blockcompiler import _probe_groups
 from repro.dbr.engine import DBREngine
-from repro.dbr.superblock import EXIT_FAULT
+from repro.dbr.superblock import EXIT_FAULT, THRASH_MIN_ENTRIES
 from repro.dbr.tool import Tool
 from repro.errors import InvariantViolationError, ReproError
 from repro.guestos.kernel import Kernel
+from repro.guestos.signals import SIGSEGV, HandlerResult
 from repro.harness.runner import (build_aikido_system, run_mode,
                                   system_result)
 from repro.machine.asm import ProgramBuilder
 from repro.machine.isa import Opcode
+from repro.machine.paging import (PAGE_SHIFT, PAGE_SIZE, PTE_PRESENT,
+                                  PTE_USER, PTE_WRITABLE)
 from repro.machine.tlb import TLB
 from repro.scengen.scenario import render
 from repro.scengen.strategies import scenario_irs
@@ -714,6 +723,250 @@ def _recording_run(compile_blocks, superblocks,
               for th in kernel.process.threads.values()]),
             engine.superblock_snapshot())
 
+
+# ----------------------------------------------------------------------
+# bounded chain entry and grouped page probes, in lockstep with the
+# interpreter
+# ----------------------------------------------------------------------
+class _Lockstep:
+    """A superblock-tier engine and an interpreter-tier engine over one
+    program, driven by the same ``run`` calls; every call compares what
+    the two can observe afterwards."""
+
+    def __init__(self, program_factory, tool_factory=None,
+                 on_kernel=None):
+        self.engines = []
+        for compile_blocks in (True, False):
+            kernel = Kernel(seed=3, quantum=100, jitter=0.0)
+            kernel.create_process(program_factory())
+            engine = DBREngine(kernel, compile_blocks=compile_blocks)
+            if tool_factory is not None:
+                engine.attach_tool(tool_factory())
+            if on_kernel is not None:
+                on_kernel(kernel)
+            self.engines.append(engine)
+        self.sb_cache = self.engines[0].superblock_cache
+
+    @staticmethod
+    def _thread(engine):
+        return engine.kernel.process.threads[1]
+
+    def state(self, engine):
+        thread = self._thread(engine)
+        return (engine.counter.snapshot(), engine.stats.as_dict(),
+                list(thread.regs), list(thread.pc), thread.tlb.hits,
+                thread.tlb.misses, dict(engine.cpu.memory._words))
+
+    def run(self, budget):
+        for engine in self.engines:
+            engine.run(self._thread(engine), budget)
+        assert self.state(self.engines[0]) == self.state(self.engines[1])
+
+    def pc(self):
+        return tuple(self._thread(self.engines[0]).pc)
+
+    def to_head(self, sb):
+        """Step both engines one instruction at a time until the next
+        one to run is the head's first: pc on it, or parked past the end
+        of the block that falls through into it."""
+        program = self.engines[0].process.program
+        while True:
+            bi, ii = self.pc()
+            if (bi, ii) == (sb.head, 0) or (
+                    bi + 1 == sb.head
+                    and ii >= len(program.block_at(bi).instructions)):
+                return
+            self.run(1)
+
+    def superblock(self):
+        self.run(3000)
+        assert self.sb_cache.by_head, "no superblock formed"
+        return next(iter(self.sb_cache.by_head.values()))
+
+
+def _group_straddle_program(iters=20_000, first=PAGE_SIZE - 256, step=8):
+    """A loop over a three-access group on r7, whose base walks 32 words
+    from ``first`` bytes into a two-page segment: the group straddles
+    the page boundary when the base lands in the last 16 bytes."""
+    b = ProgramBuilder()
+    data = b.segment("data", 2 * PAGE_SIZE)
+    b.label("main")
+    b.li(4, data + first)
+    with b.loop(counter=2, count=iters):
+        b.and_(7, 2, imm=31)
+        b.mul(7, 7, imm=step)
+        b.add(7, 7, 4)
+        b.load(5, base=7, disp=0)
+        b.load(6, base=7, disp=8)
+        b.add(5, 5, 6)
+        b.store(5, base=7, disp=16)
+    b.halt()
+    return b.build()
+
+
+def _read_head_store_member_program(iters=4000):
+    """A group whose head reads and whose member stores, behind a load
+    through another base register (hooked by :class:`_BaseHookTool`)."""
+    b = ProgramBuilder()
+    data = b.segment("data", 64)
+    b.label("main")
+    b.li(4, data)
+    b.li(5, data)
+    with b.loop(counter=2, count=iters):
+        b.load(7, base=5, disp=32)
+        b.load(8, base=4, disp=0)
+        b.add(8, 8, imm=1)
+        b.store(8, base=4, disp=8)
+        b.load(9, base=4, disp=16)
+    b.halt()
+    return b.build()
+
+
+class _BaseHookTool(Tool):
+    """Hooks the accesses through r5; the hook observes nothing."""
+
+    def instrument_block(self, cached):
+        for pos, instr in enumerate(cached.instrs):
+            if instr.mem is not None and instr.mem.base == 5:
+                cached.set_hook(pos, lambda thread, instr, ea: None)
+
+
+def _write_protect_data(kernel, every=3):
+    """Write-protect the data page every ``every`` scheduler ticks; a
+    SIGSEGV handler gives write access back, so a store faults once
+    after each protection and is retried."""
+    process = kernel.process
+    vpn = process.segment_bases["data"] >> PAGE_SHIFT
+    state = {"ticks": 0, "faults": 0}
+
+    def set_flags(flags):
+        process.page_table.set_flags(vpn, flags)
+        for thread in process.threads.values():
+            thread.tlb.invalidate(vpn)
+
+    def on_tick():
+        state["ticks"] += 1
+        if state["ticks"] % every == 0:
+            set_flags(PTE_PRESENT | PTE_USER)
+
+    def on_segv(thread, info):
+        state["faults"] += 1
+        set_flags(PTE_PRESENT | PTE_WRITABLE | PTE_USER)
+        return HandlerResult.RESUME
+
+    kernel.tick_hooks.append(on_tick)
+    process.signal_handlers[SIGSEGV] = on_segv
+    return state
+
+
+class TestBoundedEntryAndProbeGroups:
+    def test_every_remaining_budget(self):
+        # Entered with each remaining budget from 1 to the whole chain,
+        # the engine runs the longest member prefix that fits (or the
+        # block bodies, when not even the first member does), exactly
+        # like the interpreter.
+        steps = _Lockstep(lambda: _hot_loop_program(iters=20_000))
+        sb = steps.superblock()
+        assert len(set(sb.ends)) == len(sb.members) > 2
+        for budget in range(1, sb.count + 1):
+            steps.to_head(sb)
+            before = (steps.sb_cache.entries, steps.sb_cache.bounded,
+                      steps.sb_cache.refused)
+            steps.run(budget)
+            after = (steps.sb_cache.entries, steps.sb_cache.bounded,
+                     steps.sb_cache.refused)
+            if budget < sb.ends[0]:
+                assert after == (before[0], before[1], before[2] + 1)
+            else:
+                # A prefix that completes early may leave budget for
+                # another decision at the head.
+                assert after[0] > before[0]
+                assert after[1] > before[1] or budget == sb.count
+            steps.run(100)
+        assert steps.sb_cache.by_head[sb.head] is sb
+        assert sorted(sb.prefixes) == list(range(1, len(sb.members)))
+        snapshot = steps.engines[0].superblock_snapshot()
+        assert snapshot["bounded"] == steps.sb_cache.bounded > 0
+        assert snapshot["entries"] == (snapshot["completions"]
+                                       + snapshot["side_exits"])
+
+    def test_group_straddling_a_page_leaves_alike(self):
+        steps = _Lockstep(_group_straddle_program)
+        sb = steps.superblock()
+        slots = [s for m in sb.members for s in m.compiled.slots]
+        assert _probe_groups(slots)[1], "the chain holds no probe group"
+        exits = steps.sb_cache.side_exits
+        steps.run(20_000)
+        assert steps.sb_cache.side_exits > exits
+        assert steps.sb_cache.by_head.get(sb.head) is sb
+
+    def test_read_head_then_store_member_that_faults(self):
+        # The head's read-only probe hits, the member store's writable
+        # probe misses on the write-protected page: the store takes its
+        # tail with its own address, faults and is retried.
+        tracer = RecordingTracer()
+        states = []
+        steps = _Lockstep(_read_head_store_member_program, _BaseHookTool,
+                          lambda kernel: states.append(
+                              _write_protect_data(kernel)))
+        steps.engines[0].tracer = tracer
+        for kernel in (e.kernel for e in steps.engines):
+            kernel.run()
+        assert steps.state(steps.engines[0]) == steps.state(steps.engines[1])
+        assert states[0] == states[1] and states[0]["faults"] > 0
+        program = steps.engines[0].process.program
+        store = next(i for i in program.iter_instructions()
+                     if i.op is Opcode.STORE)
+        faulted = {attrs["member"] for name, attrs in tracer.instants
+                   if name == "superblock_side_exit"
+                   and attrs["code"] == EXIT_FAULT}
+        assert faulted
+        assert steps.sb_cache.built >= 1
+        assert store.uid in {i.uid for sb in steps.sb_cache.by_head.values()
+                             for m in sb.members for i in m.instrs}
+
+    def test_stale_prefix_drops_its_parent(self):
+        steps = _Lockstep(lambda: _hot_loop_program(iters=20_000))
+        sb = steps.superblock()
+        steps.to_head(sb)
+        steps.run(sb.ends[1])  # builds the two-member prefix
+        assert 2 in sb.prefixes
+        steps.run(100)
+        steps.to_head(sb)
+        tracer = RecordingTracer()
+        engine = steps.engines[0]
+        engine.tracer = tracer
+        # Replace a member's CompiledBlock behind the listener's back:
+        # only the prefix body's identity guard can see it.
+        engine._compile_block(sb.members[0], engine.overhead_per_instr)
+        entries, bounded = sb.entries, steps.sb_cache.bounded
+        steps.run(sb.ends[1])
+        assert sb.head not in steps.sb_cache.by_head
+        assert (sb.entries, steps.sb_cache.bounded) == (entries, bounded)
+        assert [attrs["reason"] for name, attrs in tracer.instants
+                if name == "superblock_drop"] == ["stale"]
+        steps.run(2000)
+
+    def test_thrash_is_counted_on_the_parent(self):
+        # Every entry's group straddles the page, so every entry leaves
+        # at its first access; bounded entries must count toward the
+        # parent's eviction and ban its head.
+        steps = _Lockstep(lambda: _group_straddle_program(
+            first=PAGE_SIZE - 8, step=0))
+        while not steps.sb_cache.by_head:
+            steps.run(20)
+        sb = next(iter(steps.sb_cache.by_head.values()))
+        entries, bounded = sb.entries, steps.sb_cache.bounded
+        while steps.sb_cache.by_head.get(sb.head) is sb:
+            steps.to_head(sb)
+            steps.run(sb.ends[0])
+        assert sb.entries == THRASH_MIN_ENTRIES
+        assert steps.sb_cache.bounded - bounded == sb.entries - entries
+        assert sb.side_exits * 2 >= sb.entries
+        assert sb.prefixes and all(p.entries == p.side_exits == 0
+                                   for p in sb.prefixes.values())
+        assert sb.head in steps.sb_cache.banned
+        steps.run(2000)
 
 # ----------------------------------------------------------------------
 # translation micro-cache maintenance
