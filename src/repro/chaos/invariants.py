@@ -41,12 +41,11 @@ INVARIANTS = (
     "mirror_alias",
     "page_state_monotone",
     "tlb_coherence",
-    "elision_no_shared",
 )
 
 
 class InvariantMonitor:
-    """Runs the six cross-layer checks against one live Aikido stack."""
+    """Runs the five cross-layer checks against one live Aikido stack."""
 
     def __init__(self, kernel, hypervisor, sd=None):
         self.kernel = kernel
@@ -88,7 +87,6 @@ class InvariantMonitor:
             self.check_mirror_alias()
             self.check_page_state_monotone()
             self.check_tlb_coherence()
-            self.check_elision_no_shared()
         except InvariantViolationError:
             self.violations += 1
             raise
@@ -316,49 +314,6 @@ class InvariantMonitor:
                     f"t{tid} TLB vpn {vpn:#x} permits user writes but is "
                     f"missing from fast_rw",
                     tid=tid, vpn=vpn, flags=flags)
-
-    def check_elision_no_shared(self) -> None:
-        """No live elided fast path coexists with a SHARED page it covers.
-
-        Two faces of the ``--static-elide`` tripwire contract
-        (:meth:`repro.dbr.engine.DBREngine.note_page_shared`): a
-        compiled closure must never still fuse a uid the engine has
-        retired (the closure drop happened synchronously inside the
-        page-share transition), and no closure fusing a *private-tier*
-        uid may survive while any page of that uid's static footprint is
-        SHARED in the sharing detector's table.
-        """
-        if self.sd is None:
-            return
-        engine = getattr(self.sd, "engine", None)
-        if engine is None or getattr(engine, "elision_plan", None) is None:
-            return
-        plan = engine.elision_plan
-        retired = engine._elision_retired
-        shared_vpns = [vpn for vpn, owner in self.sd.pagestate._table.items()
-                       if owner == SHARED_MARK]
-        for cached in engine.codecache._blocks.values():
-            compiled = cached.compiled
-            if compiled is None:
-                continue
-            stale = compiled.elided_uids & retired
-            if stale:
-                raise InvariantViolationError(
-                    "elision_no_shared",
-                    f"block {cached.block_index} still fuses retired "
-                    f"elided uid(s) {sorted(stale)} (closure drop lost?)",
-                    block=cached.block_index, uids=sorted(stale))
-            for uid in compiled.elided_private:
-                for lo, hi in plan.footprints[uid]:
-                    for vpn in shared_vpns:
-                        if lo <= vpn <= hi:
-                            raise InvariantViolationError(
-                                "elision_no_shared",
-                                f"private-tier elided uid {uid} (block "
-                                f"{cached.block_index}) fused while vpn "
-                                f"{vpn:#x} in its footprint is SHARED",
-                                block=cached.block_index, uid=uid,
-                                vpn=vpn)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, int]:

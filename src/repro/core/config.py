@@ -74,20 +74,11 @@ class AikidoConfig:
             of the compiled tier (see :mod:`repro.dbr.superblock`): hot
             block chains selected by the trace profiler are stitched
             into single generated functions with guard-protected side
-            exits and hoisted TLB/elision checks. On by default;
-            ignored without ``compile_blocks``. Like the compiled tier,
-            every simulated statistic is bit-identical with it on or
-            off — the switch exists for benchmarking the tiers apart
-            (and as the escape hatch).
-        static_elide: compile-time shared-check elision (``--static-elide``):
-            feed the static race analyzer's elision plan (see
-            :mod:`repro.staticanalysis.elision`) into the block
-            compiler, fusing accesses proved PROVABLY_PRIVATE or
-            statically race-free into guarded straight-line fast paths.
-            Requires ``compile_blocks``; every simulated statistic stays
-            bit-identical to a non-elided run (a dynamic tripwire
-            retires any elided access whose page turns SHARED, and the
-            InvariantMonitor's ``elision_no_shared`` check enforces it).
+            exits and hoisted TLB checks. On by default; ignored without
+            ``compile_blocks``. Like the compiled tier, every simulated
+            statistic is bit-identical with it on or off — the switch
+            exists for benchmarking the tiers apart (and as the escape
+            hatch).
     """
 
     block_size: int = 8
@@ -101,7 +92,6 @@ class AikidoConfig:
     metrics_cadence: int = 0
     compile_blocks: bool = True
     superblocks: bool = True
-    static_elide: bool = False
 
     def to_dict(self) -> Dict:
         """JSON-safe form (what job canonicalization already embeds)."""

@@ -37,7 +37,6 @@ from repro.events import ForkEvent
 from repro.guestos.signals import HandlerResult
 from repro.hypervisor.hypercalls import ALL_THREADS, PROT_CLEAR
 from repro.machine.paging import PAGE_SHIFT, PROT_NONE
-from repro.staticanalysis.analysiscache import analysis_for
 from repro.umbra.shadow import ShadowMemory
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -68,9 +67,6 @@ class SharingDetector(Tool):
                                     enabled=self.config.mirror_pages)
         self.lib = AikidoLib(kernel, hypervisor, process=self.process)
         self.instrumented: Set[int] = set()
-        #: --static-elide state: the elision plan handed to the engine
-        #: (None when off); see :mod:`repro.staticanalysis.elision`.
-        self.elision_plan = None
         #: (cycle-at-fault, vpn, classification) per handled fault —
         #: the raw material for fault-timeline analyses (churny
         #: benchmarks sustain faults for the whole run; static-footprint
@@ -99,17 +95,6 @@ class SharingDetector(Tool):
         engine.register_master_signal_handler()
         engine.fault_router = self._route_fault
         engine.overhead_per_instr = costs.AIKIDO_RESIDENCY_PER_INSTR
-        if self.config.static_elide:
-            # Compile-time shared-check elision: hand the static plan to
-            # the block compiler. Installed at the same point the
-            # residency overhead changes, so any closure compiled before
-            # install is already stale and recompiles against the plan.
-            if not engine.compile_blocks:
-                raise ToolError(
-                    "static_elide requires the block-compiled tier "
-                    "(compile_blocks=True)")
-            self.elision_plan = analysis_for(self.process.program).elision
-            engine.set_elision_plan(self.elision_plan)
         # Protect everything currently mapped, for every current thread.
         main = self.process.threads[min(self.process.threads)]
         for region in self.process.vm.user_regions():
@@ -198,7 +183,6 @@ class SharingDetector(Tool):
             # fault to a thread, so "touched" must mean "shared".
             self.pagestate.make_shared_direct(vpn)
             self.stats.shared_transitions += 1
-            self._note_page_shared(vpn)
             if self.config.mirror_pages:
                 self.lib.set_page_protection(thread, ALL_THREADS, vpn, 1,
                                              PROT_NONE)
@@ -227,7 +211,6 @@ class SharingDetector(Tool):
             # Third scenario of Fig. 3: second thread -> page is shared.
             self.pagestate.make_shared(vpn)
             self.stats.shared_transitions += 1
-            self._note_page_shared(vpn)
             if self.config.mirror_pages:
                 # Globally protect so every new instruction is discovered.
                 self.lib.set_page_protection(thread, ALL_THREADS, vpn, 1,
@@ -249,27 +232,6 @@ class SharingDetector(Tool):
                                          PROT_CLEAR)
         self._instrument_instruction(self._faulting_instruction(thread))
 
-    def _note_page_shared(self, vpn: int) -> None:
-        """Elision tripwire: retire elided uids whose footprint covers
-        the page that just turned SHARED (dropping their compiled
-        closures, host-side only), and escalate private-tier hits: with
-        per-thread protection a PROVABLY_PRIVATE access's page becoming
-        shared means the classifier was wrong. (The process-wide
-        ablation shares pages without evidence of a second thread, so
-        it only retires there.)
-        """
-        if self.elision_plan is None:
-            return
-        retired = self.engine.note_page_shared(vpn)
-        if not retired or not self.config.per_thread_protection:
-            return
-        bad = sorted(uid for uid, tier in retired if tier == "private")
-        if bad:
-            raise ToolError(
-                f"static elision unsound: page {vpn:#x} became SHARED "
-                f"inside the footprint of provably-private elided "
-                f"instruction(s) {bad}")
-
     # ------------------------------------------------------------------
     # instrumentation management
     # ------------------------------------------------------------------
@@ -284,18 +246,6 @@ class SharingDetector(Tool):
     def _instrument_instruction(self, instr) -> None:
         if instr.uid in self.instrumented:
             return
-        if (self.elision_plan is not None
-                and self.config.per_thread_protection
-                and self.elision_plan.tier(instr.uid) == "private"):
-            # Soundness tripwire: with real per-thread protection a
-            # PROVABLY_PRIVATE instruction can never be discovered
-            # touching a shared page. (The process-wide-protection
-            # ablation marks pages shared without any second thread, so
-            # the invariant intentionally does not hold there.)
-            raise ToolError(
-                f"static elision unsound: provably-private elided "
-                f"instruction uid {instr.uid} ({instr!r}) discovered "
-                f"touching a shared page")
         self.instrumented.add(instr.uid)
         self.stats.instructions_instrumented += 1
         if self.tracer is not None:

@@ -71,8 +71,8 @@ Kernel operations, HALT and MOD by a literal zero never enter a body:
 the engine runs them through ``CPU.execute``. Hooks exist only on memory
 positions and are set only while a block is built, by the tool's
 ``instrument_block``, so a body binds its hooks once; every path that
-changes a block's hooks or elision plan flushes the block or drops its
-:class:`CompiledBlock`, taking the bodies with it.
+changes a block's hooks flushes the block, taking its
+:class:`CompiledBlock` and bodies with it.
 
 Generation cost is paid per distinct block content, not per block: the
 emitter sees only :class:`Slot` tuples (block indices and branch
@@ -173,7 +173,6 @@ class Slot(NamedTuple):
     base: Optional[int]
     disp: int
     hooked: bool
-    elided: bool
 
 
 #: Slots are shared across blocks, so the body memo's keys hold one copy
@@ -195,11 +194,10 @@ class CompiledBlock:
     """
 
     __slots__ = ("overhead", "length", "limits", "slots", "bodies",
-                 "globals", "elided_uids", "elided_private", "stitchable")
+                 "globals", "stitchable")
 
     def __init__(self, overhead: int, limits: List[int],
-                 slots: Tuple[Slot, ...], elided_uids: frozenset,
-                 elided_private: frozenset, stitchable: bool):
+                 slots: Tuple[Slot, ...], stitchable: bool):
         self.overhead = overhead
         self.length = len(slots)
         self.limits = limits
@@ -207,28 +205,10 @@ class CompiledBlock:
         self.bodies: Dict[Tuple[int, int], object] = {}
         #: The globals every body of this block shares (first use).
         self.globals: Optional[dict] = None
-        #: Memory uids ``--static-elide`` approved in this block, and
-        #: the private-tier subset (the InvariantMonitor asserts no
-        #: private-tier uid's block coexists with a SHARED footprint
-        #: page — see ``elision_no_shared``).
-        self.elided_uids = elided_uids
-        self.elided_private = elided_private
         #: True when the source block qualifies as a superblock chain
         #: member: one body holds all of it. Computed once here so the
         #: chain planner's hot path is one attribute read.
         self.stitchable = stitchable
-
-
-def elidable(instr, hook, plan, retired) -> bool:
-    """Does ``--static-elide`` elide this position's check?
-
-    Only an unhooked memory access the plan approved and no tripwire
-    has retired: a hooked access always runs its hook.
-    """
-    if hook is not None or instr.op not in MEMORY_OPCODES:
-        return False
-    uid = instr.uid
-    return uid in plan and uid not in retired
 
 
 def compile_block(cached, engine) -> CompiledBlock:
@@ -237,22 +217,12 @@ def compile_block(cached, engine) -> CompiledBlock:
     Only the block's shape and stop positions are computed here; bodies
     are generated when the engine first enters each ``(start, stop)``.
     """
-    plan = engine.elision_plan
-    retired = engine._elision_retired
     slots = []
-    elided_uids = set()
-    elided_private = set()
     for instr, hook in zip(cached.instrs, cached.hooks):
         mem = instr.mem
-        elided = plan is not None and elidable(instr, hook, plan, retired)
-        if elided:
-            elided_uids.add(instr.uid)
-            if plan.tier(instr.uid) == "private":
-                elided_private.add(instr.uid)
         slots.append(_slot(instr.op, instr.rd, instr.rs1, instr.rs2,
                           instr.imm, mem.base if mem else None,
-                          mem.disp if mem else 0, hook is not None,
-                          elided))
+                          mem.disp if mem else 0, hook is not None))
     limits = [0] * len(slots)
     stop = len(slots)
     for pos in range(len(slots) - 1, -1, -1):
@@ -265,7 +235,6 @@ def compile_block(cached, engine) -> CompiledBlock:
     # A chain member must be one whole body: no position a body cannot
     # hold, and a control transfer only at the end.
     return CompiledBlock(engine.overhead_per_instr, limits, tuple(slots),
-                         frozenset(elided_uids), frozenset(elided_private),
                          bool(slots) and limits[0] == len(slots))
 
 
@@ -290,7 +259,7 @@ def block_body(cached, compiled: CompiledBlock, start: int, stop: int,
 
 
 #: Flag bits of a tail call's ``mode`` argument.
-_HOOKED, _ELIDED, _RESUME, _FAST = 1, 2, 4, 8
+_HOOKED, _RESUME = 1, 2
 
 
 def cold_paths(engine):
@@ -301,9 +270,9 @@ def cold_paths(engine):
     code objects stay small. Each takes the not-yet-booked part of the
     retired prefix as trailing arguments, zeros left off: instruction
     cycles, instructions, fast-path memory refs, instrumented
-    executions, dispatch cycles, elided checks, fast-path instructions
-    (``*prefix`` below). The two hot exits spell these parameters out:
-    packing and unpacking ``*prefix`` costs about a third more per call.
+    executions, dispatch cycles (``*prefix`` below). The two hot exits
+    spell these parameters out: packing and unpacking ``*prefix`` costs
+    about a third more per call.
     ``pc0`` is the block index to set, or None when pc[0] already holds
     it.
 
@@ -332,7 +301,6 @@ def cold_paths(engine):
     counter = engine.counter
     dbr_cycles = engine._dbr_cycles
     stats = engine.stats
-    ec = engine._elision_cell
     exit_cell = engine._exit
     translate = engine.cpu.translate
     repair_fault = engine.kernel.repair_fault
@@ -341,7 +309,7 @@ def cold_paths(engine):
     write_word = memory.write_word
 
     def book(thread, pc0, pos, cycles=0, instructions=0, refs=0,
-             instrumented=0, dispatch=0, elided=0, fast=0):
+             instrumented=0, dispatch=0):
         counter.instr_cycles += cycles
         stats.instructions += instructions
         if refs:
@@ -353,9 +321,6 @@ def cold_paths(engine):
             stats.instrumented_execs += instrumented
         if dispatch:
             dbr_cycles[0] += dispatch
-        if elided or fast:
-            ec[0] += elided
-            ec[1] += fast
         pc = thread.pc
         if pc0 is not None:
             pc[0] = pc0
@@ -363,19 +328,17 @@ def cold_paths(engine):
         return pc
 
     def leave(thread, pc0, pc1, idx, code, retired, cycles=0,
-              instructions=0, refs=0, instrumented=0, dispatch=0, elided=0,
-              fast=0):
+              instructions=0, refs=0, instrumented=0, dispatch=0):
         book(thread, pc0, pc1, cycles, instructions, refs, instrumented,
-             dispatch, elided, fast)
+             dispatch)
         exit_cell[0] = idx
         exit_cell[1] = code
         return retired
 
     def hooked(thread, hook, instr, ea, pc0, pos, cycles=0,
-               instructions=0, refs=0, instrumented=0, dispatch=0,
-               elided=0, fast=0):
+               instructions=0, refs=0, instrumented=0, dispatch=0):
         book(thread, pc0, pos, cycles, instructions, refs, instrumented,
-             dispatch, elided, fast)
+             dispatch)
         override = hook(thread, instr, ea)
         return ea if override is None else override
 
@@ -415,16 +378,12 @@ def cold_paths(engine):
             # back out. Nothing observes the counters before then.
             tlb.hits -= 1
             tlb.fast_hits -= 1
-            if mode & _ELIDED:
-                ec[0] -= 1
             book(thread, None, pos, *[-v for v in prefix])
             return -1
         counter.instr_cycles += charge
         stats.instructions += 1
         stats.memory_refs += 1
         stats.instrumented_execs += mode & _HOOKED
-        if mode & _FAST:
-            ec[1] += 1
         pc[1] = pos + 1
         exit_cell[1] = EXIT_REFETCH if engine._cache_dirty else EXIT_RESUME
         return retired + 1
@@ -600,9 +559,9 @@ def body_source(chain: bool, overhead: int, start: int,
     last = len(members) - 1
     if chain:
         # Prologue identity guards: the baked CompiledBlock stands in
-        # for "the member's hook set and elision plan are unchanged" —
-        # every path that changes either replaces or drops it. Nothing
-        # is booked on a stale exit.
+        # for "the member's hook set is unchanged" — every path that
+        # changes it flushes the block. Nothing is booked on a stale
+        # exit.
         for f in range(1 + max(m[0] for m in members)):
             emit(f"    if m{f}.compiled is not c{f}:")
             emit(f"        _exit[1] = {EXIT_STALE}")
@@ -614,7 +573,6 @@ def body_source(chain: bool, overhead: int, start: int,
         emit("    fr = thread.tlb.fast_ro")
     if Opcode.STORE in probed or Opcode.ATOMIC_ADD in probed:
         emit("    fw = thread.tlb.fast_rw")
-    has_elision = any(s.elided for s in all_slots)
 
     # Generation-time accounting: everything the reference books per
     # instruction is summed here and emitted as constants at each exit
@@ -623,10 +581,9 @@ def body_source(chain: bool, overhead: int, start: int,
     cyc = 0       # retired instruction cycles so far
     icount = 0    # retired instructions so far
     mems = 0      # retired fast-path memory refs so far
-    elided = 0    # retired --static-elide-approved accesses so far
     hooked = 0    # retired fast-path hooked accesses so far
     booked = {"dispatches": 0, "cyc": 0, "icount": 0, "mems": 0,
-              "elided": 0, "hooked": 0}
+              "hooked": 0}
     # pc[0] is the first member's block on entry, and only parks write
     # it mid-body.
     state = {"vno": 0, "pc0": 0}
@@ -656,14 +613,12 @@ def body_source(chain: bool, overhead: int, start: int,
         return idx + 1 if chain else 0
 
     def prefix_args(dispatched: int, cyc_: int, icount_: int) -> str:
-        """The not-yet-booked part of a retired prefix (memory, elided
-        and hooked counts are the running totals) as trailing arguments
-        of a shared exit (:func:`cold_paths`), zeros left off."""
-        n = icount_ - booked["icount"]
-        prefix = [cyc_ - booked["cyc"], n, mems - booked["mems"],
-                  hooked - booked["hooked"],
-                  (dispatched - booked["dispatches"]) * costs.BLOCK_DISPATCH,
-                  elided - booked["elided"], n if has_elision else 0]
+        """The not-yet-booked part of a retired prefix (memory and hooked
+        counts are the running totals) as trailing arguments of a shared
+        exit (:func:`cold_paths`), zeros left off."""
+        prefix = [cyc_ - booked["cyc"], icount_ - booked["icount"],
+                  mems - booked["mems"], hooked - booked["hooked"],
+                  (dispatched - booked["dispatches"]) * costs.BLOCK_DISPATCH]
         while prefix and not prefix[-1]:
             prefix.pop()
         return "".join(f", {v}" for v in prefix)
@@ -694,9 +649,7 @@ def body_source(chain: bool, overhead: int, start: int,
     def tail_args(s: Slot, idx: int) -> str:
         """``retired, charge, mode, *prefix`` of a tail call (see
         :func:`cold_paths`)."""
-        mode = ((_HOOKED if s.hooked else 0) | (_ELIDED if s.elided else 0)
-                | (_RESUME if resumes(s) else 0)
-                | (_FAST if has_elision else 0))
+        mode = (_HOOKED if s.hooked else 0) | (_RESUME if resumes(s) else 0)
         return (f"{icount}, {BASE_COST[s.op] + overhead}, {mode}"
                 f"{prefix_args(dispatches(idx), cyc, icount)}")
 
@@ -755,7 +708,7 @@ def body_source(chain: bool, overhead: int, start: int,
              f"{pc0_arg(f)}, {pos}"
              f"{prefix_args(dispatches(idx), cyc, icount)})")
         booked.update(dispatches=dispatches(idx), cyc=cyc, icount=icount,
-                      mems=mems, elided=elided, hooked=hooked)
+                      mems=mems, hooked=hooked)
         state["pc0"] = f
         pb = fresh("pb")
         fmap = "fr" if s.op is Opcode.LOAD else "fw"
@@ -769,7 +722,7 @@ def body_source(chain: bool, overhead: int, start: int,
         hooked += 1
 
     def emit_mem(s: Slot, idx: int, f: int, pos: int, k: int) -> None:
-        nonlocal cyc, icount, mems, elided
+        nonlocal cyc, icount, mems
         if s.hooked:
             emit_hooked(s, idx, f, pos, k)
             return
@@ -823,8 +776,6 @@ def body_source(chain: bool, overhead: int, start: int,
         cyc += BASE_COST[s.op] + overhead
         icount += 1
         mems += 1
-        if s.elided:
-            elided += 1
 
     def grouped_word(s: Slot, idx: int, f: int, pos: int, k: int,
                      need_rw: bool) -> str:

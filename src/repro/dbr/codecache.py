@@ -91,10 +91,9 @@ class CodeCache:
         self.closures_dropped = 0
         #: Observability tracer, attached by AikidoSystem (None = off).
         self.tracer = None
-        #: Called as ``listener(block_index, reason)`` whenever a cached
-        #: block's contents stop being trustworthy — a flush pops it, or
-        #: an elision retirement drops its closure. The engine registers
-        #: one to drop superblocks containing the block.
+        #: Called as ``listener(block_index, reason)`` whenever a flush
+        #: pops a cached block. The engine registers one to drop
+        #: superblocks containing the block.
         self.invalidation_listeners: List[Callable[[int, str], None]] = []
 
     def _notify_invalidated(self, block_index: int, reason: str) -> None:
@@ -137,30 +136,6 @@ class CodeCache:
             self.tracer.instant("trace_build", "dbr",
                                 block=cached.block_index,
                                 executions=cached.executions)
-
-    def drop_closures_of_instruction(self, uid: int, reason: str) -> int:
-        """Drop (only) the compiled closure of the block holding ``uid``.
-
-        Host-side bookkeeping for the elision tripwire: unlike
-        :meth:`invalidate`, the CachedBlock (and its hooks and trace
-        state) survives, no simulated BLOCK_FLUSH is charged, and the
-        engine recompiles at the block's next natural entry — so the
-        simulated cost stream is identical whether or not a page-share
-        ever retired an elided access. Returns closures dropped (0/1).
-        """
-        block_index, _ = self.program.instruction_locations[uid]
-        cached = self._blocks.get(block_index)
-        if cached is None or cached.compiled is None:
-            return 0
-        self._note_closure_dropped(cached, reason)
-        cached.compiled = None
-        # Trace state deliberately survives: no simulated flush happened,
-        # so re-charging TRACE_BUILD here would fork the cost stream
-        # between elided and non-elided runs. Superblocks over this
-        # block still die (listener + identity guard see the closure
-        # swap).
-        self._notify_invalidated(block_index, reason)
-        return 1
 
     def invalidate_blocks_of_instruction(self, uid: int) -> int:
         """Flush every cached block containing the static instruction.

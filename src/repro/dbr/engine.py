@@ -90,14 +90,6 @@ class DBREngine(ExecutionDriver):
         self.chaos = None
         #: Observability tracer, attached by AikidoSystem (None = off).
         self.tracer = None
-        #: Static-check elision (``--static-elide``): the plan installed
-        #: by AikidoSD (None = off), the uids dynamically retired from
-        #: it by page-share tripwires, and the host-side elision
-        #: counters ``[checks_elided, fast_path_instructions]`` the
-        #: generated fast bodies bump (never part of simulated stats).
-        self.elision_plan = None
-        self._elision_retired: set = set()
-        self._elision_cell = [0, 0]
         #: ``[member index, exit code]`` every generated body leaves on
         #: exit, and the globals every body shares (built on first use).
         self._exit = [0, EXIT_COMPLETE]
@@ -120,55 +112,6 @@ class DBREngine(ExecutionDriver):
     def register_master_signal_handler(self) -> None:
         """Take over SIGSEGV for the process (DynamoRIO does this)."""
         self.process.signal_handlers[SIGSEGV] = self._master_signal_handler
-
-    def set_elision_plan(self, plan) -> None:
-        """Install the static elision plan (AikidoSD, static_elide=True).
-
-        Must happen before the first block compiles against it; AikidoSD
-        installs it at the same point it raises ``overhead_per_instr``,
-        which already forces a recompile of anything built earlier.
-        """
-        self.elision_plan = plan
-
-    def note_page_shared(self, vpn: int) -> list:
-        """Dynamic elision tripwire: page ``vpn`` just became SHARED.
-
-        Retires every elided uid whose static footprint contains the
-        page and drops the affected compiled closures — host-side only
-        (no simulated flush/build charges), so the cycle stream is
-        identical to a run that never elided anything. The block
-        recompiles, without the retired uids, at its next natural
-        entry. Returns the newly retired ``(uid, tier)`` pairs; the
-        caller (AikidoSD) escalates private-tier hits to ``ToolError``
-        when per-thread protection makes the transition trustworthy.
-        """
-        plan = self.elision_plan
-        if plan is None:
-            return []
-        retired = []
-        for uid, tier in plan.uids_touching_page(vpn):
-            if uid in self._elision_retired:
-                continue
-            self._elision_retired.add(uid)
-            self.codecache.drop_closures_of_instruction(
-                uid, "elision_retired")
-            retired.append((uid, tier))
-        if retired and self.tracer is not None:
-            self.tracer.instant("elision_retired", "dbr", vpn=vpn,
-                                uids=[u for u, _ in retired])
-        return retired
-
-    def elision_snapshot(self) -> Optional[dict]:
-        """Host-side elision telemetry (None when elision is off)."""
-        plan = self.elision_plan
-        if plan is None:
-            return None
-        return {
-            "plan": plan.as_dict(),
-            "checks_elided": self._elision_cell[0],
-            "fast_path_instructions": self._elision_cell[1],
-            "retired_uids": sorted(self._elision_retired),
-        }
 
     def invalidate_instruction(self, uid: int) -> int:
         """Flush cached blocks containing the instruction (re-JIT)."""

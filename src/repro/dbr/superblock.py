@@ -18,9 +18,10 @@ the same emitter as block bodies
   place of its head's fetch, so the body books every member's dispatch
   charge and execution count at its exits.
 * **Identity guards.** The prologue checks that each member still holds
-  the CompiledBlock the body was built from: any hook addition or
-  elision retirement drops or replaces it. A stale body books nothing
-  (``EXIT_STALE``); the engine drops it and falls back.
+  the CompiledBlock the body was built from: a flush (any hook
+  addition) or a recompile against a new residency overhead replaces
+  it. A stale body books nothing (``EXIT_STALE``); the engine drops it
+  and falls back.
 
 Any other exit parks pc inside a member (``EXIT_RESUME``) and the engine
 carries on through that member's block bodies, or leaves through the
@@ -144,8 +145,7 @@ class SuperBlockCache:
     Every code-cache invalidation path notifies the engine (through
     ``CodeCache.invalidation_listeners``), which drops every superblock
     :meth:`containing` the block — a superblock dies when *any* of its
-    members is flushed, re-JITted or loses its CompiledBlock to an
-    elision retirement.
+    members is flushed or re-JITted.
     """
 
     def __init__(self):

@@ -10,7 +10,6 @@ Usage (installed as ``aikido-repro`` or ``python -m repro.harness.cli``)::
     aikido-repro races-static     # static race analyzer verdicts
     aikido-repro profile --benchmark vips   # workload profile
     aikido-repro lint             # static linter over the workloads
-    aikido-repro elide            # --static-elide on/off ablation
     aikido-repro instr            # instrumentation-machinery counters
     aikido-repro chaos            # fault-injection survivability sweep
     aikido-repro chaos --benchmark canneal --jobs 2 --journal c.jsonl \
@@ -77,9 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("artifact",
                         choices=("fig5", "fig6", "table1", "table2",
                                  "races", "races-static", "profile",
-                                 "breakdown", "instr", "elide",
-                                 "chaos", "trace", "fuzz", "lint",
-                                 "all"))
+                                 "breakdown", "instr", "chaos",
+                                 "trace", "fuzz", "lint", "all"))
     parser.add_argument("--benchmark", default=None,
                         help="restrict 'profile'/'lint'/'trace' to one "
                              "benchmark")
@@ -95,11 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the 'fuzz' campaign on smaller "
                              "generated programs with a lower per-run "
                              "instruction budget")
-    parser.add_argument("--static-elide", action="store_true",
-                        help="fuse statically race-free shared-checks "
-                             "into compiled fast paths in "
-                             "aikido-fasttrack runs (bit-identical by "
-                             "contract)")
     parser.add_argument("--threads", type=int,
                         default=experiments.DEFAULT_THREADS)
     parser.add_argument("--scale", type=float,
@@ -289,9 +282,8 @@ def _run(args) -> int:
                                      intensity=args.chaos_intensity)
                   if args.chaos else None)
     config = None
-    if args.static_elide or chaos_plan or args.check_invariants:
-        config = AikidoConfig(static_elide=args.static_elide,
-                              chaos=chaos_plan,
+    if chaos_plan or args.check_invariants:
+        config = AikidoConfig(chaos=chaos_plan,
                               check_invariants=args.check_invariants)
     wants_suite = args.artifact in SUITE_ARTIFACTS or args.artifact == "all"
     suite = None
@@ -343,14 +335,6 @@ def _run(args) -> int:
             pieces.append(f"(json written to {args.json})")
         if not sweep.all_recovery_cells_clean():
             status = 3
-    if args.artifact == "elide":
-        from repro.harness.report import render_elision
-
-        comparisons = experiments.elision_ablation(
-            threads=args.threads, scale=args.scale, seed=args.seed,
-            quantum=args.quantum, runner=runner,
-            benchmarks=[args.benchmark] if args.benchmark else None)
-        pieces.append(render_elision(comparisons))
     if args.artifact == "races-static":
         from repro.harness.report import render_static_races
         from repro.staticanalysis.analysiscache import analysis_for

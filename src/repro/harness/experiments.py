@@ -159,7 +159,7 @@ def run_suite(*, threads: int = DEFAULT_THREADS, scale: float = DEFAULT_SCALE,
     alike and its cache and journal serve any archived run. The default,
     ``ParallelRunner(1)`` (inline, uncached), is the historical serial
     behavior. ``config`` shapes the aikido-fasttrack runs only (e.g.
-    ``AikidoConfig(static_elide=True)`` for ``--static-elide``).
+    ``AikidoConfig(check_invariants=True)`` for ``--check-invariants``).
     """
     suite = SuiteResult(threads=threads, scale=scale, seed=seed)
     specs = (PARSEC_BENCHMARKS if benchmarks is None
@@ -251,88 +251,6 @@ def table2(suite: SuiteResult) -> List[Table2Row]:
                       runs.aikido.shared_accesses,
                       runs.aikido.segfaults)
             for name, runs in suite.runs.items()]
-
-
-# ---------------------------------------------------------------------
-# Static-elision ablation: shared-check elision with parity enforcement
-# ---------------------------------------------------------------------
-@dataclass
-class ElisionComparison:
-    """One benchmark's aikido-fasttrack run, plain vs ``static_elide``.
-
-    Elision is bit-identical by contract: every simulated statistic of
-    the elided run must equal the baseline's (the fast paths replay the
-    exact charges of the steps they fuse, and the dynamic tripwire
-    retires any elided access whose page turns SHARED). The elision
-    payload (checks elided, fast-path instructions, retired uids) is
-    host-side observability and the only thing allowed to differ.
-    """
-
-    benchmark: str
-    baseline: RunResult
-    elided: RunResult
-
-    @property
-    def parity(self) -> bool:
-        return (self.baseline.cycles == self.elided.cycles
-                and self.baseline.run_stats == self.elided.run_stats
-                and self.baseline.aikido_stats == self.elided.aikido_stats
-                and [r.describe() for r in self.baseline.races]
-                == [r.describe() for r in self.elided.races])
-
-    @property
-    def elision(self) -> Dict:
-        return self.elided.elision or {}
-
-    @property
-    def checks_elided(self) -> int:
-        return self.elision.get("checks_elided", 0)
-
-    @property
-    def fast_path_instructions(self) -> int:
-        return self.elision.get("fast_path_instructions", 0)
-
-    @property
-    def retired_uids(self) -> int:
-        return len(self.elision.get("retired_uids", ()))
-
-    @property
-    def plan(self) -> Dict:
-        return self.elision.get("plan", {})
-
-
-def elision_ablation(*, threads: int = DEFAULT_THREADS,
-                     scale: float = DEFAULT_SCALE, seed: int = DEFAULT_SEED,
-                     quantum: int = DEFAULT_QUANTUM,
-                     benchmarks: Optional[List[str]] = None,
-                     runner: Optional[ParallelRunner] = None
-                     ) -> List[ElisionComparison]:
-    """Run every benchmark twice in aikido-fasttrack mode: with and
-    without ``static_elide``, same seed/quantum, one batch. Raises when
-    any pair breaks bit-identity."""
-    specs = (PARSEC_BENCHMARKS if benchmarks is None
-             else [get_benchmark(n) for n in benchmarks])
-    if runner is None:
-        runner = ParallelRunner(1)
-    eliding = AikidoConfig(static_elide=True)
-    batch: List[Job] = []
-    for spec in specs:
-        for config in (None, eliding):
-            batch.append(Job(spec.name, "aikido-fasttrack",
-                             threads=threads, scale=scale, seed=seed,
-                             quantum=quantum, config=config))
-    results = runner.run(batch)
-    out: List[ElisionComparison] = []
-    for index, spec in enumerate(specs):
-        baseline, elided = results[2 * index:2 * index + 2]
-        comparison = ElisionComparison(spec.name, baseline, elided)
-        if not comparison.parity:
-            raise HarnessError(
-                f"{spec.name}: static_elide changed simulated results "
-                f"(cycles {baseline.cycles} vs {elided.cycles}) — "
-                f"elision must be bit-identical")
-        out.append(comparison)
-    return out
 
 
 # ---------------------------------------------------------------------

@@ -209,7 +209,6 @@ def result_to_dict(result: RunResult) -> Dict:
         "detector_profile": dict(result.detector_profile),
         "chaos": result.chaos,
         "timeline": [dict(sample) for sample in result.timeline],
-        "elision": result.elision,
         "superblocks": result.superblocks,
     }
 
@@ -225,7 +224,6 @@ def result_from_dict(payload: Dict) -> RunResult:
         detector_profile=dict(payload["detector_profile"]),
         chaos=payload.get("chaos"),  # absent in pre-chaos archives
         timeline=payload.get("timeline"),  # absent in pre-1.2 archives
-        elision=payload.get("elision"),  # absent in pre-elision archives
         superblocks=payload.get("superblocks"),  # absent pre-1.4
     )
 

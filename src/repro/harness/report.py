@@ -209,37 +209,6 @@ def render_instrumentation(suite: SuiteResult) -> str:
     return out.getvalue()
 
 
-def render_elision(comparisons) -> str:
-    """The static-elision ablation: checks elided at bit-identity.
-
-    Every row is one benchmark run twice in aikido-fasttrack mode with
-    identical seed/quantum; the driver has already asserted full parity
-    (cycles, stats, races), so the elision columns are pure overhead
-    accounting: how many shared-check hook dispatches the compiled fast
-    paths absorbed, and how many planned uids the dynamic tripwire had
-    to retire when their pages turned SHARED.
-    """
-    out = io.StringIO()
-    out.write("Static-elision ablation (aikido-fasttrack, plain vs "
-              "--static-elide)\n")
-    out.write(f"{'benchmark':>14s} {'plan':>9s} {'elided':>8s} "
-              f"{'fast-path':>10s} {'retired':>8s} {'cycles':>12s} "
-              f"{'parity':>7s}\n")
-    total_elided = 0
-    for c in comparisons:
-        plan = c.plan
-        planned = plan.get("elidable", 0)
-        memory = plan.get("memory_instructions", 0)
-        total_elided += c.checks_elided
-        out.write(
-            f"{c.benchmark:>14s} {f'{planned}/{memory}':>9s} "
-            f"{c.checks_elided:>8,d} {c.fast_path_instructions:>10,d} "
-            f"{c.retired_uids:>8d} {c.elided.cycles:>12,d} "
-            f"{'ok' if c.parity else 'BROKEN':>7s}\n")
-    out.write(f"total shared-check dispatches elided: {total_elided:,}\n")
-    return out.getvalue()
-
-
 def render_static_races(reports) -> str:
     """Static race analyzer verdicts, one section per workload."""
     out = io.StringIO()

@@ -46,7 +46,6 @@ class RunResult:
                  detector_profile: Optional[Dict[str, int]] = None,
                  chaos: Optional[Dict] = None,
                  timeline: Optional[List[Dict]] = None,
-                 elision: Optional[Dict] = None,
                  superblocks: Optional[Dict] = None):
         self.mode = mode
         self.cycles = cycles
@@ -63,12 +62,6 @@ class RunResult:
         #: Metrics timeline samples ([] unless the run's config set
         #: ``metrics_cadence`` > 0).
         self.timeline = timeline if timeline is not None else []
-        #: Static-elision payload (None unless ``static_elide``):
-        #: {"plan", "checks_elided", "fast_path_instructions",
-        #:  "retired_uids"}. Host-side observability — deliberately NOT
-        #: part of run_stats/aikido_stats, which stay bit-identical
-        #: between elided and non-elided runs.
-        self.elision = elision
         #: Superblock-tier payload (None unless the engine ran with
         #: ``superblocks``): {"superblocks_built", "superblocks_dropped",
         #: "side_exits", "entries", "completions", "instructions",
@@ -253,7 +246,6 @@ def system_result(system: AikidoSystem) -> RunResult:
                      detector_profile=_detector_profile(analysis.detector),
                      chaos=chaos_payload,
                      timeline=system.timeline(),
-                     elision=system.engine.elision_snapshot(),
                      superblocks=system.engine.superblock_snapshot())
 
 

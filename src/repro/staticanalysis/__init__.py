@@ -22,8 +22,8 @@ This package is the first layer of the stack that reasons about programs
   STATICALLY_RACE_FREE / POTENTIAL_RACE / UNKNOWN verdicts with witness
   paths (``aikido-repro races-static``);
 * :mod:`repro.staticanalysis.elision` — turns classifier + race
-  verdicts into a per-instruction shared-check elision plan consumed by
-  the block compiler (``--static-elide``);
+  verdicts into a per-instruction shared-check elision plan, a static
+  report that nothing at run time consumes;
 * :mod:`repro.staticanalysis.analysiscache` — one memoized analysis
   pass (CFG, contexts, classifier, locksets, races, elision, lint) per
   program fingerprint, shared by the linter, race analyzer, elision

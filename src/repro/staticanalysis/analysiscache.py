@@ -1,6 +1,6 @@
 """One static-analysis pass per program, shared by every consumer.
 
-The linter, the static race analyzer, the elision planner and the fuzz
+The linter, the static race analyzer, the elision report and the fuzz
 oracle's soundness checks all start from the same expensive artifacts: the CFG
 and the context discovery + footprint pass. Before this module each
 consumer rebuilt them from scratch — up to four CFG constructions per
@@ -14,8 +14,7 @@ Calls per fuzz scenario: the oracle renders the scenario once and makes
 two lookups on that program — ``lint_program`` (which computes the
 ``lint`` artifact) and the soundness checks after the record run
 (``sharing`` and ``races``, built on one CFG and one context
-discovery). The Aikido tier runs add a lookup each only when
-``static_elide`` is on, and those hit the cache.
+discovery). The Aikido tier runs make no lookup.
 
 The cache is bounded (:data:`MAX_ENTRIES`, FIFO eviction) and safe under
 the harness's process-pool parallelism: each worker process has its own

@@ -1,38 +1,28 @@
-"""Compile-time shared-check elision plans.
+"""Static shared-check elision plans: a report, not a fast path.
 
 Turns the sharing classifier's and the static race analyzer's verdicts
-into a per-instruction *elision plan*: the set of memory instructions
-whose shared-check machinery the block compiler may fuse into
-straight-line fast paths (``AikidoConfig(static_elide=True)``), because
-the static analysis proves the dynamic tool can never need them:
+into a per-instruction *elision plan*: the memory instructions whose
+shared checks the static analyses say the dynamic tool could do
+without:
 
 * **private tier** — PROVABLY_PRIVATE accesses: no other thread context
   ever touches their (bounded) footprint, so their pages can never
-  legitimately become SHARED. If one ever does, the classifier was
-  wrong and the engine raises ``ToolError`` (the dynamic tripwire).
+  legitimately become SHARED.
 * **locked tier** — accesses whose every pairing is
   ``STATICALLY_RACE_FREE`` (common must-held lock or fork ordering) but
-  that are not provably private. Their pages *may* become shared; when
-  one does the engine retires the uid from the plan and drops the
-  affected compiled closures, so the block recompiles without the
-  fusion at its next natural entry.
+  that are not provably private. Their pages *may* become shared.
 
 Both tiers additionally require a bounded footprint in every reaching
-context, so the engine can index "which elided uids touch page P"
-exactly. The plan is a pure function of the program and is cached on
+context. The plan is a pure function of the program and is cached on
 :class:`~repro.staticanalysis.analysiscache.ProgramAnalysis`.
 
-Parity contract: elision never changes a simulated statistic — the
-compiled fast path replays the exact per-instruction charges, TLB
-counters and memory effects of the steps it fuses, and bails to the
-unfused steps whenever a translation guard fails. The plan only decides
-*which* accesses are eligible for fusing and when the tripwire fires.
+Nothing at run time consumes the plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.staticanalysis.sharing import SharingClass, _merge_intervals
 
@@ -42,7 +32,7 @@ TIER_LOCKED = "locked"
 
 @dataclass
 class ElisionPlan:
-    """Which memory uids the block compiler may fuse, and why."""
+    """Which memory uids need no shared check statically, and why."""
 
     program_name: str
     #: uid -> TIER_PRIVATE | TIER_LOCKED
@@ -63,21 +53,6 @@ class ElisionPlan:
 
     def __len__(self) -> int:
         return len(self.tiers)
-
-    def uids_touching_page(self, vpn: int) -> List[Tuple[int, str]]:
-        """Elided (uid, tier) pairs whose footprint contains page ``vpn``.
-
-        Linear in the number of elided uids; called only on
-        PRIVATE->SHARED page transitions, which are rare by Aikido's own
-        premise.
-        """
-        hits = []
-        for uid, intervals in self.footprints.items():
-            for lo, hi in intervals:
-                if lo <= vpn <= hi:
-                    hits.append((uid, self.tiers[uid]))
-                    break
-        return hits
 
     def counts(self) -> Dict[str, int]:
         return {

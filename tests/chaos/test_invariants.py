@@ -45,7 +45,7 @@ def _live_thread(system, *, warm_tlb=False):
 def test_invariant_registry():
     assert INVARIANTS == ("shadow_subset", "protection_agreement",
                           "mirror_alias", "page_state_monotone",
-                          "tlb_coherence", "elision_no_shared")
+                          "tlb_coherence")
 
 
 def test_clean_midrun_passes(system):

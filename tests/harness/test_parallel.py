@@ -75,6 +75,14 @@ class TestResultRoundTrip:
             == [r.describe() for r in live.races]
         # summary() must keep working on a replayed result
         assert "races" in replayed.summary()
+        # An archive written while runs could carry a static-elision
+        # payload still loads; re-serialising it drops the key.
+        archived = dict(result_to_dict(live), elision={
+            "plan": {}, "checks_elided": 3, "fast_path_instructions": 9,
+            "retired_uids": [1]})
+        loaded = result_from_dict(json.loads(json.dumps(archived)))
+        assert result_to_dict(loaded) == result_to_dict(live)
+        assert "elision" not in result_to_dict(loaded)
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ the bundled workloads."""
 import pytest
 
 from repro.machine.asm import ProgramBuilder
-from repro.machine.paging import PAGE_SHIFT, PAGE_SIZE
+from repro.machine.paging import PAGE_SIZE
 from repro.staticanalysis.analysiscache import (
     analysis_for,
     cache_info,
@@ -67,16 +67,6 @@ class TestPlanConstruction:
         assert plan.tier(locked_load) == TIER_LOCKED
         assert flag_store not in plan
         assert len(plan) == 3
-
-    def test_footprints_index_pages(self):
-        program = _mixed_program()
-        plan = analysis_for(program).elision
-        locked_store = _uid_of(program, "STORE", 1)
-        (lo, hi), = plan.footprints[locked_store]
-        hits = plan.uids_touching_page(lo)
-        assert (locked_store, TIER_LOCKED) in hits
-        # A page far outside every segment touches nothing.
-        assert plan.uids_touching_page(hi + 1000) == []
 
     def test_counts_coverage_and_render(self):
         plan = analysis_for(_mixed_program()).elision

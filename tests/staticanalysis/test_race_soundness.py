@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import AikidoConfig
 from repro.harness.runner import run_aikido_fasttrack
 from repro.scengen.campaign import run_campaign
 from repro.scengen.generator import QUICK_CONFIG, generate
@@ -37,8 +36,7 @@ class TestBundledWorkloads:
         for seed in SEEDS:
             result = run_aikido_fasttrack(
                 build_benchmark(name, threads=4, scale=0.5),
-                seed=seed, quantum=200, jitter=0.1,
-                config=AikidoConfig(static_elide=True))
+                seed=seed, quantum=200, jitter=0.1)
             for race in result.races:
                 uid = getattr(race, "instr_uid", -1)
                 if uid is None or uid < 0:
