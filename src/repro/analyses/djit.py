@@ -18,31 +18,36 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from repro import costs
-from repro.analyses.fasttrack.metadata import ThreadState
-from repro.analyses.fasttrack.reports import RaceReport
-from repro.analyses.fasttrack.vectorclock import VectorClock
 from repro.analyses.fasttrack.epoch import make_epoch
+from repro.analyses.fasttrack.reports import RaceReport
 
 
-class _DjitVar:
-    __slots__ = ("read_vc", "write_vc")
-
-    def __init__(self):
-        self.read_vc = VectorClock()
-        self.write_vc = VectorClock()
+def _join(clock: Dict[int, int], other: Dict[int, int]) -> None:
+    """Pointwise maximum, in place: ``clock ⊔= other``."""
+    for tid, value in other.items():
+        if value > clock.get(tid, 0):
+            clock[tid] = value
 
 
 class DjitDetector:
-    """Full-vector-clock happens-before race detection (no fast paths)."""
+    """Full-vector-clock happens-before race detection (no fast paths).
+
+    Vector clocks are plain ``tid -> clock`` dicts (absent means 0).
+    A block's read and write clocks share one flat list,
+    ``[n, w_tid, w_clock, ... (n write pairs), r_tid, r_clock, ...]``,
+    built on the block's first access. Pairs keep insertion order: a
+    report names the first prior access, in that order, that is not
+    ordered before the current one.
+    """
 
     def __init__(self, counter=None, block_size: int = 8,
                  max_reports: int = 10_000):
         self.counter = counter
         self.block_size = block_size
         self.max_reports = max_reports
-        self.threads: Dict[int, ThreadState] = {}
-        self.vars: Dict[int, _DjitVar] = {}
-        self.locks: Dict[int, VectorClock] = {}
+        self.clocks: Dict[int, Dict[int, int]] = {}
+        self.vars: Dict[int, List[int]] = {}
+        self.locks: Dict[int, Dict[int, int]] = {}
         self.races: List[RaceReport] = []
         self._reported: Set[Tuple[int, str]] = set()
         self.reads = 0
@@ -50,17 +55,11 @@ class DjitDetector:
         self.sync_ops = 0
 
     # ------------------------------------------------------------------
-    def _thread(self, tid: int) -> ThreadState:
-        state = self.threads.get(tid)
-        if state is None:
-            state = self.threads[tid] = ThreadState(tid)
-        return state
-
-    def _var(self, block: int) -> _DjitVar:
-        var = self.vars.get(block)
-        if var is None:
-            var = self.vars[block] = _DjitVar()
-        return var
+    def _clock(self, tid: int) -> Dict[int, int]:
+        clock = self.clocks.get(tid)
+        if clock is None:
+            clock = self.clocks[tid] = {tid: 1}
+        return clock
 
     def _charge_vc_op(self, width: int) -> None:
         if self.counter is not None:
@@ -78,87 +77,111 @@ class DjitDetector:
 
     def on_read(self, tid: int, addr: int, instr_uid: int = -1) -> None:
         self.reads += 1
-        thread = self._thread(tid)
-        var = self._var(addr // self.block_size)
-        self._charge_vc_op(len(var.write_vc) + len(thread.vc))
+        clock = self.clocks.get(tid) or self._clock(tid)
+        now = clock[tid]
+        block = addr // self.block_size
+        var = self.vars.get(block)
+        if var is None:
+            self.vars[block] = [0, tid, now]
+            if self.counter is not None:
+                self._charge_vc_op(len(clock))
+            return
+        reads = 2 * var[0] + 1
+        if self.counter is not None:
+            self._charge_vc_op(var[0] + len(clock))
         # Race iff some write is not ordered before us.
-        if not var.write_vc.leq(thread.vc):
-            self._report("write-read", addr, var.write_vc, thread,
-                         instr_uid)
-        var.read_vc.set(tid, thread.vc.get(tid))
+        for i in range(1, reads, 2):
+            if var[i + 1] > clock.get(var[i], 0):
+                self._report("write-read", addr, var[i], var[i + 1], tid,
+                             now, instr_uid)
+                break
+        for i in range(reads, len(var), 2):
+            if var[i] == tid:
+                var[i + 1] = now
+                return
+        var += (tid, now)
 
     def on_write(self, tid: int, addr: int, instr_uid: int = -1) -> None:
         self.writes += 1
-        thread = self._thread(tid)
-        var = self._var(addr // self.block_size)
-        self._charge_vc_op(len(var.write_vc) + len(var.read_vc)
-                           + len(thread.vc))
-        if not var.write_vc.leq(thread.vc):
-            self._report("write-write", addr, var.write_vc, thread,
-                         instr_uid)
-        if not var.read_vc.leq(thread.vc):
-            self._report("read-write", addr, var.read_vc, thread,
-                         instr_uid)
-        var.write_vc.set(tid, thread.vc.get(tid))
+        clock = self.clocks.get(tid) or self._clock(tid)
+        now = clock[tid]
+        block = addr // self.block_size
+        var = self.vars.get(block)
+        if var is None:
+            self.vars[block] = [1, tid, now]
+            if self.counter is not None:
+                self._charge_vc_op(len(clock))
+            return
+        reads = 2 * var[0] + 1
+        if self.counter is not None:
+            self._charge_vc_op(var[0] + (len(var) - reads) // 2
+                               + len(clock))
+        for i in range(1, reads, 2):
+            if var[i + 1] > clock.get(var[i], 0):
+                self._report("write-write", addr, var[i], var[i + 1], tid,
+                             now, instr_uid)
+                break
+        for i in range(reads, len(var), 2):
+            if var[i + 1] > clock.get(var[i], 0):
+                self._report("read-write", addr, var[i], var[i + 1], tid,
+                             now, instr_uid)
+                break
+        for i in range(1, reads, 2):
+            if var[i] == tid:
+                var[i + 1] = now
+                return
+        var[reads:reads] = (tid, now)
+        var[0] += 1
 
     # ------------------------------------------------------------------
     # synchronization (identical semantics to FastTrack's)
     # ------------------------------------------------------------------
     def on_acquire(self, tid: int, lock_id: int) -> None:
         self.sync_ops += 1
-        thread = self._thread(tid)
-        thread.vc.join(self.locks.get(lock_id, VectorClock()))
-        thread.refresh_epoch()
-        self._charge_vc_op(len(thread.vc))
+        clock = self._clock(tid)
+        _join(clock, self.locks.get(lock_id, {}))
+        self._charge_vc_op(len(clock))
 
     def on_release(self, tid: int, lock_id: int) -> None:
         self.sync_ops += 1
-        thread = self._thread(tid)
-        self.locks[lock_id] = thread.vc.copy()
-        thread.increment()
-        self._charge_vc_op(len(thread.vc))
+        clock = self._clock(tid)
+        self.locks[lock_id] = dict(clock)
+        clock[tid] += 1
+        self._charge_vc_op(len(clock))
 
     def on_fork(self, parent_tid: int, child_tid: int) -> None:
         self.sync_ops += 1
-        parent = self._thread(parent_tid)
-        child = self._thread(child_tid)
-        child.vc.join(parent.vc)
-        child.refresh_epoch()
-        parent.increment()
-        self._charge_vc_op(len(parent.vc))
+        parent = self._clock(parent_tid)
+        _join(self._clock(child_tid), parent)
+        parent[parent_tid] += 1
+        self._charge_vc_op(len(parent))
 
     def on_join(self, parent_tid: int, child_tid: int) -> None:
         self.sync_ops += 1
-        parent = self._thread(parent_tid)
-        child = self._thread(child_tid)
-        parent.vc.join(child.vc)
-        parent.refresh_epoch()
-        self._charge_vc_op(len(child.vc))
+        parent = self._clock(parent_tid)
+        child = self._clock(child_tid)
+        _join(parent, child)
+        self._charge_vc_op(len(child))
 
     def on_barrier(self, tids, barrier_id: int = 0) -> None:
         self.sync_ops += 1
-        merged = VectorClock()
-        members = [self._thread(t) for t in tids]
-        for thread in members:
-            merged.join(thread.vc)
-        for thread in members:
-            thread.vc = merged.copy()
-            thread.increment()
-        self._charge_vc_op(len(merged) * max(1, len(members)))
+        merged: Dict[int, int] = {}
+        for tid in tids:
+            _join(merged, self._clock(tid))
+        for tid in tids:
+            clock = self.clocks[tid] = dict(merged)
+            clock[tid] += 1
+        self._charge_vc_op(len(merged) * max(1, len(tids)))
 
     # ------------------------------------------------------------------
-    def _report(self, kind: str, addr: int, prior_vc: VectorClock,
-                thread, instr_uid: int) -> None:
+    def _report(self, kind: str, addr: int, prior_tid: int,
+                prior_clock: int, tid: int, now: int,
+                instr_uid: int) -> None:
         block = addr // self.block_size
         if (block, kind) in self._reported \
                 or len(self.races) >= self.max_reports:
             return
         self._reported.add((block, kind))
-        prior = 0
-        for tid, clock in prior_vc.items():
-            if clock > thread.vc.get(tid):
-                prior = make_epoch(tid, clock)
-                break
-        self.races.append(RaceReport(kind, block, addr, prior,
-                                     thread.tid,
-                                     thread.vc.get(thread.tid), instr_uid))
+        self.races.append(RaceReport(kind, block, addr,
+                                     make_epoch(prior_tid, prior_clock),
+                                     tid, now, instr_uid))

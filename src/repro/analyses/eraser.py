@@ -15,13 +15,15 @@ State machine per variable (classic Eraser):
            -> SHARED_MODIFIED (written by another thread)
 
 Lockset refinement starts at the first second-thread access; an empty
-candidate set in SHARED_MODIFIED is a report.
+candidate set in SHARED_MODIFIED is a report. A block in EXCLUSIVE mode
+is stored as its owner's tid alone, and every empty candidate set is
+one shared frozenset: most blocks are only ever touched by one thread.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, FrozenSet, List, Set, Union
 
 from repro import costs
 
@@ -54,13 +56,18 @@ class LockSetReport:
                 f"({kind} by t{self.tid}, candidate set empty)")
 
 
-class _VarState:
-    __slots__ = ("mode", "owner", "candidates")
+#: The one empty candidate set every lock-free block shares.
+_NO_LOCKS: FrozenSet[int] = frozenset()
 
-    def __init__(self):
-        self.mode = VarMode.VIRGIN
-        self.owner = -1
-        self.candidates: FrozenSet[int] = frozenset()
+
+class _VarState:
+    """A block a second thread has touched (SHARED or SHARED_MODIFIED)."""
+
+    __slots__ = ("mode", "candidates")
+
+    def __init__(self, mode: VarMode, candidates: FrozenSet[int]):
+        self.mode = mode
+        self.candidates = candidates
 
 
 class EraserDetector:
@@ -72,7 +79,8 @@ class EraserDetector:
         self.block_size = block_size
         self.max_reports = max_reports
         self._held: Dict[int, Set[int]] = {}
-        self._vars: Dict[int, _VarState] = {}
+        #: block -> owner tid while EXCLUSIVE, else its _VarState.
+        self._vars: Dict[int, Union[int, _VarState]] = {}
         self.reports: List[LockSetReport] = []
         self._reported: Set[int] = set()
         self.accesses = 0
@@ -99,26 +107,27 @@ class EraserDetector:
         block = addr // self.block_size
         var = self._vars.get(block)
         if var is None:
-            var = self._vars[block] = _VarState()
-        mode = var.mode
-        if mode is VarMode.VIRGIN:
-            var.mode = VarMode.EXCLUSIVE
-            var.owner = tid
+            self._vars[block] = tid  # VIRGIN -> EXCLUSIVE
             return
-        if mode is VarMode.EXCLUSIVE:
-            if tid == var.owner:
+        held = self._held.get(tid)
+        if var.__class__ is int:
+            if tid == var:
                 return
             # Second thread: start lockset refinement.
-            var.candidates = frozenset(self.locks_held(tid))
-            var.mode = (VarMode.SHARED_MODIFIED if is_write
-                        else VarMode.SHARED)
-            if var.mode is VarMode.SHARED_MODIFIED and not var.candidates:
+            candidates = frozenset(held) if held else _NO_LOCKS
+            mode = (VarMode.SHARED_MODIFIED if is_write
+                    else VarMode.SHARED)
+            self._vars[block] = _VarState(mode, candidates)
+            if is_write and not candidates:
                 self._report(block, addr, tid, is_write)
             return
-        var.candidates = var.candidates & frozenset(self.locks_held(tid))
-        if is_write and mode is VarMode.SHARED:
+        candidates = var.candidates
+        if candidates:
+            candidates = var.candidates = (
+                candidates & (held or _NO_LOCKS) or _NO_LOCKS)
+        if is_write and var.mode is VarMode.SHARED:
             var.mode = VarMode.SHARED_MODIFIED
-        if var.mode is VarMode.SHARED_MODIFIED and not var.candidates:
+        if var.mode is VarMode.SHARED_MODIFIED and not candidates:
             self._report(block, addr, tid, is_write)
 
     # ------------------------------------------------------------------

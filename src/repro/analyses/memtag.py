@@ -8,8 +8,9 @@ recorded event log — the proof that the replay fan-out generalizes
 beyond vector clocks.
 
 The state machine per block is exactly Eraser's
-(VIRGIN → EXCLUSIVE → SHARED / SHARED_MODIFIED), but the candidate set
-is a **tag bitmask**, not a lockset: every lock id hashes into one of
+(VIRGIN → EXCLUSIVE → SHARED / SHARED_MODIFIED), with an EXCLUSIVE
+block stored as its owner's tid alone, but the candidate set is a
+**tag bitmask**, not a lockset: every lock id hashes into one of
 ``(1 << TAG_BITS) - 1`` nonzero tags, and refinement is a mask AND.
 Distinct locks can collide into one tag, and a collision makes the
 intersection *larger* than the true lockset's — so tag checking can
@@ -20,7 +21,7 @@ cross-analysis agreement invariant the replay pipeline checks.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Union
 
 from repro import costs
 from repro.analyses.eraser import VarMode
@@ -58,12 +59,13 @@ class MemTagReport:
 
 
 class _BlockState:
-    __slots__ = ("mode", "owner", "tag_mask")
+    """A block a second thread has touched (SHARED or SHARED_MODIFIED)."""
 
-    def __init__(self):
-        self.mode = VarMode.VIRGIN
-        self.owner = -1
-        self.tag_mask = 0
+    __slots__ = ("mode", "tag_mask")
+
+    def __init__(self, mode: VarMode, tag_mask: int):
+        self.mode = mode
+        self.tag_mask = tag_mask
 
 
 class MemTagDetector:
@@ -82,7 +84,8 @@ class MemTagDetector:
         self.max_reports = max_reports
         self._held_masks: Dict[int, int] = {}
         self._held_counts: Dict[int, Dict[int, int]] = {}
-        self._blocks: Dict[int, _BlockState] = {}
+        #: block -> owner tid while EXCLUSIVE, else its _BlockState.
+        self._blocks: Dict[int, Union[int, _BlockState]] = {}
         self.reports: List[MemTagReport] = []
         self._reported: Set[int] = set()
         self.accesses = 0
@@ -119,23 +122,20 @@ class MemTagDetector:
         block = addr // self.block_size
         state = self._blocks.get(block)
         if state is None:
-            state = self._blocks[block] = _BlockState()
-        mode = state.mode
-        if mode is VarMode.VIRGIN:
-            state.mode = VarMode.EXCLUSIVE
-            state.owner = tid
+            self._blocks[block] = tid  # VIRGIN -> EXCLUSIVE
             return
-        if mode is VarMode.EXCLUSIVE:
-            if tid == state.owner:
+        if state.__class__ is int:
+            if tid == state:
                 return
-            state.tag_mask = self._held_masks.get(tid, 0)
-            state.mode = (VarMode.SHARED_MODIFIED if is_write
-                          else VarMode.SHARED)
-            if state.mode is VarMode.SHARED_MODIFIED and not state.tag_mask:
+            tag_mask = self._held_masks.get(tid, 0)
+            self._blocks[block] = _BlockState(
+                VarMode.SHARED_MODIFIED if is_write else VarMode.SHARED,
+                tag_mask)
+            if is_write and not tag_mask:
                 self._report(block, addr, tid, is_write)
             return
         state.tag_mask &= self._held_masks.get(tid, 0)
-        if is_write and mode is VarMode.SHARED:
+        if is_write and state.mode is VarMode.SHARED:
             state.mode = VarMode.SHARED_MODIFIED
         if state.mode is VarMode.SHARED_MODIFIED and not state.tag_mask:
             self._report(block, addr, tid, is_write)

@@ -119,36 +119,44 @@ class TraceRecorder:
         return len(self.trace) - self.access_count
 
 
-def replay(trace: List[TraceEntry], detector) -> None:
-    """Feed a recorded trace into a detector.
+def replay(trace: List[TraceEntry], *detectors) -> None:
+    """Feed a recorded trace into detectors, in one pass.
 
-    The detector needs ``on_access`` and whichever sync handlers of
+    Each entry goes to every detector, in argument order, before the
+    next entry is read; the handlers are bound once per entry kind, so
+    ``replay(trace, a, b)`` leaves ``a`` and ``b`` exactly as
+    ``replay(trace, a)`` followed by ``replay(trace, b)`` would. A
+    detector needs ``on_access`` and whichever sync handlers of
     :data:`SYNC_HANDLERS` it tracks. An entry kind outside that table
     raises :class:`ToolError` — the contract :func:`dispatch_sync`
     applies to unrecognized live sync events — instead of being silently
     skipped. Barrier entries dispatch with their recorded barrier id, so
     a replay→re-record round trip is identity.
     """
-    on_access = detector.on_access
+    on_access = [detector.on_access for detector in detectors]
+    bound = {kind: [handler for handler in
+                    (getattr(detector, name, None) for detector in detectors)
+                    if handler is not None]
+             for kind, name in _ENTRY_HANDLERS.items()}
     for entry in trace:
         kind = entry[0]
         if kind == "access":
             _, tid, addr, is_write, uid = entry
-            on_access(tid, addr, is_write, uid)
+            for handler in on_access:
+                handler(tid, addr, is_write, uid)
             continue
-        name = _ENTRY_HANDLERS.get(kind)
-        if name is None:
+        handlers = bound.get(kind)
+        if handlers is None:
             raise ToolError(
                 f"replay: unrecognized trace entry kind {kind!r}; "
                 f"skipping it would silently desynchronize the "
                 f"replayed detector from the live run")
-        handler = getattr(detector, name, None)
-        if handler is None:
-            continue
         if kind == "barrier":
-            handler(entry[2], entry[1])
+            first, second = entry[2], entry[1]
         else:
-            handler(entry[1], entry[2])
+            first, second = entry[1], entry[2]
+        for handler in handlers:
+            handler(first, second)
 
 
 def replay_into(trace: List[TraceEntry],

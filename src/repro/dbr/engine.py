@@ -109,6 +109,17 @@ class DBREngine(ExecutionDriver):
         self.codecache.build_callbacks.append(tool.instrument_block)
         self.kernel.add_sync_listener(tool.on_sync_event)
 
+    def close(self) -> None:
+        """Drop the tool and the code and superblock caches: tool hooks
+        and generated bodies point back at the engine (see
+        ``Kernel.close``)."""
+        if self.tool is not None:
+            self.tool.engine = None
+        self.tool = None
+        self.codecache = None
+        self._codegen_globals = None
+        self.superblock_cache = None
+
     def register_master_signal_handler(self) -> None:
         """Take over SIGSEGV for the process (DynamoRIO does this)."""
         self.process.signal_handlers[SIGSEGV] = self._master_signal_handler

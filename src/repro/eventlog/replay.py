@@ -6,14 +6,17 @@ produced. :func:`record_run` pays the simulation cost once, streaming
 the access + synchronization stream into a chunked
 :class:`~repro.eventlog.log.EventLogWriter`; :class:`ReplayFanout` then
 feeds the finalized log to any number of detectors with **zero**
-re-simulation — in parallel (one worker process per analysis, each
-iterating the log chunk by chunk) or inline, with bit-identical merged
-output either way.
+re-simulation — inline or in worker processes, with bit-identical
+merged output either way.
 
-There is no separate validation pass: each analysis's replay pass
-checks the chunk CRCs and the trailer as it reads, and the first pass
-also yields the log's stat block, so N analyses decode the log N times.
-A fan-out names each analysis at most once; a duplicate name is refused.
+The fan-out splits its analyses into groups, one per worker. A group
+makes one pass over the log (:func:`replay_group`): each chunk is
+decoded once and every entry goes to every detector of the group
+before the next is read. That pass is also the validation — it checks
+the chunk CRCs and the trailer as it reads and yields the log's stat
+block — so a fan-out decodes the log once per group: once inline, and
+once per worker otherwise. A fan-out names each analysis at most once;
+a duplicate name is refused.
 
 Verdicts are canonical JSON-safe dicts (:func:`detector_verdict`), so
 "replay equals live" is a plain ``==`` between a replayed verdict and
@@ -113,11 +116,14 @@ def record_run(program, path: str, *, seed: int = 0, quantum: int = 200,
     # replay-only consumers (worker processes) never need.
     from repro.analyses.generic_tool import FullInstrumentationTool
 
-    with EventLogWriter(path, chunk_events=chunk_events,
-                        counters=counters) as writer:
-        tool = FullInstrumentationTool(kernel, TraceRecorder(writer))
-        engine.attach_tool(tool)
-        kernel.run(max_instructions=max_instructions)
+    try:
+        with EventLogWriter(path, chunk_events=chunk_events,
+                            counters=counters) as writer:
+            engine.attach_tool(
+                FullInstrumentationTool(kernel, TraceRecorder(writer)))
+            kernel.run(max_instructions=max_instructions)
+    finally:
+        kernel.close()
     # Stats read after close(): the final partial chunk and the trailer
     # only land during finalize.
     stats = {"path": str(path), "events": writer.events,
@@ -143,41 +149,55 @@ def live_run_verdict(program, name: str, *, seed: int = 0,
     from repro.analyses.generic_tool import FullInstrumentationTool
 
     engine.attach_tool(FullInstrumentationTool(kernel, detector))
-    kernel.run(max_instructions=max_instructions)
+    try:
+        kernel.run(max_instructions=max_instructions)
+    finally:
+        kernel.close()
     return detector_verdict(name, detector)
 
 
-def replay_log(path: str, name: str) -> Tuple[Dict, Dict]:
-    """Replay one log through one fresh analysis in a single pass.
+def replay_group(path: str, names: List[str]) -> Tuple[List[Dict], Dict]:
+    """Replay one log through fresh analyses in a single pass.
 
-    The pass checks every chunk CRC and the trailer as it goes, so it
-    is also the log's validation. Returns ``(verdict, stat)``, where
-    ``stat`` is what :meth:`EventLogReader.stat` reports for the log.
+    Each chunk is decoded once and its entries go to every analysis (see
+    :func:`~repro.analyses.record.replay`). The pass checks every chunk
+    CRC and the trailer as it goes, so it is also the log's validation.
+    Returns ``(verdicts, stat)``: one verdict per name, in order, and
+    what :meth:`EventLogReader.stat` reports for the log.
     """
-    detector = build_detector(name)
+    detectors = [build_detector(name) for name in names]
     stat = EventLogReader(path).stat(
-        lambda entries: replay(entries, detector))
-    return detector_verdict(name, detector), stat
+        lambda entries: replay(entries, *detectors))
+    return ([detector_verdict(name, detector)
+             for name, detector in zip(names, detectors)], stat)
+
+
+def replay_log(path: str, name: str) -> Tuple[Dict, Dict]:
+    """:func:`replay_group` for one analysis: ``(verdict, stat)``."""
+    (verdict,), stat = replay_group(path, [name])
+    return verdict, stat
 
 
 class ReplayFanout:
     """Replay one recorded log into N analyses, merged deterministically.
 
-    Each analysis makes one pass over the log, and that pass is also the
-    validation: every chunk CRC and the trailer are checked as the
-    analysis reads them, so a fan-out over N analyses decodes the log N
-    times and a torn or corrupt log raises
-    :class:`~repro.errors.EventLogError` with no document returned and
-    no counter bumped. The merged ``log`` block comes from the first
-    pass and equals :meth:`EventLogReader.stat`.
+    The sorted analyses are split round-robin into ``min(jobs, N)``
+    groups, and each group makes one :func:`replay_group` pass. One
+    group replays inline; more run one worker process per group, each
+    streaming the log's chunks on its own (the per-chunk framing means
+    no pass ever holds more than one chunk of decoded entries). So the
+    log is decoded once per group, and ``jobs == 1`` decodes each chunk
+    once. The passes are also the validation: a torn or corrupt log
+    raises :class:`~repro.errors.EventLogError` with no document
+    returned and no counter bumped. The merged ``log`` block comes from
+    the first group's pass and equals :meth:`EventLogReader.stat`.
 
-    ``jobs > 1`` runs one worker process per analysis (each streams the
-    log's chunks independently — the per-chunk framing means no worker
-    ever holds more than one chunk of decoded entries); ``jobs == 1``
-    replays inline. Both paths produce the identical merged document:
-    verdicts keyed by analysis in sorted-name order, plus the
-    cross-analysis disagreement list. With ``check=True`` a non-empty
-    disagreement list raises
+    Every grouping produces the identical merged document: verdicts
+    keyed by analysis in sorted-name order, plus the cross-analysis
+    disagreement list. The counters book per analysis, whatever the
+    grouping: ``chunks_replayed`` and ``events_replayed`` count each
+    chunk and event once per analysis that received it. With
+    ``check=True`` a non-empty disagreement list raises
     :class:`~repro.errors.InvariantViolationError` (the
     ``analysis_agreement`` replay invariant). Unknown or duplicate
     analysis names raise :class:`~repro.errors.HarnessError`.
@@ -204,16 +224,18 @@ class ReplayFanout:
         self.counters = counters
 
     def run(self, path: str, *, check: bool = True) -> Dict:
-        if self.jobs == 1 or len(self.analyses) == 1:
-            passes = [replay_log(path, name) for name in self.analyses]
+        workers = min(self.jobs, len(self.analyses))
+        groups = [self.analyses[i::workers] for i in range(workers)]
+        if workers == 1:
+            passes = [replay_group(path, groups[0])]
         else:
-            workers = min(self.jobs, len(self.analyses))
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                passes = list(pool.map(replay_log,
-                                       [path] * len(self.analyses),
-                                       self.analyses))
-        verdicts = {name: verdict
-                    for name, (verdict, _) in zip(self.analyses, passes)}
+                passes = list(pool.map(replay_group, [path] * workers,
+                                       groups))
+        found = {name: verdict
+                 for group, (group_verdicts, _) in zip(groups, passes)
+                 for name, verdict in zip(group, group_verdicts)}
+        verdicts = {name: found[name] for name in self.analyses}
         stat = passes[0][1]
         block_sets = {name: set(verdict["blocks"])
                       for name, verdict in verdicts.items()}
@@ -221,7 +243,7 @@ class ReplayFanout:
         if self.counters is not None:
             # Booked only now that every pass has completed, so a
             # damaged log leaves the counters untouched.
-            runs = len(passes)
+            runs = len(self.analyses)
             self.counters.bump("events_replayed", runs * stat["events"])
             self.counters.bump("chunks_replayed", runs * stat["chunks"])
             self.counters.bump("analyses_run", runs)

@@ -17,7 +17,7 @@ back.
 
 from __future__ import annotations
 
-from repro.machine.cpu import Action, BASE_COST
+from repro.machine.cpu import BASE_COST
 from repro.machine.isa import MEMORY_OPCODES
 from repro.machine.paging import PageFault
 
@@ -64,6 +64,9 @@ class ExecutionDriver:
         ``"exited"``, or ``"yield"``.
         """
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Drop references into the finished run (see ``Kernel.close``)."""
 
     # ------------------------------------------------------------------
     # shared helpers

@@ -219,6 +219,26 @@ class Kernel:
                     f"instruction budget exceeded ({max_instructions}); "
                     "runaway workload?")
 
+    def close(self) -> None:
+        """Let a finished run be freed by reference counting.
+
+        Processes and their threads, drivers, a DBR engine's code and
+        superblock caches and analysis tools point back at one another
+        and at the kernel, so without this a finished system, physical
+        memory included, lives until the cyclic garbage collector runs.
+        Drops those links; the counter still reads, but the kernel
+        cannot run again.
+        """
+        for driver in {*self.drivers.values(), self._default_driver}:
+            if driver is not None:
+                driver.close()
+        for process in self.processes.values():
+            process.threads.clear()
+        self.drivers.clear()
+        self.processes.clear()
+        self._sync_listeners.clear()
+        self._default_driver = None
+
     # ------------------------------------------------------------------
     # fault repair & signal delivery
     # ------------------------------------------------------------------

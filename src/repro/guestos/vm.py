@@ -12,7 +12,7 @@ is what the paper achieves by mmapping one backing file twice (§3.3.3).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from repro.errors import GuestOSError
 from repro.machine.layout import (

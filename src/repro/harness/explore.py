@@ -17,7 +17,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Set, Tuple
+from typing import Callable, Dict, Iterable, Set, Tuple
 
 from repro.harness.runner import run_aikido_fasttrack, run_fasttrack
 

@@ -7,12 +7,11 @@ with measured-vs-paper comparisons where the paper published numbers.
 from __future__ import annotations
 
 import io
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.harness.experiments import (
     ChaosSweep,
     SuiteResult,
-    Table2Row,
     figure5,
     figure6,
     table2,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import WorkloadError
-from repro.machine.isa import BLOCK_TERMINATORS, Instruction, Opcode
+from repro.machine.isa import BLOCK_TERMINATORS, Instruction
 
 
 class BasicBlock:

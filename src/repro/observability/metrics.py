@@ -15,7 +15,7 @@ JSON and the result cache.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.observability.attribution import attribute_cycles
 

@@ -31,8 +31,8 @@ Checks
                             run's races.
 ``fasttrack_djit_agreement`` FastTrack and DJIT+ replayed from one
                             trace flag the same variable blocks.
-``eraser_determinism``      Eraser replayed twice from one trace
-                            produces identical reports (Eraser's
+``eraser_determinism``      two Erasers replayed from one trace
+                            produce identical reports (Eraser's
                             fork/join blindness makes its report *set*
                             incomparable, but it must be stable).
 ``eventlog_roundtrip``      the recorded trace encodes to the binary
@@ -70,14 +70,14 @@ tiers must absorb identically.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.analyses.djit import DjitDetector
 from repro.analyses.eraser import EraserDetector
 from repro.analyses.fasttrack.detector import FastTrackDetector
 from repro.analyses.generic_tool import FullInstrumentationTool
 from repro.analyses.memtag import MemTagDetector
-from repro.analyses.record import TraceRecorder, replay_into
+from repro.analyses.record import TraceRecorder, replay
 from repro.chaos.invariants import cross_analysis_disagreements
 from repro.chaos.plan import ChaosPlan
 from repro.eventlog.encoding import decode_entries, encode_entries
@@ -323,32 +323,26 @@ def check_scenario(ir: ScenarioIR, *, quick: bool = True,
                    detail="scenario did not complete cleanly")
     else:
         trace = recorder.trace
-        ft_replay = replay_into(
-            trace, lambda: FastTrackDetector(block_size=BLOCK_SIZE))
+        # One pass feeds every detector; Eraser twice, for determinism.
+        ft_replay = FastTrackDetector(block_size=BLOCK_SIZE)
+        djit = DjitDetector(block_size=BLOCK_SIZE)
+        erasers = [EraserDetector(block_size=BLOCK_SIZE) for _ in range(2)]
+        memtag = MemTagDetector(block_size=BLOCK_SIZE)
+        replay(trace, ft_replay, djit, *erasers, memtag)
         replay_keys = sorted([r.block, r.kind] for r in ft_replay.races)
         live_keys = ft_interp[1]["race_keys"]
         report("record_replay_fidelity", replay_keys == live_keys,
                "" if replay_keys == live_keys else
                f"replayed {replay_keys} vs live {live_keys}")
 
-        djit = replay_into(
-            trace, lambda: DjitDetector(block_size=BLOCK_SIZE))
         ft_blocks = sorted({r.block for r in ft_replay.races})
         djit_blocks = sorted({r.block for r in djit.races})
         report("fasttrack_djit_agreement", ft_blocks == djit_blocks,
                "" if ft_blocks == djit_blocks else
                f"fasttrack blocks {ft_blocks} vs djit {djit_blocks}")
 
-        def eraser_replay():
-            detector = replay_into(
-                trace, lambda: EraserDetector(block_size=BLOCK_SIZE))
-            return detector, [(r.block, r.address, r.tid, r.is_write)
-                              for r in detector.reports]
-
-        # The second replay's detector also gives the cross-analysis
-        # check its Eraser verdict.
-        _, first = eraser_replay()
-        eraser_det, second = eraser_replay()
+        first, second = ([(r.block, r.address, r.tid, r.is_write)
+                          for r in eraser.reports] for eraser in erasers)
         report("eraser_determinism", first == second,
                "" if first == second else "eraser replay is unstable")
 
@@ -361,12 +355,10 @@ def check_scenario(ir: ScenarioIR, *, quick: bool = True,
                ("decode is not entry-exact" if not lossless
                 else "re-encoding is not byte-stable"))
 
-        memtag = replay_into(
-            trace, lambda: MemTagDetector(block_size=BLOCK_SIZE))
         disagreements = cross_analysis_disagreements({
             "fasttrack": set(ft_blocks),
             "djit": set(djit_blocks),
-            "eraser": {r.block for r in eraser_det.reports},
+            "eraser": {r.block for r in erasers[1].reports},
             "memtag": {r.block for r in memtag.reports},
         })
         report("cross_analysis_agreement", not disagreements,

@@ -18,7 +18,7 @@ FALL/BRANCH/CALL; whole-program reachability follows everything.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.machine.isa import BLOCK_TERMINATORS, Opcode
 from repro.machine.program import Program

@@ -23,12 +23,12 @@ every bundled workload stays clean. Checks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.machine.isa import MEMORY_OPCODES, Instruction, Opcode
 from repro.machine.layout import HEAP_BASE, STATIC_BASE, static_segment_bases
 from repro.machine.program import Program
-from repro.staticanalysis.cfg import CFG, THREAD_EDGES, EdgeKind
+from repro.staticanalysis.cfg import CFG, THREAD_EDGES
 from repro.staticanalysis.constprop import (
     AVal,
     ConstProp,

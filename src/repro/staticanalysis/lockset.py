@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Set
 
 from repro.machine.isa import Instruction, Opcode
-from repro.machine.program import Program
 from repro.staticanalysis.cfg import CFG, THREAD_EDGES, EdgeKind
 from repro.staticanalysis.constprop import RegState
 from repro.staticanalysis.dataflow import ForwardProblem, solve_forward

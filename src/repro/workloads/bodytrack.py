@@ -15,7 +15,6 @@ from repro.workloads.base import (
     alu_pad,
     partition_base,
     per_thread_iters,
-    scaled,
     seed_lcg,
     spawn_workers,
     stride_accesses,

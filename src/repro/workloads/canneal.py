@@ -19,7 +19,6 @@ from repro.workloads.base import (
     every_n,
     partition_base,
     per_thread_iters,
-    scaled,
     seed_lcg,
     spawn_workers,
     stride_accesses,

@@ -9,10 +9,9 @@ footprint — the quantities the cost model's slowdowns are a function of.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.harness.runner import run_aikido_fasttrack, run_native
-from repro.machine.isa import MEMORY_OPCODES, SYNC_OPCODES, Opcode
+from repro.machine.isa import MEMORY_OPCODES, SYNC_OPCODES
 from repro.machine.paging import PAGE_SIZE
 from repro.machine.program import Program
 

@@ -18,7 +18,6 @@ from repro.workloads.base import (
     every_n,
     rotating_partition_base,
     per_thread_iters,
-    scaled,
     seed_lcg,
     spawn_workers,
     stride_accesses,

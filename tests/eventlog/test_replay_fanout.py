@@ -7,9 +7,13 @@ workload, for every registered analysis, however many worker processes
 do the replaying.
 """
 
+import gc
+import weakref
+
 import pytest
 
 import repro.eventlog.log as eventlog_log
+import repro.eventlog.replay as eventlog_replay
 from repro.chaos.invariants import cross_analysis_disagreements
 from repro.errors import EventLogError, HarnessError, InvariantViolationError
 from repro.eventlog.cli import main as eventlog_main
@@ -63,6 +67,55 @@ class TestReplayEquivalence:
             eraser, _ = replay_log(path, "eraser")
             memtag, _ = replay_log(path, "memtag")
             assert set(memtag["blocks"]) <= set(eraser["blocks"]), workload
+
+
+class TestFinishedRunIsFreed:
+    """A finished recording is freed by reference counting: nothing of
+    its simulated system waits for the cyclic garbage collector."""
+
+    @pytest.fixture
+    def system_refs(self, monkeypatch):
+        refs = []
+
+        class WatchedKernel(eventlog_replay.Kernel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.extend([weakref.ref(self), weakref.ref(self.memory)])
+
+        class WatchedEngine(eventlog_replay.DBREngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(eventlog_replay, "Kernel", WatchedKernel)
+        monkeypatch.setattr(eventlog_replay, "DBREngine", WatchedEngine)
+        gc.disable()
+        try:
+            yield refs
+        finally:
+            gc.enable()
+
+    # The compiled tiers add the code cache's and the superblock
+    # cache's links back to the engine; canneal at this scale builds
+    # superblocks.
+    @pytest.mark.parametrize("compile_blocks", [False, True])
+    def test_record_run_frees_its_system(self, tmp_path, system_refs,
+                                         compile_blocks):
+        record_run(build_benchmark("canneal", threads=THREADS, scale=0.2),
+                   str(tmp_path / "canneal.aiklog"), seed=RUN["seed"],
+                   quantum=RUN["quantum"], compile_blocks=compile_blocks)
+        assert len(system_refs) == 3
+        assert [ref() for ref in system_refs] == [None, None, None]
+
+    @pytest.mark.parametrize("compile_blocks", [False, True])
+    def test_live_run_verdict_frees_its_system(self, system_refs,
+                                               compile_blocks):
+        live_run_verdict(build_benchmark("canneal", threads=THREADS,
+                                         scale=0.2), "djit",
+                         seed=RUN["seed"], quantum=RUN["quantum"],
+                         compile_blocks=compile_blocks)
+        assert len(system_refs) == 3
+        assert [ref() for ref in system_refs] == [None, None, None]
 
 
 class TestFanout:
@@ -146,25 +199,31 @@ class TestFanoutValidation:
         assert merged["log"] == EventLogReader(path).stat()
         assert merged["log"]["chunks"] == stats["chunks"] > 1
 
-    def test_fanout_decodes_each_chunk_once_per_analysis(self, tmp_path,
-                                                          monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fanout_decodes_each_chunk_once_per_group(self, tmp_path,
+                                                      monkeypatch, jobs):
+        """One decode per chunk per group; the counters still book every
+        analysis's events and chunks."""
         path, stats = record_benchmark(tmp_path, "canneal")
-        calls = []
+        # Each decode appends a line: forked workers inherit the patch
+        # and report their calls through the file.
+        calls = tmp_path / "decode-calls"
         decode = eventlog_log.decode_entries
 
         def counting_decode(buf):
-            calls.append(len(buf))
+            with open(calls, "a") as handle:
+                handle.write(f"{len(buf)}\n")
             return decode(buf)
 
         monkeypatch.setattr(eventlog_log, "decode_entries", counting_decode)
         counters = EventLogCounters()
-        ReplayFanout(ANALYSES, jobs=1, counters=counters).run(path)
-        assert len(calls) == len(ANALYSES) * stats["chunks"]
-        totals = counters.as_dict()
-        assert totals["chunks_replayed"] == len(calls)
-        assert totals["events_replayed"] == \
-            len(ANALYSES) * stats["events"]
-        assert totals["analyses_run"] == len(ANALYSES)
+        ReplayFanout(ANALYSES, jobs=jobs, counters=counters).run(path)
+        assert len(calls.read_text().splitlines()) == jobs * stats["chunks"]
+        expected = EventLogCounters().as_dict()
+        expected.update(events_replayed=len(ANALYSES) * stats["events"],
+                        chunks_replayed=len(ANALYSES) * stats["chunks"],
+                        analyses_run=len(ANALYSES), replays_completed=1)
+        assert counters.as_dict() == expected
 
 
 class TestDisagreementCheck:

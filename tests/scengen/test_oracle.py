@@ -67,8 +67,8 @@ class TestCleanScenarios:
             == check_scenario(ir, quick=True)
 
     def test_eraser_is_replayed_twice_per_scenario(self, monkeypatch):
-        """Determinism needs two replays; the agreement check reuses
-        the second instead of paying for a third."""
+        """Determinism needs two Erasers fed from one trace; the
+        agreement check reuses the second instead of paying for a third."""
         built = []
 
         class CountingEraser(oracle.EraserDetector):
