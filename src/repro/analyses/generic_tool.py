@@ -33,7 +33,9 @@ class FullInstrumentationTool(Tool):
 
     Each access pays a shadow-memory translation (Umbra at
     ``block_size`` granularity) plus the detector's clean call, and
-    counts as one tool invocation in the engine stats.
+    counts as one tool invocation in the engine stats. The hook is
+    quiet (see ``CachedBlock.set_hook``), so the detector may charge
+    cycles but must not read the cycle counter, engine stats or pc.
     """
 
     name = "full-generic"
@@ -43,25 +45,40 @@ class FullInstrumentationTool(Tool):
         self.kernel = kernel
         self.detector = detector
         self.shadow = ShadowMemory(kernel.counter, block_size)
+        #: The access hook, built when the tool is attached.
+        self._hook = None
         vm = kernel.process.vm
         for region in vm.user_regions():
             self.shadow.add_region(region.start, region.length)
         vm.post_map_hooks.append(self._on_new_region)
 
+    def attach(self, engine) -> None:
+        super().attach(engine)
+        self._hook = self._make_access_hook(engine.stats)
+
     def instrument_block(self, cached: CachedBlock) -> None:
-        hook = self._access_hook
+        hook = self._hook
+        # The hook reads no engine counter, stat or pc (it only bumps
+        # ``tool_invocations``), unless Umbra's tracer stamps an instant.
+        quiet = self.shadow.tracer is None
         for pos, instr in enumerate(cached.instrs):
             if instr.mem is not None:
-                cached.set_hook(pos, hook)
+                cached.set_hook(pos, hook, quiet)
 
     def on_sync_event(self, event) -> None:
         dispatch_sync(self.detector, event)
 
-    def _access_hook(self, thread, instr, ea):
-        self.shadow.translate(thread.tid, ea)
-        self.engine.stats.tool_invocations += 1
-        self.detector.on_access(thread.tid, ea, instr.is_write, instr.uid)
-        return None
+    def _make_access_hook(self, stats):
+        """The hook every access shares, with what it touches bound."""
+        translate = self.shadow.translate
+        on_access = self.detector.on_access
+
+        def access_hook(thread, instr, ea):
+            translate(thread.tid, ea)
+            stats.tool_invocations += 1
+            on_access(thread.tid, ea, instr.is_write, instr.uid)
+
+        return access_hook
 
     def _on_new_region(self, region) -> None:
         if region.kind in ("static", "heap", "mmap"):

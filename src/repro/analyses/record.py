@@ -120,43 +120,57 @@ class TraceRecorder:
 
 
 def replay(trace: List[TraceEntry], *detectors) -> None:
-    """Feed a recorded trace into detectors, in one pass.
+    """Feed a recorded trace into detectors, one detector at a time.
 
-    Each entry goes to every detector, in argument order, before the
-    next entry is read; the handlers are bound once per entry kind, so
-    ``replay(trace, a, b)`` leaves ``a`` and ``b`` exactly as
-    ``replay(trace, a)`` followed by ``replay(trace, b)`` would. A
-    detector needs ``on_access`` and whichever sync handlers of
-    :data:`SYNC_HANDLERS` it tracks. An entry kind outside that table
-    raises :class:`ToolError` — the contract :func:`dispatch_sync`
-    applies to unrecognized live sync events — instead of being silently
-    skipped. Barrier entries dispatch with their recorded barrier id, so
-    a replay→re-record round trip is identity.
+    Each detector gets the whole trace before the next one starts.
+    Detectors share no state, so ``replay(trace, a, b)`` leaves ``a`` and
+    ``b`` exactly as ``replay(trace, a)`` followed by ``replay(trace,
+    b)`` would, and a detector ends in the same state whatever else is
+    replayed with it. A detector needs ``on_access`` and whichever sync
+    handlers of :data:`SYNC_HANDLERS` it tracks; one that also has
+    ``on_read`` and ``on_write`` (FastTrack, DJIT+) gets accesses
+    through those, which its ``on_access`` only dispatches to. An entry
+    kind outside that table raises :class:`ToolError` — the contract
+    :func:`dispatch_sync` applies to unrecognized live sync events —
+    instead of being silently skipped. Barrier entries dispatch with
+    their recorded barrier id, so a replay→re-record round trip is
+    identity.
     """
-    on_access = [detector.on_access for detector in detectors]
-    bound = {kind: [handler for handler in
-                    (getattr(detector, name, None) for detector in detectors)
-                    if handler is not None]
-             for kind, name in _ENTRY_HANDLERS.items()}
+    for detector in detectors:
+        _replay_one(trace, detector)
+
+
+def _replay_one(trace: List[TraceEntry], detector) -> None:
+    on_read = getattr(detector, "on_read", None)
+    on_write = getattr(detector, "on_write", None)
+    split = on_read is not None and on_write is not None
+    on_access = None if split else detector.on_access
+    handlers = {kind: getattr(detector, name, None)
+                for kind, name in _ENTRY_HANDLERS.items()}
     for entry in trace:
         kind = entry[0]
         if kind == "access":
             _, tid, addr, is_write, uid = entry
-            for handler in on_access:
-                handler(tid, addr, is_write, uid)
+            if not split:
+                on_access(tid, addr, is_write, uid)
+            elif is_write:
+                on_write(tid, addr, uid)
+            else:
+                on_read(tid, addr, uid)
             continue
-        handlers = bound.get(kind)
-        if handlers is None:
+        try:
+            handler = handlers[kind]
+        except KeyError:
             raise ToolError(
                 f"replay: unrecognized trace entry kind {kind!r}; "
                 f"skipping it would silently desynchronize the "
-                f"replayed detector from the live run")
+                f"replayed detector from the live run") from None
+        if handler is None:
+            continue
         if kind == "barrier":
-            first, second = entry[2], entry[1]
+            handler(entry[2], entry[1])
         else:
-            first, second = entry[1], entry[2]
-        for handler in handlers:
-            handler(first, second)
+            handler(entry[1], entry[2])
 
 
 def replay_into(trace: List[TraceEntry],

@@ -23,7 +23,13 @@ class SharedDataAnalysis:
 
     def on_shared_access(self, thread, instr, addr: int,
                          is_write: bool) -> None:
-        """An instrumented instruction accessed a shared page."""
+        """An instrumented instruction accessed a shared page.
+
+        Called from AikidoSD's quiet hooks (see ``CachedBlock.set_hook``):
+        it may charge cycles, but must not read the cycle counter, the
+        engine stats or pc, which the compiled tiers book only at the
+        next exit.
+        """
 
     def on_sync_event(self, event) -> None:
         """A kernel synchronization event occurred."""

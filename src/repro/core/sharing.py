@@ -112,16 +112,19 @@ class SharingDetector(Tool):
         """Patch/hook the instrumented instructions of a rebuilt block."""
         if not self.instrumented:
             return
+        # Both hooks read no engine counter, stat or pc, unless a tracer
+        # stamps an instant with the simulated clock.
+        quiet = self.tracer is None and self.shadow.tracer is None
         for pos, instr in enumerate(cached.instrs):
             if instr.uid not in self.instrumented:
                 continue
             if instr.mem is None:
                 continue
             if instr.mem.base is None:
-                self._patch_direct(cached, pos, instr)
+                self._patch_direct(cached, pos, instr, quiet)
             else:
                 self.stats.indirect_hooks += 1
-                cached.set_hook(pos, self._fig4_hook)
+                cached.set_hook(pos, self._fig4_hook, quiet)
 
     def on_sync_event(self, event) -> None:
         # Kernel sync events are global; Aikido instruments exactly one
@@ -253,7 +256,8 @@ class SharingDetector(Tool):
         flushed = self.engine.invalidate_instruction(instr.uid)
         self.stats.rejit_flushes += flushed
 
-    def _patch_direct(self, cached: CachedBlock, pos: int, instr) -> None:
+    def _patch_direct(self, cached: CachedBlock, pos: int, instr,
+                      quiet: bool) -> None:
         """Rewrite a direct instruction's address and hook the analysis.
 
         The patched copy accesses the mirror page with zero runtime
@@ -282,7 +286,7 @@ class SharingDetector(Tool):
                                       _instr.is_write)
             return None  # the patched operand already targets the mirror
 
-        cached.set_hook(pos, direct_hook)
+        cached.set_hook(pos, direct_hook, quiet)
 
     def _make_indirect_hook(self) -> Callable:
         """Build the Fig. 4 runtime sequence for register-indirect

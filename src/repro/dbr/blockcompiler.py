@@ -45,13 +45,17 @@ Emission rules, identical for both:
   the access, so its probes stay hoisted; the engine carries on
   through the member's block bodies. A probe group whose span would
   cross a page takes the same exit at its head.
-* **Hooked accesses in the body.** A tool's hook is an observation
-  point, so a hooked access first calls the shared ``hooked`` exit
+* **Hooked accesses in the body.** An *observing* hook (the default,
+  see ``CachedBlock.set_hook``) may read the counters and pc, so a
+  hooked access first calls the shared ``hooked`` exit
   (:func:`cold_paths`): it books the retired prefix and parks pc on the
   instruction, so the hook sees exactly the reference tier's counters
-  and pc, and calls the hook. The body then forgets every hoisted probe
-  and accesses the address the hook returned, through the tail when
-  the probe misses, the address is misaligned or the hook flushed code
+  and pc, and calls the hook. A *quiet* hook reads none of them, so the
+  body calls it directly and books nothing in front of it: the next
+  exit or tail books the whole prefix, as for an unhooked access.
+  Either way the body then forgets every hoisted probe and accesses the
+  address the hook returned, through the tail when the probe misses,
+  the address is misaligned or the hook flushed code
   (``engine._cache_dirty``; the body then leaves through
   ``EXIT_REFETCH``).
 * **Guards.** MOD checks its divisor and RET the call stack: both raise
@@ -79,9 +83,9 @@ emitter sees only :class:`Slot` tuples (block indices and branch
 targets are bound as globals), and the code object is memoized by that
 shape (:func:`body_code`). Each body is still its own function, bound
 to globals of its own engine and block. Every body books its exits,
-its memory tail and the prefix in front of each hook call through the
-same shared helpers (:func:`cold_paths`), which keeps the memoized code
-small and writes each booking rule once.
+its memory tail and the prefix in front of each observing hook call
+through the same shared helpers (:func:`cold_paths`), which keeps the
+memoized code small.
 
 Correctness bar: bit-identical simulated stats — cycles, fault counts,
 race reports, chaos replay logs, trace attribution — versus the
@@ -173,6 +177,9 @@ class Slot(NamedTuple):
     base: Optional[int]
     disp: int
     hooked: bool
+    #: The hook is quiet (see ``CachedBlock.set_hook``): called
+    #: directly, with no booking in front of it.
+    quiet: bool
 
 
 #: Slots are shared across blocks, so the body memo's keys hold one copy
@@ -218,11 +225,13 @@ def compile_block(cached, engine) -> CompiledBlock:
     are generated when the engine first enters each ``(start, stop)``.
     """
     slots = []
-    for instr, hook in zip(cached.instrs, cached.hooks):
+    quiet = cached.quiet
+    for pos, (instr, hook) in enumerate(zip(cached.instrs, cached.hooks)):
         mem = instr.mem
         slots.append(_slot(instr.op, instr.rd, instr.rs1, instr.rs2,
                           instr.imm, mem.base if mem else None,
-                          mem.disp if mem else 0, hook is not None))
+                          mem.disp if mem else 0, hook is not None,
+                          pos in quiet))
     limits = [0] * len(slots)
     stop = len(slots)
     for pos in range(len(slots) - 1, -1, -1):
@@ -270,9 +279,11 @@ def cold_paths(engine):
     code objects stay small. Each takes the not-yet-booked part of the
     retired prefix as trailing arguments, zeros left off: instruction
     cycles, instructions, fast-path memory refs, instrumented
-    executions, dispatch cycles (``*prefix`` below). The two hot exits
-    spell these parameters out: packing and unpacking ``*prefix`` costs
-    about a third more per call.
+    executions, dispatch cycles (``*prefix`` below). ``leave`` and
+    ``hooked`` spell these parameters out: packing and unpacking
+    ``*prefix`` costs about a third more per call. ``leave``, which
+    every body exit calls, also repeats ``book`` inline, so that an
+    exit is one call.
     ``pc0`` is the block index to set, or None when pc[0] already holds
     it.
 
@@ -280,8 +291,9 @@ def cold_paths(engine):
     prefix, sets pc and the exit cell and returns ``retired``.
 
     ``hooked(thread, hook, instr, ea, pc0, pos, *prefix)`` runs in front
-    of a hooked access: book the prefix (which stays booked) and park pc
-    on the access, call the hook and return the address to access.
+    of an access with an observing hook: book the prefix (which stays
+    booked) and park pc on the access, call the hook and return the
+    address to access. Quiet hooks are called from the body itself.
 
     ``tail(thread, ea, instr, pc0, pos, idx, retired, charge, mode,
     *prefix)`` is the shared memory tail, for hooked and unhooked
@@ -329,8 +341,21 @@ def cold_paths(engine):
 
     def leave(thread, pc0, pc1, idx, code, retired, cycles=0,
               instructions=0, refs=0, instrumented=0, dispatch=0):
-        book(thread, pc0, pc1, cycles, instructions, refs, instrumented,
-             dispatch)
+        counter.instr_cycles += cycles
+        stats.instructions += instructions
+        if refs:
+            tlb = thread.tlb
+            stats.memory_refs += refs
+            tlb.hits += refs
+            tlb.fast_hits += refs
+        if instrumented:
+            stats.instrumented_execs += instrumented
+        if dispatch:
+            dbr_cycles[0] += dispatch
+        pc = thread.pc
+        if pc0 is not None:
+            pc[0] = pc0
+        pc[1] = pc1
         exit_cell[0] = idx
         exit_cell[1] = code
         return retired
@@ -585,7 +610,7 @@ def body_source(chain: bool, overhead: int, start: int,
     booked = {"dispatches": 0, "cyc": 0, "icount": 0, "mems": 0,
               "hooked": 0}
     # pc[0] is the first member's block on entry, and only parks write
-    # it mid-body.
+    # it mid-body; None once it is unknown (see ``emit_hooked``).
     state = {"vno": 0, "pc0": 0}
     # TLB probe hoisting: page-base vars established earlier in the
     # body. Literal pages key on the page number; register-relative
@@ -697,19 +722,32 @@ def body_source(chain: bool, overhead: int, start: int,
 
     def emit_hooked(s: Slot, idx: int, f: int, pos: int, k: int) -> None:
         nonlocal cyc, icount, mems, hooked
-        # The shared ``hooked`` exit books the prefix, parks pc and calls
-        # the hook, which may have changed any translation.
+        # The hook may have changed any translation.
         reuse_const.clear()
         reuse_reg.clear()
         ea = fresh("ea")
         ea_expr = (str(s.disp) if s.base is None
                    else f"(regs[{s.base}] + {s.disp}) & {_MASK64}")
-        emit(f"    {ea} = _hooked(thread, h{k}, i{k}, {ea_expr}, "
-             f"{pc0_arg(f)}, {pos}"
-             f"{prefix_args(dispatches(idx), cyc, icount)})")
-        booked.update(dispatches=dispatches(idx), cyc=cyc, icount=icount,
-                      mems=mems, hooked=hooked)
-        state["pc0"] = f
+        if s.quiet:
+            # Nothing is booked and pc stays where it was. A tail that
+            # resumes below parks pc[0] on this member, so from here on
+            # pc[0] is known only if it already held it.
+            override = fresh("o")
+            emit(f"    {ea} = {ea_expr}")
+            emit(f"    {override} = h{k}(thread, i{k}, {ea})")
+            emit(f"    if {override} is not None:")
+            emit(f"        {ea} = {override}")
+            if state["pc0"] != f:
+                state["pc0"] = None
+        else:
+            # The shared ``hooked`` exit books the prefix, parks pc and
+            # calls the hook.
+            emit(f"    {ea} = _hooked(thread, h{k}, i{k}, {ea_expr}, "
+                 f"{pc0_arg(f)}, {pos}"
+                 f"{prefix_args(dispatches(idx), cyc, icount)})")
+            booked.update(dispatches=dispatches(idx), cyc=cyc,
+                          icount=icount, mems=mems, hooked=hooked)
+            state["pc0"] = f
         pb = fresh("pb")
         fmap = "fr" if s.op is Opcode.LOAD else "fw"
         emit(f"    {pb} = {fmap}.get({ea} >> {PAGE_SHIFT})")

@@ -17,7 +17,7 @@ die with their members.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro import costs
 from repro.errors import ToolError
@@ -29,16 +29,18 @@ class CachedBlock:
 
     ``instrs`` are copies of the static instructions (tools may patch
     their operands); ``hooks`` is a parallel list with an instrumentation
-    callable or None per instruction.
+    callable or None per instruction, and ``quiet`` holds the positions
+    whose hook was set quiet (see :meth:`set_hook`).
     """
 
-    __slots__ = ("block_index", "instrs", "hooks", "executions", "in_trace",
-                 "compiled")
+    __slots__ = ("block_index", "instrs", "hooks", "quiet", "executions",
+                 "in_trace", "compiled")
 
     def __init__(self, block_index: int, source: BasicBlock):
         self.block_index = block_index
         self.instrs = [i.copy() for i in source.instructions]
         self.hooks: List[Optional[Callable]] = [None] * len(self.instrs)
+        self.quiet: Set[int] = set()
         self.executions = 0
         self.in_trace = False
         #: Lazily attached :class:`~repro.dbr.blockcompiler.CompiledBlock`
@@ -47,12 +49,21 @@ class CachedBlock:
         #: the CachedBlock, taking the compiled bodies with it.
         self.compiled = None
 
-    def set_hook(self, position: int, hook: Callable) -> None:
+    def set_hook(self, position: int, hook: Callable,
+                 quiet: bool = False) -> None:
         """Hook the memory instruction at ``position``.
 
         Tools call this only from ``instrument_block``, while the block
         is built; the compiled tier binds the hook into the block's
         generated bodies once. Only memory instructions take hooks.
+
+        A hook is *observing* by default: when it runs, the cycle
+        counter, the engine stats and pc read exactly as in the
+        interpreter tier, so a generated body books its retired prefix
+        and parks pc before the call. Pass ``quiet=True`` only for a hook
+        that reads none of these (it may still charge cycles and bump
+        counters of its own, which only ever add up): generated bodies
+        then call it directly and book the prefix at their next exit.
         """
         instr = self.instrs[position]
         if instr.mem is None:
@@ -60,6 +71,10 @@ class CachedBlock:
                 f"hook on non-memory instruction {instr!r} "
                 f"(block {self.block_index}, position {position})")
         self.hooks[position] = hook
+        if quiet:
+            self.quiet.add(position)
+        else:
+            self.quiet.discard(position)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         hooked = sum(1 for h in self.hooks if h is not None)

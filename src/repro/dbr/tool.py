@@ -6,8 +6,8 @@ specified instrumentation tool". Tools see two things:
 * **block-build callbacks**: :meth:`Tool.instrument_block` runs whenever a
   basic block is (re)copied into the code cache; the tool may attach
   hooks to memory instructions or patch instruction operands on the
-  cached copy. This is the only time hooks are set: the compiled tier
-  binds each one into its instruction's closure;
+  cached copy. This is the only time hooks are set: the compiled tiers
+  bind each one into the block's generated bodies;
 * **synchronization events** from the guest kernel
   (:meth:`Tool.on_sync_event`), the equivalent of wrapping pthread
   functions.
@@ -17,6 +17,15 @@ and may return a replacement effective address (AikidoSD returns mirror
 addresses) or None to run the access unchanged. A hook that needs code
 flushed calls ``engine.invalidate_instruction``: every tier, superblock
 bodies included, then re-fetches right after the hooked access.
+
+A hook is set *observing* by default: it sees the cycle counter, the
+engine stats and pc exactly as the interpreter tier leaves them, which
+costs the compiled tiers a booking call in front of every hook call.
+A tool whose hook reads none of them sets it with
+``cached.set_hook(position, hook, quiet=True)``, and generated bodies
+call it directly (see :mod:`repro.dbr.blockcompiler`). A quiet hook may
+charge cycles and bump counters of its own; anything that stamps the
+simulated clock, such as a trace instant, makes it observing.
 """
 
 from __future__ import annotations

@@ -11,11 +11,10 @@ merged output either way.
 
 The fan-out splits its analyses into groups, one per worker. A group
 makes one pass over the log (:func:`replay_group`): each chunk is
-decoded once and every entry goes to every detector of the group
-before the next is read. That pass is also the validation — it checks
-the chunk CRCs and the trailer as it reads and yields the log's stat
-block — so a fan-out decodes the log once per group: once inline, and
-once per worker otherwise. A fan-out names each analysis at most once;
+decoded once and fed to each detector of the group in turn. That pass
+is also the validation — it checks the chunk CRCs and the trailer as
+it reads and yields the log's stat block — so a fan-out decodes the
+log once per group: once inline, and once per worker otherwise. A fan-out names each analysis at most once;
 a duplicate name is refused.
 
 Verdicts are canonical JSON-safe dicts (:func:`detector_verdict`), so
@@ -159,8 +158,8 @@ def live_run_verdict(program, name: str, *, seed: int = 0,
 def replay_group(path: str, names: List[str]) -> Tuple[List[Dict], Dict]:
     """Replay one log through fresh analyses in a single pass.
 
-    Each chunk is decoded once and its entries go to every analysis (see
-    :func:`~repro.analyses.record.replay`). The pass checks every chunk
+    Each chunk is decoded once and fed to one analysis after another
+    (see :func:`~repro.analyses.record.replay`). The pass checks every chunk
     CRC and the trailer as it goes, so it is also the log's validation.
     Returns ``(verdicts, stat)``: one verdict per name, in order, and
     what :meth:`EventLogReader.stat` reports for the log.

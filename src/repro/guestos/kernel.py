@@ -223,20 +223,29 @@ class Kernel:
         """Let a finished run be freed by reference counting.
 
         Processes and their threads, drivers, a DBR engine's code and
-        superblock caches and analysis tools point back at one another
-        and at the kernel, so without this a finished system, physical
-        memory included, lives until the cyclic garbage collector runs.
-        Drops those links; the counter still reads, but the kernel
-        cannot run again.
+        superblock caches, analysis tools, tick hooks and the platform
+        (AikidoVM keeps every process and thread) point back at one
+        another and at the kernel, so without this a finished system,
+        physical memory included, lives until the cyclic garbage
+        collector runs. Drops those links; the counter still reads, but
+        the kernel cannot run again.
         """
         for driver in {*self.drivers.values(), self._default_driver}:
             if driver is not None:
                 driver.close()
         for process in self.processes.values():
             process.threads.clear()
+            # Runtime handlers and tools (DynamoRIO's signal handler,
+            # AikidoSD's region hook) and the platform's page-table
+            # interceptor point back into the run.
+            process.signal_handlers.clear()
+            process.vm.post_map_hooks.clear()
+            process.page_table.set_write_hook(None)
+        self.platform.close()
         self.drivers.clear()
         self.processes.clear()
         self._sync_listeners.clear()
+        self.tick_hooks.clear()
         self._default_driver = None
 
     # ------------------------------------------------------------------

@@ -76,6 +76,9 @@ class Platform:
     def hypercall(self, thread, number: int, args) -> int:
         raise HypervisorError("no hypervisor on this platform")
 
+    def close(self) -> None:
+        """Drop references into a finished run (see ``Kernel.close``)."""
+
 
 class NativePlatform(Platform):
     """Bare-metal translation straight through the guest page table."""

@@ -129,6 +129,12 @@ class AikidoVM(Platform):
         return self.processes.get(min(self.processes)) \
             if self.processes else None
 
+    def close(self) -> None:
+        """Drop the attached processes and threads (see
+        ``Kernel.close``)."""
+        self.processes.clear()
+        self._threads.clear()
+
     def attach_process(self, process) -> None:
         if process.pid in self.processes:
             raise HypervisorError(

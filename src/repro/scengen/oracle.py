@@ -173,6 +173,7 @@ def default_tier_runner(ir: ScenarioIR, mode: str, tier: str,
     """Run one tier of one mode; never raises a simulated error."""
     compile_blocks, superblocks = _tier_flags(tier)
     program, info = _rendered(ir)
+    kernel = None
     try:
         if mode == "fasttrack":
             kernel = Kernel(seed=ir.sched_seed, quantum=ir.quantum,
@@ -204,6 +205,7 @@ def default_tier_runner(ir: ScenarioIR, mode: str, tier: str,
             system = build_aikido_system(program, seed=ir.sched_seed,
                                          quantum=ir.quantum,
                                          jitter=ir.jitter, config=config)
+            kernel = system.kernel
             install_smc(system.kernel, system.engine, info.smc_uids,
                         ir.smc_period)
             system.run(max_instructions=budget)
@@ -223,6 +225,11 @@ def default_tier_runner(ir: ScenarioIR, mode: str, tier: str,
         raise ValueError(f"oracle mode {mode!r} unknown")
     except ReproError as exc:
         return ("raised", type(exc).__name__, str(exc))
+    finally:
+        # The surface is read: free the finished system now, not when
+        # the cyclic collector gets to it (see ``Kernel.close``).
+        if kernel is not None:
+            kernel.close()
 
 
 def _record_trace(ir: ScenarioIR, budget: int):
@@ -239,6 +246,8 @@ def _record_trace(ir: ScenarioIR, budget: int):
         kernel.run(max_instructions=budget)
     except ReproError:
         return None
+    finally:
+        kernel.close()
     return recorder
 
 
@@ -323,7 +332,8 @@ def check_scenario(ir: ScenarioIR, *, quick: bool = True,
                    detail="scenario did not complete cleanly")
     else:
         trace = recorder.trace
-        # One pass feeds every detector; Eraser twice, for determinism.
+        # One replay call feeds every detector; Eraser twice, for
+        # determinism.
         ft_replay = FastTrackDetector(block_size=BLOCK_SIZE)
         djit = DjitDetector(block_size=BLOCK_SIZE)
         erasers = [EraserDetector(block_size=BLOCK_SIZE) for _ in range(2)]

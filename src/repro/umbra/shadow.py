@@ -68,13 +68,11 @@ class ShadowMemory:
         self._next_shadow = _SHADOW_SYNTHETIC_BASE
         # tid -> last region hit (inline memoization cache).
         self._inline_cache: Dict[int, ShadowRegion] = {}
-        # tid -> (page, region) memo for repeat same-page accesses. Set
-        # only when the region covers the whole page, so a page match
-        # alone proves containment — and since it is written in lockstep
-        # with the inline cache (and regions are never removed), a memo
-        # hit is exactly an inline-cache hit minus the containment
-        # arithmetic: same counter, same charge.
-        self._page_memo: Dict[int, tuple] = {}
+        # page -> the region that holds the whole page. Regions never
+        # overlap and are never removed, so an entry never goes stale;
+        # a page that straddles a region boundary (or lies outside every
+        # region) is never entered and takes the bisect every time.
+        self._page_regions: Dict[int, ShadowRegion] = {}
         # tid -> set of region ids translated before (thread-local cache).
         self._warm: Dict[int, Set[int]] = {}
         self.inline_hits = 0
@@ -119,22 +117,26 @@ class ShadowMemory:
     # costed translation (what instrumented code executes)
     # ------------------------------------------------------------------
     def translate(self, tid: int, addr: int) -> ShadowRegion:
-        """App address -> region, charging the appropriate cache level."""
+        """App address -> region, charging the appropriate cache level.
+
+        The level depends only on the region: the inline cache hits when
+        the thread's last region holds ``addr``. The page map finds that
+        region without the bisect; it costs nothing simulated, because
+        it models no structure of Umbra's, only the host's lookup.
+        """
         page = addr >> 12
-        memo = self._page_memo.get(tid)
-        if memo is not None and memo[0] == page:
-            self.inline_hits += 1
-            self._cell[0] += costs.UMBRA_TRANSLATE_INLINE
-            return memo[1]
-        region = self._inline_cache.get(tid)
-        if region is not None and region.contains(addr):
-            self.inline_hits += 1
-            self._cell[0] += costs.UMBRA_TRANSLATE_INLINE
-            self._refresh_page_memo(tid, page, region)
-            return region
-        region = self.region_for(addr)
+        region = self._page_regions.get(page)
         if region is None:
-            raise ToolError(f"no shadow region covers {addr:#x}")
+            region = self.region_for(addr)
+            if region is None:
+                raise ToolError(f"no shadow region covers {addr:#x}")
+            if (region.app_start <= page << 12
+                    and (page + 1) << 12 <= region.app_end):
+                self._page_regions[page] = region
+        if region is self._inline_cache.get(tid):
+            self.inline_hits += 1
+            self._cell[0] += costs.UMBRA_TRANSLATE_INLINE
+            return region
         warm = self._warm.setdefault(tid, set())
         key = id(region)
         if key in warm:
@@ -148,17 +150,7 @@ class ShadowMemory:
                 self.tracer.instant("umbra_full_lookup", "umbra", tid=tid,
                                     app_start=region.app_start)
         self._inline_cache[tid] = region
-        self._refresh_page_memo(tid, page, region)
         return region
-
-    def _refresh_page_memo(self, tid: int, page: int, region: ShadowRegion):
-        if (region.app_start <= (page << 12)
-                and ((page + 1) << 12) <= region.app_end):
-            self._page_memo[tid] = (page, region)
-        else:
-            # Page straddles a region boundary: a page match would not
-            # prove containment, so drop the memo entirely.
-            self._page_memo.pop(tid, None)
 
     # ------------------------------------------------------------------
     def block_id(self, addr: int) -> int:

@@ -1,7 +1,7 @@
 """The block-compiled and superblock tiers must be observationally
 identical to the interpreter tier.
 
-Five layers of evidence:
+Six layers of evidence:
 
 * differential runs over every bundled workload (plain, under chaos
   injection, and with tracing/metrics on) comparing the full simulated
@@ -28,7 +28,11 @@ Five layers of evidence:
   interpreter: a chain entered with every remaining budget, a probe
   group straddling a page, a read-only group head whose member store
   faults, a stale prefix dropping its parent, and thrash counted on the
-  parent.
+  parent;
+* quiet hooks, called with nothing booked in front of them: a chain
+  that parks in another member after a quiet hook's resumed tail, the
+  same runs with the hooks forced observing, and a call budget of zero
+  ``hooked`` exits on the untraced paper stack.
 """
 
 from __future__ import annotations
@@ -40,7 +44,9 @@ from repro import costs
 from repro.chaos.invariants import InvariantMonitor
 from repro.chaos.plan import ChaosPlan
 from repro.core.config import AikidoConfig
+from repro.dbr import blockcompiler
 from repro.dbr.blockcompiler import _probe_groups
+from repro.dbr.codecache import CachedBlock
 from repro.dbr.engine import DBREngine
 from repro.dbr.superblock import EXIT_FAULT, THRASH_MIN_ENTRIES
 from repro.dbr.tool import Tool
@@ -967,6 +973,130 @@ class TestBoundedEntryAndProbeGroups:
                                    for p in sb.prefixes.values())
         assert sb.head in steps.sb_cache.banned
         steps.run(2000)
+
+# ----------------------------------------------------------------------
+# quiet hooks: called straight from the body, booked at the next exit
+# ----------------------------------------------------------------------
+class _QuietTLBDropTool(Tool):
+    """Hooks the loads quietly; the hook flushes the thread's TLB, so
+    every hooked load misses its probe and the body resumes after the
+    memory tail, which parks pc on the load's member."""
+
+    def instrument_block(self, cached):
+        for pos, instr in enumerate(cached.instrs):
+            if instr.op is Opcode.LOAD:
+                cached.set_hook(pos, self._hook, quiet=True)
+
+    @staticmethod
+    def _hook(thread, instr, ea):
+        thread.tlb.flush()
+
+
+def _forced_observing(monkeypatch):
+    """Make every hook a tool sets quiet an observing one: the same hook
+    behind a plain wrapper, set with the default."""
+    set_hook = CachedBlock.set_hook
+
+    def observing(self, position, hook, quiet=False):
+        if quiet:
+            def wrapped(thread, instr, ea, _hook=hook):
+                return _hook(thread, instr, ea)
+            hook = wrapped
+        set_hook(self, position, hook)
+
+    monkeypatch.setattr(CachedBlock, "set_hook", observing)
+
+
+def _count_hooked_exits(monkeypatch):
+    """Count calls of the bodies' shared ``hooked`` exit."""
+    calls = [0]
+    cold_paths = blockcompiler.cold_paths
+
+    def counting(engine):
+        leave, hooked, tail = cold_paths(engine)
+
+        def counted(*args):
+            calls[0] += 1
+            return hooked(*args)
+
+        return leave, counted, tail
+
+    monkeypatch.setattr(blockcompiler, "cold_paths", counting)
+    return calls
+
+
+class TestQuietHooks:
+    def test_full_fasttrack_canneal_matches_on_every_tier(self):
+        # A quiet hooked access whose tail resumes parks pc[0] on its
+        # member while the fast path leaves pc[0] alone, so the emitter
+        # must forget which block pc[0] holds after it. Forgetting
+        # nothing makes a later exit leave pc[0] on the wrong block:
+        # canneal then finds 3 races instead of 4 on the chain tier.
+        superblock, compiled, interp = run_all_tiers(
+            lambda: build_benchmark("canneal", threads=4, scale=0.5),
+            mode="fasttrack", seed=1, quantum=150)
+        assert superblock[0] == "ok", superblock
+        assert len(superblock[1]["races"]) == 4
+        assert superblock == compiled == interp
+
+    def test_resumed_tail_then_park_in_another_member(self):
+        # The loop head and body alternate in one unrolled chain; the
+        # body's quiet hooked load resumes after its tail every time.
+        # Every bounded prefix that ends on a head member parks there,
+        # after the tail parked pc[0] on the body.
+        steps = _Lockstep(lambda: _hot_loop_program(iters=20_000),
+                          _QuietTLBDropTool)
+        sb = steps.superblock()
+        heads = [i for i, m in enumerate(sb.members)
+                 if m.block_index == sb.head]
+        assert len(heads) > 2
+        assert any(s.quiet for m in sb.members for s in m.compiled.slots)
+        for budget in range(1, sb.count + 1):
+            steps.to_head(sb)
+            steps.run(budget)
+            steps.run(100)
+        assert sorted(sb.prefixes) == list(range(1, len(sb.members)))
+
+    @pytest.mark.parametrize("mode", ["aikido-fasttrack", "fasttrack"])
+    @pytest.mark.parametrize("name", ["streamcluster", "canneal"])
+    def test_quiet_and_observing_hooks_agree(self, monkeypatch, name,
+                                             mode):
+        def runs():
+            return run_all_tiers(
+                lambda: build_benchmark(name, threads=2, scale=0.3),
+                mode=mode, seed=3, quantum=100)
+
+        calls = _count_hooked_exits(monkeypatch)
+        quiet = runs()
+        assert calls[0] == 0
+        _forced_observing(monkeypatch)
+        observing = runs()
+        assert calls[0] > 0
+        assert quiet[0][0] == "ok", quiet[0]
+        assert quiet == observing
+        assert quiet[0] == quiet[1] == quiet[2]
+
+    def test_traced_stack_hooks_observe(self):
+        system = build_aikido_system(
+            build_benchmark("streamcluster", threads=2, scale=0.3),
+            seed=3, quantum=100, config=AikidoConfig(trace=True))
+        system.run()
+        blocks = list(system.engine.codecache._blocks.values())
+        assert any(h is not None for c in blocks for h in c.hooks)
+        assert not any(c.quiet for c in blocks)
+
+    def test_paper_stack_never_calls_the_hooked_exit(self, monkeypatch):
+        """Untraced, every hook of the paper's stack is quiet: a
+        regression to booking in front of each hook call (35,094 calls
+        of the ``hooked`` exit on shared-heavy) fails this guard."""
+        calls = _count_hooked_exits(monkeypatch)
+        system = build_aikido_system(
+            build_benchmark("streamcluster", threads=4, scale=3.0),
+            seed=1, quantum=200, jitter=0.1, config=AikidoConfig())
+        system.run()
+        assert system.run_stats.instrumented_execs > 10_000
+        assert calls[0] == 0
+
 
 # ----------------------------------------------------------------------
 # translation micro-cache maintenance

@@ -1,6 +1,12 @@
 """Differential-oracle behavior: clean scenarios pass, planted
 divergence bugs are caught as structured verdicts."""
 
+import gc
+import weakref
+
+import pytest
+
+import repro.core.system as core_system
 from repro.machine.isa import Opcode
 from repro.scengen import (
     check_scenario,
@@ -80,6 +86,54 @@ class TestCleanScenarios:
         verdict = check_scenario(generate(1), quick=True)
         assert not verdict["checks"]["eraser_determinism"].get("skipped")
         assert len(built) == 2
+
+
+class TestFinishedRunIsFreed:
+    """Every simulated system the oracle builds is freed by reference
+    counting once its surface or trace is read: nothing of it waits for
+    the cyclic garbage collector."""
+
+    @pytest.fixture
+    def system_refs(self, monkeypatch):
+        refs = []
+        for module in (oracle, core_system):
+            class WatchedKernel(module.Kernel):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    refs.extend([weakref.ref(self),
+                                 weakref.ref(self.memory)])
+
+            class WatchedEngine(module.DBREngine):
+                def __init__(self, *args, **kwargs):
+                    super().__init__(*args, **kwargs)
+                    refs.append(weakref.ref(self))
+
+            monkeypatch.setattr(module, "Kernel", WatchedKernel)
+            monkeypatch.setattr(module, "DBREngine", WatchedEngine)
+        gc.disable()
+        try:
+            yield refs
+        finally:
+            gc.enable()
+
+    # Seed 38 re-JITs on a tick cadence (self-modifying code), seed 32
+    # also injects chaos: both add links from the kernel into the run.
+    @pytest.mark.parametrize("tier", oracle.TIERS)
+    @pytest.mark.parametrize("mode", ["fasttrack", "aikido-fasttrack"])
+    @pytest.mark.parametrize("seed", [1, 32, 38])
+    def test_tier_runs_free_their_systems(self, system_refs, seed, mode,
+                                          tier):
+        ir = generate(seed)
+        outcome = default_tier_runner(ir, mode, tier, oracle.QUICK_BUDGET)
+        assert outcome[0] == "ok", outcome
+        assert len(system_refs) == 3
+        assert [ref() for ref in system_refs] == [None, None, None]
+
+    def test_record_run_frees_its_system(self, system_refs):
+        recorder = oracle._record_trace(generate(38), oracle.QUICK_BUDGET)
+        assert recorder.access_count > 0
+        assert len(system_refs) == 3
+        assert [ref() for ref in system_refs] == [None, None, None]
 
 
 class TestPlantedBugs:
