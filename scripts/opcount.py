@@ -14,9 +14,13 @@ not counted.
     python scripts/opcount.py --benchmark streamcluster --scale 3 --seed 1
 
 Prints the total opcode count, opcodes per simulated instruction and
-the code objects that executed the most opcodes (generated block and
-chain bodies are summed per file name, ``<block>`` and
-``<superblock>``). Tracing every opcode makes the run 30-100 times
+the code objects that executed the most opcodes, with how many calls
+each took (generated block and chain bodies are summed per file name,
+``<block>`` and ``<superblock>``; ``repro/dbr/engine.py:run`` is called
+once per scheduling quantum, so body calls per quantum read off as the
+ratio of the two call counts). Then the run's
+``superblock_snapshot()`` and the share of simulated instructions that
+chain bodies retired. Tracing every opcode makes the run 30-100 times
 slower than untraced, so keep ``--scale`` small.
 
 Exit codes: 0 on success, 2 on bad arguments (argparse convention).
@@ -38,11 +42,13 @@ TOP = 15
 
 
 def count_opcodes(benchmark: str, scale: float, seed: int):
-    """Run the stack once; returns ``(per-code Counter, instructions)``."""
+    """Run the stack once; returns ``(per-code opcode Counter, per-code
+    call Counter, instructions, superblock snapshot)``."""
     system = build_aikido_system(
         build_benchmark(benchmark, threads=THREADS, scale=scale),
         seed=seed, quantum=QUANTUM, jitter=JITTER, config=AikidoConfig())
     counts: Counter = Counter()
+    calls: Counter = Counter()
 
     def local(frame, event, arg):
         if event == "opcode":
@@ -50,6 +56,7 @@ def count_opcodes(benchmark: str, scale: float, seed: int):
         return local
 
     def call(frame, event, arg):
+        calls[frame.f_code] += 1
         frame.f_trace_opcodes = True
         return local
 
@@ -59,8 +66,9 @@ def count_opcodes(benchmark: str, scale: float, seed: int):
     finally:
         sys.settrace(None)
     instructions = system.engine.stats.instructions
+    snapshot = system.engine.superblock_snapshot()
     system.kernel.close()
-    return counts, instructions
+    return counts, calls, instructions, snapshot
 
 
 def label(code) -> str:
@@ -95,11 +103,14 @@ def main(argv=None) -> int:
     if args.benchmark not in benchmark_names():
         parser.error(f"unknown benchmark {args.benchmark!r} "
                      f"(choose from: {', '.join(benchmark_names())})")
-    counts, instructions = count_opcodes(args.benchmark, args.scale,
-                                         args.seed)
+    counts, calls, instructions, snapshot = count_opcodes(
+        args.benchmark, args.scale, args.seed)
     rows: Counter = Counter()
+    row_calls: Counter = Counter()
     for code, n in counts.items():
         rows[label(code)] += n
+    for code, n in calls.items():
+        row_calls[label(code)] += n
     total = sum(rows.values())
     print(f"benchmark {args.benchmark}  scale {args.scale:g}  "
           f"seed {args.seed}")
@@ -107,9 +118,17 @@ def main(argv=None) -> int:
     print(f"simulated instructions   {instructions:,}")
     print(f"opcodes per instruction  {total / max(1, instructions):.2f}")
     print()
-    print(f"{'share':>6}  {'opcodes':>12}  code")
+    print(f"{'share':>6}  {'opcodes':>12}  {'calls':>10}  code")
     for name, n in rows.most_common(TOP):
-        print(f"{n / total:6.1%}  {n:12,}  {name}")
+        print(f"{n / total:6.1%}  {n:12,}  {row_calls[name]:10,}  {name}")
+    print()
+    if snapshot is None:
+        print("superblock tier off")
+    else:
+        print("superblock_snapshot()  " + "  ".join(
+            f"{key} {value:,}" for key, value in snapshot.items()))
+        print(f"chain instruction share  "
+              f"{snapshot['instructions'] / max(1, instructions):.1%}")
     return 0
 
 

@@ -106,10 +106,12 @@ EOF
 # bare DBR and on the paper stack — the parity contract
 # tests/dbr/test_compiled_parity.py and the fuzz oracle's tier_parity_*
 # checks pin — with at least one superblock actually built so the tier
-# is known to have engaged, at least one entered budget-bounded (a chain
-# prefix run at the end of a quantum), and on the paper stack at least
-# one whose members carry the sharing detector's hooks.
+# is known to have engaged, at least one chain call parked where a
+# quantum's budget ended, and on the paper stack at least one chain whose
+# members carry the sharing detector's hooks and at least one chain call
+# that looped back to its head for a second pass.
 python - <<'EOF'
+import repro.dbr.engine as dbr_engine
 from repro.core.config import AikidoConfig
 from repro.dbr.engine import DBREngine
 from repro.guestos.kernel import Kernel
@@ -133,8 +135,28 @@ for name in ("blackscholes", "canneal"):
     assert surfaces[0] == surfaces[1] == surfaces[2], \
         f"{name}: execution-tier surfaces diverge"
 assert built > 0, "superblock smoke never built a superblock"
-assert bounded > 0, "superblock smoke never entered a chain prefix"
+assert bounded > 0, \
+    "superblock smoke never parked a chain where a quantum's budget ended"
 
+# Count the paper-stack chain calls that retired more than one pass.
+looped = [0]
+compile_superblock = dbr_engine.compile_superblock
+
+
+def counting_compile(members, engine):
+    sb = compile_superblock(members, engine)
+    body = sb.fn
+
+    def counted(thread, budget):
+        retired = body(thread, budget)
+        looped[0] += retired > sb.count
+        return retired
+
+    sb.fn = counted
+    return sb
+
+
+dbr_engine.compile_superblock = counting_compile
 surfaces = []
 for cb, sb in ((False, False), (True, False), (True, True)):
     system = build_aikido_system(
@@ -153,11 +175,12 @@ sb_cache = system.engine.superblock_cache
 hooked = sum(1 for sb in sb_cache.by_head.values()
              if any(h is not None for m in sb.members for h in m.hooks))
 assert hooked > 0, "no paper-stack superblock holds a hooked access"
+assert looped[0] > 0, "no paper-stack chain call ran two or more passes"
 print(f"superblock smoke ok: 3-tier surfaces bit-identical, "
-      f"{built} bare superblock(s) built, {bounded} bounded entries; "
+      f"{built} bare superblock(s) built, {bounded} budget parks; "
       f"paper stack "
       f"{sb_cache.built} built, {hooked} live with hooked members, "
-      f"{sb_cache.entries} entries")
+      f"{sb_cache.entries} passes, {looped[0]} multi-pass calls")
 EOF
 
 # Fuzz smoke: a fixed-seed differential campaign over generated

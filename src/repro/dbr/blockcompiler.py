@@ -11,7 +11,9 @@ emitter (:func:`body_source`) writes both kinds:
 * a **block body** covers one cached block from the position the engine
   entered it at to a stop position (see :class:`CompiledBlock`);
 * a **chain body** covers a hot chain of whole blocks, the superblock
-  tier's trace (:mod:`repro.dbr.superblock`).
+  tier's trace (:mod:`repro.dbr.superblock`), and runs as many passes
+  over it as the quantum's budget holds, then parks where the budget
+  ends.
 
 Emission rules, identical for both:
 
@@ -106,8 +108,9 @@ from repro.machine.paging import PAGE_SHIFT, PAGE_SIZE, PageFault
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _PAGE_MASK = PAGE_SIZE - 1
 
-#: Exit protocol: a body returns the retired instruction count and
-#: leaves ``(member index, code)`` in the engine's exit cell.
+#: Exit protocol: a body returns the retired instruction count (a chain
+#: body's counts every pass it ran) and leaves ``(member index, code)``
+#: in the engine's exit cell.
 EXIT_COMPLETE = 0   #: control transferred; pc set to the successor
 EXIT_RESUME = 1     #: pc parked inside (or just past) member exit[0];
 #: the engine carries on in that block without re-charging its dispatch
@@ -259,9 +262,9 @@ def block_body(cached, compiled: CompiledBlock, start: int, stop: int,
     if compiled.globals is None:
         compiled.globals = body_globals(
             engine, ((cached, 0, compiled.length),), chain=False)
-    fn = FunctionType(body_code(False, compiled.overhead, start,
-                                ((0, compiled.slots[start:stop], False),)),
-                      compiled.globals)
+    code, _ = body_code(False, compiled.overhead, start,
+                        ((0, compiled.slots[start:stop], False),))
+    fn = FunctionType(code, compiled.globals)
     compiled.bodies[start, stop] = fn
     engine.codecache.bodies_built += 1
     return fn
@@ -289,6 +292,11 @@ def cold_paths(engine):
 
     ``leave(thread, pc0, pc1, idx, code, retired, *prefix)`` books the
     prefix, sets pc and the exit cell and returns ``retired``.
+
+    ``cut(thread, row, n)`` is a chain's exit where the quantum's budget
+    ends: ``leave`` with the arguments of one row of the chain's cut
+    table (:func:`body_code`) plus ``n`` whole passes, whose prefix the
+    row's last five fields hold.
 
     ``hooked(thread, hook, instr, ea, pc0, pos, *prefix)`` runs in front
     of an access with an observing hook: book the prefix (which stays
@@ -360,6 +368,16 @@ def cold_paths(engine):
         exit_cell[1] = code
         return retired
 
+    def cut(thread, row, n):
+        (pc0, pc1, idx, code, retired, cycles, instructions, refs,
+         instrumented, dispatch, pass_cycles, count, pass_refs,
+         pass_instrumented, pass_dispatch) = row
+        return leave(thread, pc0, pc1, idx, code, retired + n * count,
+                     cycles + n * pass_cycles, instructions + n * count,
+                     refs + n * pass_refs,
+                     instrumented + n * pass_instrumented,
+                     dispatch + n * pass_dispatch)
+
     def hooked(thread, hook, instr, ea, pc0, pos, cycles=0,
                instructions=0, refs=0, instrumented=0, dispatch=0):
         book(thread, pc0, pos, cycles, instructions, refs, instrumented,
@@ -413,7 +431,7 @@ def cold_paths(engine):
         exit_cell[1] = EXIT_REFETCH if engine._cache_dirty else EXIT_RESUME
         return retired + 1
 
-    return leave, hooked, tail
+    return leave, cut, hooked, tail
 
 
 def body_globals(engine, spans, *, chain: bool) -> dict:
@@ -431,11 +449,11 @@ def body_globals(engine, spans, *, chain: bool) -> dict:
     base = engine._codegen_globals
     if base is None:
         words = engine.cpu.memory._words
-        leave, hooked, tail = cold_paths(engine)
+        leave, cut, hooked, tail = cold_paths(engine)
         base = engine._codegen_globals = {
             "_mw": words, "_mw_get": words.get, "_exit": engine._exit,
-            "_eng": engine, "_leave": leave, "_hooked": hooked,
-            "_tail": tail}
+            "_eng": engine, "_leave": leave, "_cut": cut,
+            "_hooked": hooked, "_tail": tail}
     glb = dict(base)
     label_index = engine.codecache.program.label_index
     firsts: Dict[int, int] = {}
@@ -461,20 +479,27 @@ def body_globals(engine, spans, *, chain: bool) -> dict:
 
 
 @lru_cache(maxsize=2048)
-def body_code(chain: bool, overhead: int, start: int,
-              members: tuple) -> CodeType:
-    """The code object of one body, memoized by its shape.
+def body_code(chain: bool, overhead: int, start: int, members: tuple,
+              loop: Optional[str] = None) -> Tuple[CodeType, tuple]:
+    """The code object of one body and its cut table, memoized by shape.
 
     Small programs repeat the same block contents many times over (for
     the quick fuzz campaign's counts see ``docs/performance.md``). The
     memo keeps neither the source nor the module code, only the
     function's code object; every caller binds it to its own globals,
     so each body is its own function bound to its own engine and block.
-    Arguments as for :func:`body_source`.
+    A chain's cut table holds, per instruction ``k`` of a pass, the
+    ``leave`` arguments of a park in front of it, all five prefix
+    values included, followed by one whole pass's prefix (see
+    :func:`body_source`), with ``pc0`` as a global's name; it is empty
+    for a block body. Arguments as for :func:`body_source`.
     """
-    module = compile(body_source(chain, overhead, start, members),
+    cuts: List = []
+    module = compile(body_source(chain, overhead, start, members, loop,
+                                 cuts),
                      "<superblock>" if chain else "<block>", "exec")
-    return next(c for c in module.co_consts if isinstance(c, CodeType))
+    return (next(c for c in module.co_consts if isinstance(c, CodeType)),
+            tuple(cuts))
 
 
 def _alu_statement(s: Slot) -> Optional[str]:
@@ -568,7 +593,7 @@ def _probe_groups(slots) -> Tuple[Dict[int, Tuple[int, int]],
 
 
 def body_source(chain: bool, overhead: int, start: int,
-                members: tuple) -> str:
+                members: tuple, loop: Optional[str], cuts: List) -> str:
     """Generate the source of one body (see the module docstring).
 
     ``members`` holds one ``(f, slots, follows_taken)`` per member: ``f``
@@ -577,22 +602,55 @@ def body_source(chain: bool, overhead: int, start: int,
     and ``follows_taken`` says a chain member's final branch is
     predicted taken. A block body has one member whose slots start at
     block position ``start``; a chain (``chain=True``) covers whole
-    blocks and also books each member's dispatch and execution count.
+    blocks, also books each member's dispatch and execution count, and
+    runs to its ``budget`` argument: whole passes while the budget holds
+    one, then a budget-checked copy of the pass (see
+    :mod:`repro.dbr.superblock`). ``loop`` names the arm of the last
+    member's final instruction that goes to the chain's head,
+    ``"taken"`` or ``"fall"``, or is None when neither does.
+
+    The budget-checked copy breaks out in front of instruction ``k``
+    when the budget is ``k`` and leaves through the shared ``cut`` exit
+    with row ``k`` of the chain's cut table, which a chain appends to
+    ``cuts`` (None where no cut exists). Keeping the park arguments out
+    of the source keeps the compiler's working memory for the copy
+    small.
     """
-    lines: List[str] = ["def _body(thread):"]
-    emit = lines.append
+    lines: List[str] = ["def _body(thread, budget):" if chain
+                        else "def _body(thread):"]
+    pad = [""]  # the indent of the code being emitted
+
+    def emit(line: str) -> None:
+        lines.append(pad[0] + line)
+
     last = len(members) - 1
+    all_slots = [s for m in members for s in m[1]]
+    total = len(all_slots)
+    if any(s.hooked and not s.quiet for s in all_slots):
+        # An observing hook books the prefix in front of it, so a second
+        # pass would start with a different part of the prefix unbooked.
+        loop = None
+    # Per whole pass of a looping chain: instruction cycles,
+    # instructions, fast-path memory refs, instrumented executions and
+    # dispatch cycles. An exit in pass ``n`` books ``n`` of these on top
+    # of its own prefix.
+    per_pass = (
+        sum(BASE_COST[s.op] + overhead for s in all_slots), total,
+        sum(s.op in MEMORY_OPCODES for s in all_slots),
+        sum(s.hooked for s in all_slots),
+        len(members) * costs.BLOCK_DISPATCH) if loop else (0,) * 5
     if chain:
         # Prologue identity guards: the baked CompiledBlock stands in
         # for "the member's hook set is unchanged" — every path that
         # changes it flushes the block. Nothing is booked on a stale
-        # exit.
+        # exit. Later passes need no guard: a member changes only
+        # through a hook, which leaves through ``EXIT_REFETCH``, or a
+        # fault, which leaves through ``EXIT_FAULT``.
         for f in range(1 + max(m[0] for m in members)):
             emit(f"    if m{f}.compiled is not c{f}:")
             emit(f"        _exit[1] = {EXIT_STALE}")
             emit("        return 0")
     emit("    regs = thread.regs")
-    all_slots = [s for m in members for s in m[1]]
     probed = [s.op for s in all_slots if s.op in MEMORY_OPCODES]
     if Opcode.LOAD in probed:
         emit("    fr = thread.tlb.fast_ro")
@@ -602,15 +660,17 @@ def body_source(chain: bool, overhead: int, start: int,
     # Generation-time accounting: everything the reference books per
     # instruction is summed here and emitted as constants at each exit
     # site — minus what the body already booked in front of a hook call
-    # (``booked``).
+    # (``booked``). Both are reset at the start of each pass copy.
     cyc = 0       # retired instruction cycles so far
     icount = 0    # retired instructions so far
     mems = 0      # retired fast-path memory refs so far
     hooked = 0    # retired fast-path hooked accesses so far
-    booked = {"dispatches": 0, "cyc": 0, "icount": 0, "mems": 0,
-              "hooked": 0}
+    booked: Dict[str, int] = {}
     # pc[0] is the first member's block on entry, and only parks write
-    # it mid-body; None once it is unknown (see ``emit_hooked``).
+    # it mid-body; None once it is unknown (see ``emit_hooked``). A
+    # resumed tail parks it on its member, so a looping pass with a
+    # hooked access starts with it unknown.
+    pc0_entry = None if loop and any(s.hooked for s in all_slots) else 0
     state = {"vno": 0, "pc0": 0}
     # TLB probe hoisting: page-base vars established earlier in the
     # body. Literal pages key on the page number; register-relative
@@ -637,14 +697,26 @@ def body_source(chain: bool, overhead: int, start: int,
     def dispatches(idx: int) -> int:
         return idx + 1 if chain else 0
 
-    def prefix_args(dispatched: int, cyc_: int, icount_: int) -> str:
+    def scaled(value: int, i: int) -> str:
+        """``value`` plus ``n`` whole passes of ``per_pass[i]``."""
+        if not per_pass[i]:
+            return str(value)
+        return f"{value} + n * {per_pass[i]}" if value else \
+            f"n * {per_pass[i]}"
+
+    def unbooked(dispatched: int, cyc_: int, icount_: int) -> tuple:
         """The not-yet-booked part of a retired prefix (memory and hooked
-        counts are the running totals) as trailing arguments of a shared
-        exit (:func:`cold_paths`), zeros left off."""
-        prefix = [cyc_ - booked["cyc"], icount_ - booked["icount"],
-                  mems - booked["mems"], hooked - booked["hooked"],
-                  (dispatched - booked["dispatches"]) * costs.BLOCK_DISPATCH]
-        while prefix and not prefix[-1]:
+        counts are the running totals), in the order of the trailing
+        arguments of a shared exit (:func:`cold_paths`)."""
+        return (cyc_ - booked["cyc"], icount_ - booked["icount"],
+                mems - booked["mems"], hooked - booked["hooked"],
+                (dispatched - booked["dispatches"]) * costs.BLOCK_DISPATCH)
+
+    def prefix_args(dispatched: int, cyc_: int, icount_: int) -> str:
+        """:func:`unbooked` as trailing arguments, zeros left off."""
+        prefix = [scaled(v, i) for i, v in enumerate(
+            unbooked(dispatched, cyc_, icount_))]
+        while prefix and prefix[-1] == "0":
             prefix.pop()
         return "".join(f", {v}" for v in prefix)
 
@@ -657,7 +729,8 @@ def body_source(chain: bool, overhead: int, start: int,
         """Exit: book the rest of the prefix and set pc (``pc0`` None:
         pc[0] already holds the block)."""
         emit(f"{ind}return _leave(thread, {pc0}, {pc1}, {idx}, {code}, "
-             f"{icount_}{prefix_args(dispatched, cyc_, icount_)})")
+             f"{scaled(icount_, 1)}"
+             f"{prefix_args(dispatched, cyc_, icount_)})")
 
     def park(ind: str, idx: int, f: int, pos: int, dispatched: int,
              cyc_: int, icount_: int) -> None:
@@ -671,11 +744,18 @@ def body_source(chain: bool, overhead: int, start: int,
         leave(ind, pc0, pc1, last, EXIT_COMPLETE, dispatches(last), cyc,
               icount)
 
+    def loop_back(ind: str, jump: bool) -> None:
+        """End a pass on the head: count it and run the next one."""
+        emit(f"{ind}n += 1")
+        emit(f"{ind}budget -= {total}")
+        if jump:
+            emit(f"{ind}continue")
+
     def tail_args(s: Slot, idx: int) -> str:
         """``retired, charge, mode, *prefix`` of a tail call (see
         :func:`cold_paths`)."""
         mode = (_HOOKED if s.hooked else 0) | (_RESUME if resumes(s) else 0)
-        return (f"{icount}, {BASE_COST[s.op] + overhead}, {mode}"
+        return (f"{scaled(icount, 1)}, {BASE_COST[s.op] + overhead}, {mode}"
                 f"{prefix_args(dispatches(idx), cyc, icount)}")
 
     def resumes(s: Slot) -> bool:
@@ -847,90 +927,173 @@ def body_source(chain: bool, overhead: int, start: int,
             group_vars[head][2] = True
         return f"{w} + {delta >> 3}" if delta else w
 
-    offset = 0
-    for idx, (f, slots, follows_taken) in enumerate(members):
-        first = start if not chain else 0
-        end = first + len(slots)
-        if chain:
-            # The member's fetch bookkeeping: the reference tier's
-            # codecache.get() bumps the execution count on every entry
-            # (dispatch cycles are summed into the exit constants; the
-            # promotion check is provably dead here — every member is
-            # already in_trace, a build precondition).
-            emit(f"    m{f}.executions += 1")
-        for pos, s in enumerate(slots, first):
-            k = offset + pos
-            op = s.op
-            charge = BASE_COST[op] + overhead
-            if op in ALU_OPCODES:
-                stmt = _alu_statement(s)
-                if stmt is not None:
-                    emit(f"    {stmt}")
+    def cut(idx: int, f: int, pos: int) -> bool:
+        """In the budget-checked copy, in front of the instruction at
+        ``pos`` of member ``idx``: break out if the budget ends here,
+        and record the park in the cut table, with pc where the
+        instruction before left it. Returns True when it always does
+        (the last instruction of the pass never runs there)."""
+        if pos:
+            # Mid-member: the park a block body clipped here makes.
+            row = (f"b{f}", pos, idx, EXIT_RESUME)
+        else:
+            # At a member boundary (or, after whole passes, at the
+            # head): the previous member's last instruction either
+            # transferred control, leaving pc on the next block, or fell
+            # through, parking pc past its end.
+            prev = idx - 1 if idx else last
+            pf, pslots, ptaken = members[prev]
+            op = pslots[-1].op
+            if prev == last:
+                ptaken = loop == "taken"
+            if op is Opcode.JMP or op is Opcode.CALL or (
+                    op in _BRANCH_OPCODES and ptaken):
+                row = (f"g{(icount or total) - 1}", 0, prev, EXIT_COMPLETE)
+            else:
+                row = (f"b{pf}", len(pslots), prev, EXIT_RESUME)
+        cuts[icount] = (row + (icount,) + unbooked(
+            dispatches(idx) if pos else idx, cyc, icount) + per_pass)
+        if icount == total - 1:
+            emit("    break")
+            return True
+        emit(f"    if budget == {icount}:" if icount else "    if not budget:")
+        emit("        break")
+        return False
+
+    def emit_pass(checked: bool) -> None:
+        """One pass over the members; ``checked`` makes it the copy that
+        leaves where the budget ends."""
+        nonlocal cyc, icount, mems, hooked
+        cyc = icount = mems = hooked = 0
+        booked.update(dispatches=0, cyc=0, icount=0, mems=0, hooked=0)
+        state["pc0"] = pc0_entry
+        reuse_const.clear()
+        reuse_reg.clear()
+        group_vars.clear()
+        offset = 0
+        for idx, (f, slots, follows_taken) in enumerate(members):
+            first = start if not chain else 0
+            end = first + len(slots)
+            if checked and (idx or loop) and cut(idx, f, 0):
+                return
+            if chain:
+                # The member's fetch bookkeeping: the reference tier's
+                # codecache.get() bumps the execution count on every
+                # entry (dispatch cycles are summed into the exit
+                # constants; the promotion check is provably dead here —
+                # every member is already in_trace, a build
+                # precondition).
+                emit(f"    m{f}.executions += 1")
+            for pos, s in enumerate(slots, first):
+                if checked and pos and cut(idx, f, pos):
+                    return
+                k = offset + pos
+                op = s.op
+                charge = BASE_COST[op] + overhead
+                if op in ALU_OPCODES:
+                    stmt = _alu_statement(s)
+                    if stmt is not None:
+                        emit(f"    {stmt}")
+                        kill(s.rd)
+                elif op is Opcode.MOD:
+                    if s.rs2 is not None:
+                        # The zero check raises *before* charging in the
+                        # reference: park with MOD unretired.
+                        emit(f"    if regs[{s.rs2}] == 0:")
+                        park("        ", idx, f, pos, dispatches(idx), cyc,
+                             icount)
+                        rhs = f"regs[{s.rs2}]"
+                    else:
+                        rhs = repr(s.imm)  # a literal zero is not holdable
+                    emit(f"    regs[{s.rd}] = regs[{s.rs1}] % {rhs}")
                     kill(s.rd)
-            elif op is Opcode.MOD:
-                if s.rs2 is not None:
-                    # The zero check raises *before* charging in the
-                    # reference: park with MOD unretired.
-                    emit(f"    if regs[{s.rs2}] == 0:")
+                elif op in MEMORY_OPCODES:
+                    emit_mem(s, idx, f, pos, k)
+                    continue
+                elif op is Opcode.JMP or op is Opcode.CALL:
+                    if op is Opcode.CALL:
+                        emit(f"    thread.call_stack.append((b{f}, "
+                             f"{pos + 1}))")
+                    cyc += charge
+                    icount += 1
+                    if idx == last:
+                        if loop:
+                            loop_back("    ", False)
+                        else:
+                            complete("    ", f"g{k}", 0)
+                    continue
+                elif op is Opcode.RET:
+                    # RET charges before raising on an empty stack: park
+                    # it unretired; CPU.execute books it and raises.
+                    emit("    if not thread.call_stack:")
                     park("        ", idx, f, pos, dispatches(idx), cyc,
                          icount)
-                    rhs = f"regs[{s.rs2}]"
-                else:
-                    rhs = repr(s.imm)  # a literal zero is not holdable
-                emit(f"    regs[{s.rd}] = regs[{s.rs1}] % {rhs}")
-                kill(s.rd)
-            elif op in MEMORY_OPCODES:
-                emit_mem(s, idx, f, pos, k)
-                continue
-            elif op is Opcode.JMP or op is Opcode.CALL:
-                if op is Opcode.CALL:
-                    emit(f"    thread.call_stack.append((b{f}, {pos + 1}))")
-                cyc += charge
-                icount += 1
-                if idx == last:
-                    complete("    ", f"g{k}", 0)
-                continue
-            elif op is Opcode.RET:
-                # RET charges before raising on an empty stack: park it
-                # unretired; CPU.execute books it and raises.
-                emit("    if not thread.call_stack:")
-                park("        ", idx, f, pos, dispatches(idx), cyc, icount)
-                cyc += charge
-                icount += 1
-                ra = fresh("ra")
-                emit(f"    {ra} = thread.call_stack.pop()")
-                complete("    ", f"{ra}[0]", f"{ra}[1]")
-                continue
-            elif op in _BRANCH_OPCODES:
-                # A not-taken branch in the reference does NOT transfer
-                # control: it parks pc just past the block end and the
-                # engine advances on its next loop iteration — a state a
-                # quantum boundary can observe. Not-taken outcomes
-                # therefore park at ``pos + 1`` with the branch retired.
-                if idx == last:
-                    emit(f"    if {_taken_cond(s)}:")
                     cyc += charge
                     icount += 1
-                    complete("        ", f"g{k}", 0)
-                    park("    ", idx, f, pos + 1, dispatches(idx), cyc,
-                         icount)
-                elif follows_taken:
-                    emit(f"    if {_not_taken_cond(s)}:")
-                    park("        ", idx, f, pos + 1, idx + 1,
-                         cyc + charge, icount + 1)
+                    ra = fresh("ra")
+                    emit(f"    {ra} = thread.call_stack.pop()")
+                    complete("    ", f"{ra}[0]", f"{ra}[1]")
+                    continue
+                elif op in _BRANCH_OPCODES:
+                    # A not-taken branch in the reference does NOT
+                    # transfer control: it parks pc just past the block
+                    # end and the engine advances on its next loop
+                    # iteration — a state a quantum boundary can observe.
+                    # Not-taken outcomes therefore park at ``pos + 1``
+                    # with the branch retired.
+                    if idx == last:
+                        emit(f"    if {_taken_cond(s)}:")
+                        cyc += charge
+                        icount += 1
+                        if loop == "taken":
+                            loop_back("        ", True)
+                        else:
+                            complete("        ", f"g{k}", 0)
+                        if loop == "fall":
+                            loop_back("    ", False)
+                        else:
+                            park("    ", idx, f, pos + 1, dispatches(idx),
+                                 cyc, icount)
+                    elif follows_taken:
+                        emit(f"    if {_not_taken_cond(s)}:")
+                        park("        ", idx, f, pos + 1, idx + 1,
+                             cyc + charge, icount + 1)
+                    else:
+                        emit(f"    if {_taken_cond(s)}:")
+                        leave("        ", f"g{k}", 0, idx, EXIT_REFETCH,
+                              idx + 1, cyc + charge, icount + 1)
+                    if idx != last:
+                        cyc += charge
+                        icount += 1
+                    continue
+                cyc += charge
+                icount += 1
+            if idx == last and slots[-1].op not in TAIL_OPCODES:
+                # Fell off the end: like a not-taken branch, the
+                # reference parks pc past the last instruction.
+                if loop:
+                    loop_back("    ", False)
                 else:
-                    emit(f"    if {_taken_cond(s)}:")
-                    leave("        ", f"g{k}", 0, idx, EXIT_REFETCH, idx + 1,
-                          cyc + charge, icount + 1)
-                if idx != last:
-                    cyc += charge
-                    icount += 1
-                continue
-            cyc += charge
-            icount += 1
-        if idx == last and slots[-1].op not in TAIL_OPCODES:
-            # Fell off the end: like a not-taken branch, the reference
-            # parks pc past the last instruction.
-            park("    ", idx, f, end, dispatches(idx), cyc, icount)
-        offset += len(slots)
+                    park("    ", idx, f, end, dispatches(idx), cyc, icount)
+            offset += len(slots)
+
+    if not chain:
+        emit_pass(False)
+        return "\n".join(lines)
+    # Whole passes while the budget holds one: a looping chain goes round
+    # again from its head, any other chain runs one. Then the copy that
+    # breaks out where the budget ends (a chain has two or more members,
+    # so the budget always ends inside a pass there) to the cut exit.
+    if loop:
+        emit("    n = 0")
+    emit(f"    {'while' if loop else 'if'} budget >= {total}:")
+    pad[0] = "    "
+    emit_pass(False)
+    cuts.extend([None] * total)
+    pad[0] = ""
+    emit("    while True:")
+    pad[0] = "    "
+    emit_pass(True)
+    pad[0] = ""
+    emit(f"    return _cut(thread, _cuts[budget], {'n' if loop else 0})")
     return "\n".join(lines)

@@ -205,7 +205,6 @@ class DBREngine(ExecutionDriver):
             "completions": sb_cache.completions,
             "instructions": sb_cache.instructions,
             "bounded": sb_cache.bounded,
-            "refused": sb_cache.refused,
             "live": len(sb_cache.by_head),
         }
 
@@ -378,118 +377,108 @@ class DBREngine(ExecutionDriver):
                 if sb_get is not None and pc[1] == 0 \
                         and not pending_yield:
                     sb = sb_get(bi)
-                    if sb is not None:
-                        run = sb
-                        if sb.overhead != overhead:
-                            self._drop_superblocks((sb,), bi,
-                                                   "stale_overhead")
-                            run = None
-                        elif sb.count > budget - executed:
-                            # The chain does not fit the rest of the
-                            # quantum: run its longest member prefix
-                            # that does, or let the block bodies run it
-                            # if not even the first member fits.
-                            run = sb.prefix(budget - executed, self)
-                            if run is None:
-                                sb_cache.refused += 1
-                        if run is not None:
-                            # Run the chain (or its prefix). The body
-                            # books the accounting at its exit site, and
-                            # in front of every hook call so the hook
-                            # sees the reference tier's state; entries,
-                            # exits and the thrash decision are the
-                            # parent's. The entry still records its
-                            # profiler edge (the body replaces the fetch
-                            # that would have) so chains through and
-                            # past this superblock can keep maturing.
-                            if prev_bi >= 0:
-                                per_src = edges.get(prev_bi)
-                                if per_src is None:
-                                    per_src = edges[prev_bi] = {}
-                                per_src[bi] = per_src.get(bi, 0) + 1
-                            self._cache_dirty = False
-                            retired = run.fn(thread)
-                            code = exit_cell[1]
-                            if code != EXIT_STALE:
-                                sb.entries += 1
-                                sb_cache.entries += 1
-                                if run is not sb:
+                    if sb is not None and sb.overhead != overhead:
+                        self._drop_superblocks((sb,), bi, "stale_overhead")
+                    elif sb is not None:
+                        # Run the chain to the rest of the quantum. The
+                        # body books the accounting at its exit site; the
+                        # entry still records its profiler edge (the body
+                        # replaces the fetch that would have) so chains
+                        # through and past this superblock can keep
+                        # maturing.
+                        if prev_bi >= 0:
+                            per_src = edges.get(prev_bi)
+                            if per_src is None:
+                                per_src = edges[prev_bi] = {}
+                            per_src[bi] = per_src.get(bi, 0) + 1
+                        self._cache_dirty = False
+                        remaining = budget - executed
+                        retired = sb.fn(thread, remaining)
+                        code = exit_cell[1]
+                        if code != EXIT_STALE:
+                            executed += retired
+                            sb_cache.instructions += retired
+                            idx = exit_cell[0]
+                            # An exit in pass n retired n * count plus a
+                            # prefix that ends inside member idx, shorter
+                            # than a pass: only an exit at the last
+                            # member's end divides evenly, and it ends
+                            # its last pass (fallthrough and not-taken
+                            # terminals park pc past it, like the
+                            # reference).
+                            passes, rest = divmod(retired, sb.count)
+                            if rest or idx != sb.last:
+                                passes += 1
+                                if retired == remaining:
+                                    # Parked where the budget ended.
                                     sb_cache.bounded += 1
-                                sb_cache.instructions += retired
-                                executed += retired
-                                # A full-count EXIT_RESUME is a
-                                # completion that fell off the chain
-                                # end (fallthrough / not-taken
-                                # terminal): pc parks past the block
-                                # end exactly like the reference and
-                                # the loop below advances it.
-                                if (code == EXIT_COMPLETE
-                                        or retired == run.count):
-                                    sb_cache.completions += 1
+                                    sb_cache.completions += passes
                                 else:
                                     # Guard-protected side exit.
+                                    sb_cache.completions += passes - 1
                                     sb.side_exits += 1
                                     sb_cache.side_exits += 1
                                     if self.tracer is not None:
                                         self.tracer.instant(
-                                            "superblock_side_exit",
-                                            "dbr", head=sb.head,
-                                            member=exit_cell[0],
+                                            "superblock_side_exit", "dbr",
+                                            head=sb.head, member=idx,
                                             code=code)
-                                # The block the chain logically left
-                                # from stays the profiler's edge
-                                # source, so the stream reads as if
-                                # the members had dispatched normally.
-                                if code == EXIT_RESUME:
-                                    # pc is parked inside (or just
-                                    # past) a member; carry on in its
-                                    # block bodies. Its dispatch is
-                                    # already charged — do NOT
-                                    # re-fetch.
-                                    member = sb.members[exit_cell[0]]
-                                    cached = member
-                                    cur_bi = member.block_index
-                                    prev_bi = cur_bi
-                                    compiled = member.compiled
-                                    if (compiled is None or
-                                            compiled.overhead != overhead):
-                                        compiled = self._compile_block(
-                                            member, overhead)
-                                    limits = compiled.limits
-                                    bodies = compiled.bodies
-                                    length = compiled.length
-                                elif code == EXIT_COMPLETE:
-                                    cur_bi = -1
-                                    prev_bi = (
-                                        run.members[-1].block_index)
-                                else:
-                                    # REFETCH after a deviation or a
-                                    # flush, or an access that faulted:
-                                    # the engine re-fetches; a fault
-                                    # also makes the retry check the
-                                    # yield flag and runnability.
-                                    cur_bi = -1
-                                    prev_bi = (sb.members[exit_cell[0]]
-                                               .block_index)
-                                    if code == EXIT_FAULT:
-                                        pending_yield = True
-                                        check_runnable = True
-                                if (sb.entries >= THRASH_MIN_ENTRIES
-                                        and sb.side_exits * 2
-                                            >= sb.entries):
-                                    # Mispredicting more than it
-                                    # completes: evict and stop
-                                    # rebuilding until the head block
-                                    # is itself invalidated.
-                                    self._drop_superblocks(
-                                        (sb,), bi, "thrash")
-                                    sb_cache.banned.add(sb.head)
-                                continue
-                            # EXIT_STALE: a member's CompiledBlock
-                            # changed under us; nothing was booked. Drop
-                            # the superblock, prefixes and all, and
-                            # dispatch normally.
-                            self._drop_superblocks((sb,), bi, "stale")
+                            else:
+                                sb_cache.completions += passes
+                            sb.entries += passes
+                            sb_cache.entries += passes
+                            if passes > 1:
+                                # Each extra pass stands for a transfer
+                                # from the last member to the head.
+                                last_bi = sb.members[-1].block_index
+                                per_src = edges.get(last_bi)
+                                if per_src is None:
+                                    per_src = edges[last_bi] = {}
+                                per_src[bi] = (per_src.get(bi, 0)
+                                               + passes - 1)
+                            # The block the chain logically left from
+                            # stays the profiler's edge source, so the
+                            # stream reads as if the members had
+                            # dispatched normally.
+                            member = sb.members[idx]
+                            prev_bi = member.block_index
+                            if code == EXIT_RESUME:
+                                # pc is parked inside (or just past) a
+                                # member; carry on in its block bodies.
+                                # Its dispatch is already charged — do
+                                # NOT re-fetch.
+                                cached = member
+                                cur_bi = prev_bi
+                                compiled = member.compiled
+                                if (compiled is None or
+                                        compiled.overhead != overhead):
+                                    compiled = self._compile_block(
+                                        member, overhead)
+                                limits = compiled.limits
+                                bodies = compiled.bodies
+                                length = compiled.length
+                            else:
+                                # Control transferred, or REFETCH after a
+                                # deviation or a flush, or an access that
+                                # faulted: the engine re-fetches; a fault
+                                # also makes the retry check the yield
+                                # flag and runnability.
+                                cur_bi = -1
+                                if code == EXIT_FAULT:
+                                    pending_yield = True
+                                    check_runnable = True
+                            if (sb.entries >= THRASH_MIN_ENTRIES
+                                    and sb.side_exits * 2 >= sb.entries):
+                                # Mispredicting more than it completes:
+                                # evict and stop rebuilding until the
+                                # head block is itself invalidated.
+                                self._drop_superblocks((sb,), bi, "thrash")
+                                sb_cache.banned.add(sb.head)
+                            continue
+                        # EXIT_STALE: a member's CompiledBlock changed
+                        # under us; nothing was booked. Drop the
+                        # superblock and dispatch normally.
+                        self._drop_superblocks((sb,), bi, "stale")
                 self._cache_dirty = False
                 cached = codecache.get(bi)
                 cur_bi = bi

@@ -29,14 +29,20 @@ fault and re-fetch exits exactly like a block body. A chain member must
 be a block one body holds whole (``CompiledBlock.stitchable``): kernel
 operations, HALT and mid-block CALLs keep a block out of chains.
 
-**Bounded entry.** When the rest of the quantum is shorter than the
-whole chain, the engine enters the longest member prefix that fits
-(:meth:`SuperBlock.prefix`): the first ``k`` members compiled as a chain
-of their own, whose last member's exit already leaves both ways. The
-prefix is memoized on its parent and dies with it; its entries, side
-exits and completions are booked on the parent, whose thrash decision
-they feed, and a stale prefix drops the parent. Only an entry whose
-first member alone does not fit is refused.
+**Runs to the budget.** The body is ``fn(thread, budget)``, called with
+the rest of the quantum. While the budget holds a whole pass it runs
+whole passes; when a pass ends on a transfer to the chain's own head
+(the unrolled back edge, or a terminal branch arm that reaches the
+head) it goes round again instead of returning, so a loop costs one
+call per quantum. Once the budget cannot hold a whole pass, a
+budget-checked copy of the pass leaves at the exact instruction where
+the budget ends, with pc, the booked dispatches and the exit code
+exactly as a block body clipped to the budget leaves them. An exit in
+pass ``n`` books ``n`` whole passes plus its own prefix; the engine
+reads ``n`` back from the retired count, counts each pass as an entry
+and adds the profiler's last-member-to-head edge once per extra pass.
+A chain with an observing hook runs one pass per call (that hook books
+the prefix in front of it, which a second pass could not repeat).
 
 The parity contract is the same as the compiled tier's: bit-identical
 simulated statistics, race reports, chaos replay logs and cycle
@@ -48,8 +54,6 @@ attribution versus the interpreter, enforced by
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate
 from types import FunctionType
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -93,8 +97,8 @@ THRASH_MIN_ENTRIES = 32
 class SuperBlock:
     """One compiled trace: a chain of cached blocks and its body."""
 
-    __slots__ = ("head", "members", "fn", "count", "ends", "prefixes",
-                 "overhead", "entries", "side_exits")
+    __slots__ = ("head", "members", "last", "fn", "count", "overhead",
+                 "entries", "side_exits")
 
     def __init__(self, head: int, members: Tuple, fn, overhead: int):
         self.head = head
@@ -102,37 +106,14 @@ class SuperBlock:
         #: ``members[i]`` on an EXIT_RESUME side exit that leaves ``i`` in
         #: its exit cell.
         self.members = members
+        self.last = len(members) - 1
         self.fn = fn
-        #: Instructions retired by completing each member prefix.
-        self.ends = tuple(accumulate(len(m.instrs) for m in members))
-        #: Total instructions when the body runs to completion. When the
-        #: rest of the quantum is shorter, the engine enters the longest
-        #: member prefix that fits instead (:meth:`prefix`), and refuses
-        #: the entry only when not even the first member fits.
-        self.count = self.ends[-1]
-        #: Bounded-entry bodies, keyed by member count: they live and die
-        #: with this superblock, which books their entries and exits.
-        self.prefixes: Dict[int, SuperBlock] = {}
+        #: Instructions in one pass over the chain.
+        self.count = sum(len(m.instrs) for m in members)
         self.overhead = overhead
+        #: Passes run and passes that left through a side exit.
         self.entries = 0
         self.side_exits = 0
-
-    def prefix(self, budget: int, engine) -> Optional["SuperBlock"]:
-        """The longest member prefix that retires at most ``budget``
-        instructions, compiled on first use; None if the first member
-        alone does not fit. The prefix's last member exits both ways,
-        like any chain's last member, so the emitter needs no budget
-        guard. Its body reads this body's globals, whose names for the
-        first members are the same, so its identity guards check the
-        blocks this superblock was built from."""
-        k = bisect_right(self.ends, budget)
-        if k == 0:
-            return None
-        sb = self.prefixes.get(k)
-        if sb is None:
-            sb = self.prefixes[k] = compile_superblock(
-                self.members[:k], engine, self.fn.__globals__)
-        return sb
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         chain = "->".join(str(m.block_index) for m in self.members)
@@ -157,12 +138,9 @@ class SuperBlockCache:
         self.completions = 0
         self.side_exits = 0
         self.instructions = 0
-        #: Entries that ran a member prefix because the whole chain did
-        #: not fit the rest of the quantum (:meth:`SuperBlock.prefix`),
-        #: and entries refused because not even the first member fit;
-        #: the block bodies run those instructions instead.
+        #: Calls that ended where the quantum's budget did, inside a
+        #: pass; each counts as a completion.
         self.bounded = 0
-        self.refused = 0
         #: Heads proven unstitchable (or guard-thrashing): no further
         #: build attempts until the block itself is invalidated.
         self.banned: Set[int] = set()
@@ -215,8 +193,8 @@ def plan_chain(head_index: int, engine) -> List:
     unbuilt / unstitchable, a RET (dynamic target), an unpredictable
     branch, or the size caps. A back-edge to the *head* instead unrolls
     the loop: the whole body is replicated while it fits the caps, so
-    each superblock entry retires several iterations and the completion
-    lands back on the head for immediate re-entry. Members are
+    each pass retires several iterations and ends on the head, where the
+    body goes round again while the budget holds a pass. Members are
     (re)compiled here if their CompiledBlock is missing or stale, so the
     build itself never runs inside the dispatch fast path.
     """
@@ -287,15 +265,14 @@ def plan_chain(head_index: int, engine) -> List:
     return members
 
 
-def compile_superblock(members: List, engine,
-                       glb: Optional[dict] = None) -> SuperBlock:
+def compile_superblock(members: List, engine) -> SuperBlock:
     """Generate and bind the body for one chain.
 
-    The generated ``fn(thread) -> retired`` reports its exit through the
-    engine's exit cell ``[resume_member_index, exit_code]``. ``glb`` is a
-    longer chain's globals, which a member prefix shares.
+    The generated ``fn(thread, budget) -> retired`` reports its exit
+    through the engine's exit cell ``[resume_member_index, exit_code]``.
     """
     label_index = engine.codecache.program.label_index
+    head = members[0].block_index
     firsts: Dict[int, int] = {}
     shape = []
     for idx, member in enumerate(members):
@@ -309,9 +286,21 @@ def compile_superblock(members: List, engine,
             follows_taken = (target == member.block_index + 1
                              or target == members[idx + 1].block_index)
         shape.append((f, slots, follows_taken))
+    # Which arm of the last instruction, if any, goes back to the head.
+    final = members[-1].instrs[-1]
+    loop: Optional[str] = None
+    if final.op in _BRANCH_OPCODES or final.op is Opcode.JMP \
+            or final.op is Opcode.CALL:
+        if label_index(final.label) == head:
+            loop = "taken"
+    if (loop is None and final.op is not Opcode.JMP
+            and final.op is not Opcode.CALL and final.op is not Opcode.RET
+            and members[-1].block_index + 1 == head):
+        loop = "fall"
     overhead = engine.overhead_per_instr
-    if glb is None:
-        glb = body_globals(engine, [(m, 0, len(m.instrs)) for m in members],
-                           chain=True)
-    fn = FunctionType(body_code(True, overhead, 0, tuple(shape)), glb)
-    return SuperBlock(members[0].block_index, tuple(members), fn, overhead)
+    glb = body_globals(engine, [(m, 0, len(m.instrs)) for m in members],
+                       chain=True)
+    code, cuts = body_code(True, overhead, 0, tuple(shape), loop)
+    glb["_cuts"] = tuple(row and (glb[row[0]],) + row[1:] for row in cuts)
+    return SuperBlock(head, tuple(members), FunctionType(code, glb),
+                      overhead)

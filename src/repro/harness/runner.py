@@ -185,11 +185,14 @@ def run_native(program, *, seed: int = 0, quantum: int = 200,
                max_instructions: int = _DEFAULT_BUDGET) -> RunResult:
     """Bare execution: the baseline every slowdown is normalized to."""
     kernel = Kernel(seed=seed, quantum=quantum, jitter=jitter)
-    kernel.create_process(program)
-    kernel.run(max_instructions=max_instructions)
-    return RunResult("native", kernel.counter.total,
-                     kernel.driver.stats.as_dict(),
-                     kernel.counter.snapshot())
+    try:
+        kernel.create_process(program)
+        kernel.run(max_instructions=max_instructions)
+        return RunResult("native", kernel.counter.total,
+                         kernel.driver.stats.as_dict(),
+                         kernel.counter.snapshot())
+    finally:
+        kernel.close()
 
 
 def run_fasttrack(program, *, seed: int = 0, quantum: int = 200,
@@ -198,18 +201,23 @@ def run_fasttrack(program, *, seed: int = 0, quantum: int = 200,
                   max_instructions: int = _DEFAULT_BUDGET) -> RunResult:
     """The conservative instrument-everything FastTrack baseline."""
     kernel = Kernel(seed=seed, quantum=quantum, jitter=jitter)
-    kernel.create_process(program)
-    engine = DBREngine(kernel, compile_blocks=compile_blocks,
-                       superblocks=superblocks)
-    detector = FastTrackDetector(kernel.counter, block_size)
-    engine.attach_tool(
-        FullInstrumentationTool(kernel, detector, block_size=block_size))
-    kernel.run(max_instructions=max_instructions)
-    return RunResult("fasttrack", kernel.counter.total,
-                     _engine_run_stats(engine), kernel.counter.snapshot(),
-                     races=list(detector.races),
-                     detector_profile=_detector_profile(detector),
-                     superblocks=engine.superblock_snapshot())
+    try:
+        kernel.create_process(program)
+        engine = DBREngine(kernel, compile_blocks=compile_blocks,
+                           superblocks=superblocks)
+        detector = FastTrackDetector(kernel.counter, block_size)
+        engine.attach_tool(
+            FullInstrumentationTool(kernel, detector,
+                                    block_size=block_size))
+        kernel.run(max_instructions=max_instructions)
+        return RunResult("fasttrack", kernel.counter.total,
+                         _engine_run_stats(engine),
+                         kernel.counter.snapshot(),
+                         races=list(detector.races),
+                         detector_profile=_detector_profile(detector),
+                         superblocks=engine.superblock_snapshot())
+    finally:
+        kernel.close()
 
 
 def build_aikido_system(program, *, seed: int = 0, quantum: int = 200,
@@ -257,8 +265,11 @@ def run_aikido_fasttrack(program, *, seed: int = 0, quantum: int = 200,
     """The paper's system: FastTrack on shared-page accesses only."""
     system = build_aikido_system(program, seed=seed, quantum=quantum,
                                  jitter=jitter, config=config)
-    system.run(max_instructions=max_instructions)
-    return system_result(system)
+    try:
+        system.run(max_instructions=max_instructions)
+        return system_result(system)
+    finally:
+        system.kernel.close()
 
 
 _MODE_RUNNERS = {

@@ -24,15 +24,18 @@ Six layers of evidence:
   counters and pc, survive a hook that re-JITs or drops translations,
   fault and retry like a compiled step, and take both arms of the
   Fig. 4 check when a page turns shared under a live body;
-* bounded entries and grouped page probes, stepped in lockstep with the
-  interpreter: a chain entered with every remaining budget, a probe
-  group straddling a page, a read-only group head whose member store
-  faults, a stale prefix dropping its parent, and thrash counted on the
-  parent;
-* quiet hooks, called with nothing booked in front of them: a chain
-  that parks in another member after a quiet hook's resumed tail, the
-  same runs with the hooks forced observing, and a call budget of zero
-  ``hooked`` exits on the untraced paper stack.
+* chains run to the budget and grouped page probes, stepped in
+  lockstep with the interpreter: a chain entered with every remaining
+  budget up to three passes, a side exit in a later pass, a quiet hook
+  that flushes another member in a later pass, budget parks that never
+  trip the thrash eviction, a probe group straddling a page, a
+  read-only group head whose member store faults, a stale member
+  caught at a short budget, and the side exits of short entries
+  counted toward thrash;
+* quiet hooks, called with nothing booked in front of them: a looping
+  chain whose quiet hook's tail resumes in one pass and parks in the
+  next, the same runs with the hooks forced observing, and a call
+  budget of zero ``hooked`` exits on the untraced paper stack.
 """
 
 from __future__ import annotations
@@ -731,13 +734,13 @@ def _recording_run(compile_blocks, superblocks,
 
 
 # ----------------------------------------------------------------------
-# bounded chain entry and grouped page probes, in lockstep with the
-# interpreter
+# chains run to the budget, and grouped page probes, in lockstep with
+# the interpreter
 # ----------------------------------------------------------------------
 class _Lockstep:
     """A superblock-tier engine and an interpreter-tier engine over one
     program, driven by the same ``run`` calls; every call compares what
-    the two can observe afterwards."""
+    the two can observe afterwards, block execution counts included."""
 
     def __init__(self, program_factory, tool_factory=None,
                  on_kernel=None):
@@ -761,7 +764,9 @@ class _Lockstep:
         thread = self._thread(engine)
         return (engine.counter.snapshot(), engine.stats.as_dict(),
                 list(thread.regs), list(thread.pc), thread.tlb.hits,
-                thread.tlb.misses, dict(engine.cpu.memory._words))
+                thread.tlb.misses, dict(engine.cpu.memory._words),
+                {bi: cached.executions for bi, cached
+                 in engine.codecache._blocks.items()})
 
     def run(self, budget):
         for engine in self.engines:
@@ -788,6 +793,19 @@ class _Lockstep:
         self.run(3000)
         assert self.sb_cache.by_head, "no superblock formed"
         return next(iter(self.sb_cache.by_head.values()))
+
+    def to_iteration(self, sb, counter: int, value: int):
+        """Run both engines until the loop counter register holds
+        ``value`` with the head's first instruction next."""
+        thread = self._thread(self.engines[0])
+        while thread.regs[counter] < value - 20:
+            self.run(50)
+        while True:
+            self.to_head(sb)
+            if thread.regs[counter] == value:
+                return
+            assert thread.regs[counter] < value
+            self.run(1)
 
 
 def _group_straddle_program(iters=20_000, first=PAGE_SIZE - 256, step=8):
@@ -865,36 +883,196 @@ def _write_protect_data(kernel, every=3):
     return state
 
 
+class _QuietFlushTool(Tool):
+    """Hooks the loads quietly; the call numbered ``flush_at`` re-JITs
+    the loop test, the chain's other member."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+        self.flush_at = None
+
+    def instrument_block(self, cached):
+        for pos, instr in enumerate(cached.instrs):
+            if instr.op is Opcode.LOAD:
+                cached.set_hook(pos, self._hook, quiet=True)
+
+    def _hook(self, thread, instr, ea):
+        self.calls += 1
+        if self.calls == self.flush_at:
+            engine = self.engine
+            engine.invalidate_instruction(next(
+                i.uid for i in engine.process.program.iter_instructions()
+                if i.op is Opcode.BGE))
+
+
+def _iterations(sb):
+    """Loop iterations in one pass of an unrolled loop chain."""
+    return sum(1 for m in sb.members if m.block_index == sb.head)
+
+
+def _do_while_program(iters=20_000):
+    """A loop whose only block ends in a conditional branch back to
+    itself: the chain's pass ends on that branch's taken arm."""
+    b = ProgramBuilder()
+    data = b.segment("data", 64)
+    b.label("main")
+    b.li(4, data)
+    b.li(3, iters)
+    b.label("top")
+    b.load(5, base=4, disp=0)
+    b.add(5, 5, imm=1)
+    b.store(5, base=4, disp=0)
+    b.add(2, 2, imm=1)
+    b.blt(2, 3, "top")
+    b.halt()
+    return b.build()
+
+
+def _fall_into_test_program(iters=20_000):
+    """A loop body laid out in front of its test, which branches back to
+    it. With the body's block banned as a chain head, the chain starts
+    at the test and its pass ends by falling through into it."""
+    b = ProgramBuilder()
+    data = b.segment("data", 64)
+    b.label("main")
+    b.li(4, data)
+    b.li(3, iters)
+    b.label("body")
+    b.load(5, base=4, disp=0)
+    b.add(5, 5, imm=1)
+    b.store(5, base=4, disp=0)
+    b.add(2, 2, imm=1)
+    b.label("test")
+    b.xor(6, 5, imm=0x55)
+    b.blt(2, 3, "body")
+    b.halt()
+    return b.build()
+
+
+def _every_remaining_budget(program, banned, final_op, arm):
+    """Enter the chain at its head with each remaining budget from 1 to
+    three passes, after checking how its pass gets back to the head:
+    the last instruction is ``final_op`` and its ``arm`` ("taken" or
+    "fall") reaches the head. Each call must run every whole pass the
+    budget holds and park where the budget ends, exactly like the
+    interpreter, in one call, with each extra pass one entry and one
+    profiler edge from the last member back to the head."""
+    steps = _Lockstep(lambda: program(iters=20_000))
+    steps.sb_cache.banned.update(banned)
+    sb = steps.superblock()
+    assert len(sb.members) > 2
+    final = sb.members[-1].instrs[-1]
+    assert final.op is final_op
+    if arm == "taken":
+        assert steps.engines[0].process.program.label_index(
+            final.label) == sb.head
+    else:
+        assert sb.members[-1].block_index + 1 == sb.head
+    cache = steps.sb_cache
+    edges = steps.engines[0].traceprofiler._edges
+    last = sb.members[-1].block_index
+    calls = [0]
+    body = sb.fn
+
+    def counted(thread, budget):
+        calls[0] += 1
+        return body(thread, budget)
+
+    sb.fn = counted
+
+    def counts():
+        return (calls[0], cache.entries, cache.completions, cache.bounded,
+                cache.instructions, cache.side_exits,
+                edges.get(last, {}).get(sb.head, 0))
+
+    for budget in range(1, 3 * sb.count + 1):
+        steps.to_head(sb)
+        before = counts()
+        steps.run(budget)
+        passes = -(-budget // sb.count)
+        parked = int(budget % sb.count != 0)
+        assert [a - b for a, b in zip(counts(), before)] == [
+            1, passes, passes, parked, budget, 0, passes - 1], budget
+        steps.run(100)
+    assert cache.by_head[sb.head] is sb
+    snapshot = steps.engines[0].superblock_snapshot()
+    assert snapshot["bounded"] == cache.bounded > 0
+    assert snapshot["entries"] == (snapshot["completions"]
+                                   + snapshot["side_exits"])
+
+
 class TestBoundedEntryAndProbeGroups:
     def test_every_remaining_budget(self):
-        # Entered with each remaining budget from 1 to the whole chain,
-        # the engine runs the longest member prefix that fits (or the
-        # block bodies, when not even the first member does), exactly
-        # like the interpreter.
+        # The counted loop's chain ends on the loop test, whose
+        # not-taken arm falls through into the head.
+        _every_remaining_budget(_hot_loop_program, (), Opcode.BGE, "fall")
+
+    # The other ways back to the head: the last instruction's taken arm
+    # (a JMP back edge, with the loop body's block banned as a head so
+    # the chain starts at the loop test, or a conditional branch), or a
+    # plain instruction ending a block laid out in front of the head.
+    @pytest.mark.parametrize("program, banned, final_op, arm", [
+        (_hot_loop_program, (2,), Opcode.JMP, "taken"),
+        (_do_while_program, (), Opcode.BLT, "taken"),
+        (_fall_into_test_program, (1,), Opcode.ADD, "fall"),
+    ], ids=["jmp", "branch-taken", "fall-through"])
+    def test_every_remaining_budget_on_each_back_edge(
+            self, program, banned, final_op, arm):
+        _every_remaining_budget(program, banned, final_op, arm)
+
+    def test_side_exit_in_a_later_pass(self):
+        # The loop ends three iterations into the second pass: the exit
+        # branch's guard leaves with both whole passes' worth of
+        # accounting booked.
+        iters = 20_000
+        steps = _Lockstep(lambda: _hot_loop_program(iters=iters))
+        sb = steps.superblock()
+        tracer = RecordingTracer()
+        steps.engines[0].tracer = tracer
+        steps.to_iteration(sb, 2, iters - _iterations(sb) - 3)
+        entries, side_exits = sb.entries, sb.side_exits
+        steps.run(3 * sb.count)
+        assert (sb.entries - entries, sb.side_exits - side_exits) == (2, 1)
+        assert [attrs["member"] for name, attrs in tracer.instants
+                if name == "superblock_side_exit"] == [5]
+        steps.run(2000)
+        assert steps.engines[0].kernel.process.threads[1].exited
+
+    @pytest.mark.parametrize("load", [1, 4, 8])
+    def test_quiet_hook_that_flushes_another_member_in_a_later_pass(
+            self, load):
+        # The hook re-JITs the loop test at the given load of the second
+        # pass: the body must leave right after that load, booked, and
+        # the engine re-fetch, exactly like the reference tier, with the
+        # chain dropped.
+        steps = _Lockstep(lambda: _hot_loop_program(iters=20_000),
+                          _QuietFlushTool)
+        sb = steps.superblock()
+        steps.to_head(sb)
+        for engine in steps.engines:
+            engine.tool.flush_at = (engine.tool.calls + _iterations(sb)
+                                    + load)
+        entries, side_exits = sb.entries, sb.side_exits
+        steps.run(3 * sb.count)
+        assert (sb.entries - entries, sb.side_exits - side_exits) == (2, 1)
+        assert steps.sb_cache.by_head.get(sb.head) is not sb
+        steps.run(3000)
+        assert steps.sb_cache.by_head, "the chain never formed again"
+
+    def test_budget_parks_never_trip_thrash(self):
+        # Every call ends where the budget does, inside the first pass:
+        # each is a completion, however many there are.
         steps = _Lockstep(lambda: _hot_loop_program(iters=20_000))
         sb = steps.superblock()
-        assert len(set(sb.ends)) == len(sb.members) > 2
-        for budget in range(1, sb.count + 1):
+        bounded, side_exits = steps.sb_cache.bounded, sb.side_exits
+        for budget in range(1, 2 * THRASH_MIN_ENTRIES + 1):
             steps.to_head(sb)
-            before = (steps.sb_cache.entries, steps.sb_cache.bounded,
-                      steps.sb_cache.refused)
-            steps.run(budget)
-            after = (steps.sb_cache.entries, steps.sb_cache.bounded,
-                     steps.sb_cache.refused)
-            if budget < sb.ends[0]:
-                assert after == (before[0], before[1], before[2] + 1)
-            else:
-                # A prefix that completes early may leave budget for
-                # another decision at the head.
-                assert after[0] > before[0]
-                assert after[1] > before[1] or budget == sb.count
-            steps.run(100)
-        assert steps.sb_cache.by_head[sb.head] is sb
-        assert sorted(sb.prefixes) == list(range(1, len(sb.members)))
-        snapshot = steps.engines[0].superblock_snapshot()
-        assert snapshot["bounded"] == steps.sb_cache.bounded > 0
-        assert snapshot["entries"] == (snapshot["completions"]
-                                       + snapshot["side_exits"])
+            steps.run(budget % (sb.count - 1) + 1)
+        assert steps.sb_cache.bounded - bounded == 2 * THRASH_MIN_ENTRIES
+        assert sb.side_exits == side_exits
+        assert steps.sb_cache.by_head.get(sb.head) is sb
+        assert sb.head not in steps.sb_cache.banned
 
     def test_group_straddling_a_page_leaves_alike(self):
         steps = _Lockstep(_group_straddle_program)
@@ -931,46 +1109,42 @@ class TestBoundedEntryAndProbeGroups:
         assert store.uid in {i.uid for sb in steps.sb_cache.by_head.values()
                              for m in sb.members for i in m.instrs}
 
-    def test_stale_prefix_drops_its_parent(self):
+    def test_stale_member_drops_the_chain_at_a_short_budget(self):
         steps = _Lockstep(lambda: _hot_loop_program(iters=20_000))
         sb = steps.superblock()
-        steps.to_head(sb)
-        steps.run(sb.ends[1])  # builds the two-member prefix
-        assert 2 in sb.prefixes
-        steps.run(100)
         steps.to_head(sb)
         tracer = RecordingTracer()
         engine = steps.engines[0]
         engine.tracer = tracer
         # Replace a member's CompiledBlock behind the listener's back:
-        # only the prefix body's identity guard can see it.
-        engine._compile_block(sb.members[0], engine.overhead_per_instr)
+        # only the body's identity guard can see it, before the
+        # budget-checked copy books anything.
+        engine._compile_block(sb.members[1], engine.overhead_per_instr)
         entries, bounded = sb.entries, steps.sb_cache.bounded
-        steps.run(sb.ends[1])
+        steps.run(len(sb.members[0].instrs) + 1)
         assert sb.head not in steps.sb_cache.by_head
         assert (sb.entries, steps.sb_cache.bounded) == (entries, bounded)
         assert [attrs["reason"] for name, attrs in tracer.instants
                 if name == "superblock_drop"] == ["stale"]
         steps.run(2000)
 
-    def test_thrash_is_counted_on_the_parent(self):
+    def test_short_entry_side_exits_count_toward_thrash(self):
         # Every entry's group straddles the page, so every entry leaves
-        # at its first access; bounded entries must count toward the
-        # parent's eviction and ban its head.
+        # at its first access. Entered with less than a pass, the chain
+        # runs its budget-checked copy, whose side exits must count
+        # toward the eviction and ban the head.
         steps = _Lockstep(lambda: _group_straddle_program(
             first=PAGE_SIZE - 8, step=0))
         while not steps.sb_cache.by_head:
             steps.run(20)
         sb = next(iter(steps.sb_cache.by_head.values()))
-        entries, bounded = sb.entries, steps.sb_cache.bounded
+        bounded = steps.sb_cache.bounded
         while steps.sb_cache.by_head.get(sb.head) is sb:
             steps.to_head(sb)
-            steps.run(sb.ends[0])
+            steps.run(len(sb.members[0].instrs))
         assert sb.entries == THRASH_MIN_ENTRIES
-        assert steps.sb_cache.bounded - bounded == sb.entries - entries
+        assert steps.sb_cache.bounded == bounded
         assert sb.side_exits * 2 >= sb.entries
-        assert sb.prefixes and all(p.entries == p.side_exits == 0
-                                   for p in sb.prefixes.values())
         assert sb.head in steps.sb_cache.banned
         steps.run(2000)
 
@@ -1013,16 +1187,35 @@ def _count_hooked_exits(monkeypatch):
     cold_paths = blockcompiler.cold_paths
 
     def counting(engine):
-        leave, hooked, tail = cold_paths(engine)
+        leave, cut, hooked, tail = cold_paths(engine)
 
         def counted(*args):
             calls[0] += 1
             return hooked(*args)
 
-        return leave, counted, tail
+        return leave, cut, counted, tail
 
     monkeypatch.setattr(blockcompiler, "cold_paths", counting)
     return calls
+
+
+def _split_body_loop_program(iters=20_000):
+    """A loop whose body a never-taken branch splits in two, so its load
+    sits in the chain's second member."""
+    b = ProgramBuilder()
+    data = b.segment("data", 64)
+    b.label("main")
+    b.li(4, data)
+    b.li(9, 1)
+    with b.loop(counter=2, count=iters):
+        b.add(6, 6, imm=1)
+        b.bz(9, "skip")
+        b.load(5, base=4, disp=0)
+        b.add(5, 5, imm=1)
+        b.label("skip")
+        b.store(5, base=4, disp=0)
+    b.halt()
+    return b.build()
 
 
 class TestQuietHooks:
@@ -1040,22 +1233,27 @@ class TestQuietHooks:
         assert superblock == compiled == interp
 
     def test_resumed_tail_then_park_in_another_member(self):
-        # The loop head and body alternate in one unrolled chain; the
-        # body's quiet hooked load resumes after its tail every time.
-        # Every bounded prefix that ends on a head member parks there,
-        # after the tail parked pc[0] on the body.
-        steps = _Lockstep(lambda: _hot_loop_program(iters=20_000),
-                          _QuietTLBDropTool)
+        # The loop's blocks repeat in one unrolled chain; the quiet
+        # hooked load, in the member after the head, resumes after its
+        # tail every time, which parks pc[0] on that member. The chain
+        # loops, so the tails of the first pass run before the second
+        # pass starts, and every budget park in another member, the head
+        # of the second pass included, must set pc[0] itself.
+        steps = _Lockstep(_split_body_loop_program, _QuietTLBDropTool)
         sb = steps.superblock()
-        heads = [i for i, m in enumerate(sb.members)
-                 if m.block_index == sb.head]
-        assert len(heads) > 2
+        assert _iterations(sb) > 2
+        assert not any(s.hooked for s in sb.members[0].compiled.slots)
         assert any(s.quiet for m in sb.members for s in m.compiled.slots)
-        for budget in range(1, sb.count + 1):
+        cache = steps.sb_cache
+        for budget in range(1, 2 * sb.count + 1):
             steps.to_head(sb)
+            before = (cache.entries, cache.bounded, cache.side_exits)
             steps.run(budget)
+            passes = -(-budget // sb.count)
+            assert (cache.entries, cache.bounded, cache.side_exits) == (
+                before[0] + passes,
+                before[1] + int(budget % sb.count != 0), before[2])
             steps.run(100)
-        assert sorted(sb.prefixes) == list(range(1, len(sb.members)))
 
     @pytest.mark.parametrize("mode", ["aikido-fasttrack", "fasttrack"])
     @pytest.mark.parametrize("name", ["streamcluster", "canneal"])

@@ -104,5 +104,5 @@ def test_code_memo_is_keyed_by_shape_and_kind():
     block = ((0, slots, False),)
     assert body_code(False, 1, 0, block) is body_code(False, 1, 0, block)
     assert body_code(False, 1, 0, block) is not body_code(False, 2, 0, block)
-    assert body_code(False, 1, 0, block).co_filename == "<block>"
-    assert body_code(True, 1, 0, block).co_filename == "<superblock>"
+    assert body_code(False, 1, 0, block)[0].co_filename == "<block>"
+    assert body_code(True, 1, 0, block)[0].co_filename == "<superblock>"
